@@ -12,8 +12,7 @@ from .measures import (DensityModel, TimeGrid, comparability_band,
 from .mollifier import (Mollifier, SmoothedDistance, build_mollifier,
                         certify_derivative_bound, certify_komatsu,
                         certify_mollifier_shape, certify_sandwich,
-                        derivative_bound_rhs, komatsu_identity_residual,
-                        psi_eval)
+                        derivative_bound_rhs, komatsu_identity_residual)
 from .quadrature import QuadratureSpec
 from .rates import (ConvergenceReport, RateBoundSpec, SweepResult,
                     convergence_experiment, run_sweep, tail_bound,

@@ -1,11 +1,13 @@
 """Configuration-driven command line.
 
     stablesde run --config cfg.json [--set key=value ...] [--out DIR]
-                  [--threads N] [--dump-paths]
+                  [--dump-paths]
     stablesde print-bound --alpha A --eta-tilde E --B B --S S --x0-gap G [--h H]
 
 The config is strict JSON: unknown keys are rejected, and physical
-parameters (alpha, eps, delta, T, seed, ...) have no defaults. Outputs are
+parameters (alpha, eps, delta, T, seed, ...) have no defaults, and every
+number is type-checked where it is read (a bool, a string or a fractional
+count is a config error, never coerced). Outputs are
 results.csv (floats at 17 significant digits), report.json (validated
 machine-readable pass/fail rows), and plotdata/*.tsv series.
 
@@ -19,16 +21,16 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import mollifier as moll
 from .coefficients import make_family, make_pair
-from .errors import AssumptionViolation, ConstructionError, DomainError, NumericError
-from .measures import (DensityModel, TimeGrid, default_time_grid, distance_B,
-                       distance_B_sup, distance_S, distance_S_sup)
+from .errors import (REQUIRED, AssumptionViolation, ConfigError, ConstructionError,
+                     DomainError, NumericError, as_number, config_number)
+from .measures import (DensityModel, TimeGrid, distance_B, distance_B_sup, distance_S,
+                       distance_S_sup)
 from .rates import RateBoundSpec, convergence_experiment, run_sweep, theoretical_bound
 from .report import CheckRow, Report, fmt17, validate_report, write_plotdata, write_results_csv
 from .simulate import SimConfig, distance_moment_curve, simulate_coupled, tail_probability
@@ -47,14 +49,10 @@ _SCHEMA = {
     "converge": {"family", "params", "p_exponent"},
     "certify": {"grid_lo", "grid_hi", "grid_points", "komatsu_points",
                 "alphas", "tail_x"},
-    "output": {"dir", "formats"},
+    "output": {"dir"},
 }
 _COMMANDS = ("certify-mollifier", "certify-density", "distances", "simulate",
              "sweep", "converge")
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def load_config(path: str, overrides) -> dict:
@@ -121,12 +119,18 @@ def _require(cfg, section, keys):
     return cfg[section]
 
 
+def _num(cfg, section, key, default=REQUIRED, kind=float):
+    return config_number(cfg.get(section, {}), key, default, kind, where=section + ".")
+
+
 def _sim_config(cfg, keep_paths_flag=False) -> SimConfig:
-    sim = _require(cfg, "sim", ("T", "n_steps", "n_paths", "seed"))
-    return SimConfig(T=float(sim["T"]), n_steps=int(sim["n_steps"]),
-                     n_paths=int(sim["n_paths"]), seed=int(sim["seed"]),
-                     x_clip=float(sim.get("x_clip", 1e12)),
-                     keep_paths=bool(sim.get("keep_paths", False)) or keep_paths_flag)
+    return SimConfig(T=_num(cfg, "sim", "T"),
+                     n_steps=_num(cfg, "sim", "n_steps", kind=int),
+                     n_paths=_num(cfg, "sim", "n_paths", kind=int),
+                     seed=_num(cfg, "sim", "seed", kind=int),
+                     x_clip=_num(cfg, "sim", "x_clip", 1e12),
+                     keep_paths=bool(cfg["sim"].get("keep_paths", False))
+                     or keep_paths_flag)
 
 
 # ---------------------------------------------------------------------------
@@ -134,23 +138,22 @@ def _sim_config(cfg, keep_paths_flag=False) -> SimConfig:
 # ---------------------------------------------------------------------------
 
 def _cmd_certify_mollifier(cfg, out: Path) -> Report:
-    alpha = float(cfg["law"]["alpha"])
-    msec = _require(cfg, "mollifier", ("eps", "delta"))
+    alpha = _num(cfg, "law", "alpha")
     law = make_stable_law(alpha)
-    m = moll.build_mollifier(alpha, float(msec["eps"]), float(msec["delta"]),
-                             rho=msec.get("rho"))
+    m = moll.build_mollifier(alpha, _num(cfg, "mollifier", "eps"),
+                             _num(cfg, "mollifier", "delta"),
+                             rho=_num(cfg, "mollifier", "rho", None))
     s = moll.SmoothedDistance(m)
-    cert = cfg.get("certify", {})
-    lo = float(cert.get("grid_lo", -5.0))
-    hi = float(cert.get("grid_hi", 5.0))
-    n = int(cert.get("grid_points", 2001))
+    lo = _num(cfg, "certify", "grid_lo", -5.0)
+    hi = _num(cfg, "certify", "grid_hi", 5.0)
+    n = _num(cfg, "certify", "grid_points", 2001, int)
     grid = np.linspace(lo, hi, n)
     grid = grid[grid != 0.0]
     reports = [moll.certify_mollifier_shape(m),
                moll.certify_sandwich(s, grid),
                moll.certify_derivative_bound(s, grid)]
     a_s, b_s = m.support
-    nk = int(cert.get("komatsu_points", 40))
+    nk = _num(cfg, "certify", "komatsu_points", 40, int)
     thetas = np.concatenate([np.linspace(a_s * 1.01, b_s * 0.99, nk),
                              [2 * m.eps, -2 * m.eps, 1.0, -1.0, -a_s]])
     reports.append(moll.certify_komatsu(s, law, thetas))
@@ -172,12 +175,12 @@ def _cmd_certify_mollifier(cfg, out: Path) -> Report:
 
 def _cmd_certify_density(cfg, out: Path) -> Report:
     cert = cfg.get("certify", {})
-    alphas = cert.get("alphas", [cfg["law"]["alpha"]])
-    tail_x = float(cert.get("tail_x", 50.0))
+    alphas = cert["alphas"] if "alphas" in cert else [_num(cfg, "law", "alpha")]
+    tail_x = _num(cfg, "certify", "tail_x", 50.0)
     checks = []
     rows = []
     for alpha in alphas:
-        law = make_stable_law(float(alpha))
+        law = make_stable_law(as_number(alpha, "certify.alphas[]"))
         mass = density_total_mass(law, 100.0)
         g0 = stable_density(law, 0.0)
         g0_ref = math.gamma(1.0 + 1.0 / law.alpha) / math.pi
@@ -210,22 +213,22 @@ def _cmd_certify_density(cfg, out: Path) -> Report:
 
 
 def _cmd_distances(cfg, out: Path) -> Report:
-    alpha = float(cfg["law"]["alpha"])
+    alpha = _num(cfg, "law", "alpha")
     law = make_stable_law(alpha)
     csec = _require(cfg, "coefficients", ("name",))
     pair = make_pair(csec["name"], alpha, csec.get("params", {}))
     dsec = _require(cfg, "distances", ("T", "model"))
-    T = float(dsec["T"])
-    grid = TimeGrid(n_nodes=int(dsec.get("time_nodes", 24)), gamma=alpha)
+    T = _num(cfg, "distances", "T")
+    grid = TimeGrid(n_nodes=_num(cfg, "distances", "time_nodes", 24, int), gamma=alpha)
     mode = dsec["model"]
     sim_config = _sim_config(cfg) if mode == "empirical" else None
     model = DensityModel(mode=mode, law=law, sigma_ref=pair.sigma, x0=pair.x0,
-                         M=float(dsec.get("M", 1.0)), sim_config=sim_config)
+                         M=_num(cfg, "distances", "M", 1.0), sim_config=sim_config)
     B = distance_B(pair, model, T, grid)
     S = distance_S(pair, model, T, grid)
     window = dsec.get("sup_window")
     window = tuple(window) if window else None
-    n_pts = int(dsec.get("sup_points", 10001))
+    n_pts = _num(cfg, "distances", "sup_points", 10001, int)
     variant = dsec.get("variant", "time_integral")
     B_inf = distance_B_sup(pair, T, variant=variant, window=window, n_points=n_pts)
     S_inf = distance_S_sup(pair, alpha, T, variant=variant, window=window,
@@ -245,7 +248,7 @@ def _cmd_distances(cfg, out: Path) -> Report:
 
 
 def _cmd_simulate(cfg, out: Path, dump_paths: bool) -> Report:
-    alpha = float(cfg["law"]["alpha"])
+    alpha = _num(cfg, "law", "alpha")
     law = make_stable_law(alpha)
     csec = _require(cfg, "coefficients", ("name",))
     pair = make_pair(csec["name"], alpha, csec.get("params", {}))
@@ -271,12 +274,8 @@ def _cmd_simulate(cfg, out: Path, dump_paths: bool) -> Report:
                          "n_paths": sim.n_paths, "n_steps": sim.n_steps,
                          "seed": sim.seed, "T": sim.T,
                          "sup_moment": curve.sup,
-                         "digest": ens.increments_digest_x},
+                         "digest": ens.increments_digest},
                  checks=[
-                     CheckRow("coupling_digest",
-                              "both legs consumed identical increments",
-                              1.0, 1.0, 0.0,
-                              ens.increments_digest_x == ens.increments_digest_xt),
                      CheckRow("flagged_paths",
                               "flagged paths <= 1% of the ensemble",
                               float(ens.n_flagged), 0.01 * sim.n_paths,
@@ -287,15 +286,16 @@ def _cmd_simulate(cfg, out: Path, dump_paths: bool) -> Report:
 
 
 def _cmd_sweep(cfg, out: Path) -> Report:
-    alpha = float(cfg["law"]["alpha"])
+    alpha = _num(cfg, "law", "alpha")
     law = make_stable_law(alpha)
     ssec = _require(cfg, "sweep", ("family", "eta_tilde"))
     family = make_family(ssec["family"], alpha, ssec.get("params", {}))
     sim = _sim_config(cfg)
-    spec = RateBoundSpec(alpha=alpha, eta_tilde=float(ssec["eta_tilde"]))
+    spec = RateBoundSpec(alpha=alpha, eta_tilde=_num(cfg, "sweep", "eta_tilde"))
     res = run_sweep(family, sim, spec, law,
-                    h_values=tuple(ssec.get("h_values", ())),
-                    calibration_index=int(ssec.get("calibration_index", 0)))
+                    h_values=tuple(as_number(h, "sweep.h_values[]")
+                                   for h in ssec.get("h_values", ())),
+                    calibration_index=_num(cfg, "sweep", "calibration_index", 0, int))
     rows = [[str(r.label), r.scale, r.x0_gap, r.B, r.S, r.D, r.D_se,
              r.bound_raw, r.bound_value, str(r.satisfied),
              str(r.assumption_flag)] for r in res.rows]
@@ -334,15 +334,14 @@ def _cmd_sweep(cfg, out: Path) -> Report:
 
 
 def _cmd_converge(cfg, out: Path) -> Report:
-    alpha = float(cfg["law"]["alpha"])
+    alpha = _num(cfg, "law", "alpha")
     law = make_stable_law(alpha)
     csec = _require(cfg, "converge", ("family",))
     params = csec.get("params", {})
     family = make_family(csec["family"], alpha, params)
     sim = _sim_config(cfg)
-    p = csec.get("p_exponent")
     rep0 = convergence_experiment(family, sim, law,
-                                  p=float(p) if p is not None else None,
+                                  p=_num(cfg, "converge", "p_exponent", None),
                                   params=params)
     rows = [[f"{a}-{b}", d, se] for (a, b), d, se in
             zip(zip(range(1, len(rep0.pairwise_D) + 1),
@@ -447,8 +446,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE")
     p_run.add_argument("--out", default=None)
-    p_run.add_argument("--threads", type=int, default=1,
-                       help="worker count (affects speed only, never results)")
     p_run.add_argument("--dump-paths", action="store_true")
     p_pb = sub.add_parser("print-bound", help="evaluate the rate bound")
     p_pb.add_argument("--alpha", type=float, required=True)

@@ -14,7 +14,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import REQUIRED, DomainError, config_number
+
+
+def _param(params: dict, key: str, default=REQUIRED, kind=float):
+    return config_number(params, key, default, kind, where="params.")
 
 
 @dataclass
@@ -24,8 +28,8 @@ class CoefficientPair:
 
     K bounds |b| and sigma above, k bounds sigma below, eta is the Holder
     exponent of sigma^alpha, eta_tilde the spatial Holder exponent of
-    sigma_tilde. f_b_tilde / f_sigma_tilde / g_sigma_tilde are the
-    time-dependent Lipschitz / Holder / magnitude envelopes.
+    sigma_tilde. f_b_tilde / f_sigma_tilde are the time-dependent Lipschitz /
+    Holder envelopes.
     """
 
     b: callable
@@ -40,7 +44,6 @@ class CoefficientPair:
     eta_tilde: float
     f_b_tilde: callable
     f_sigma_tilde: callable
-    g_sigma_tilde: callable
     label: str = ""
 
     def drift_gap(self, t, y):
@@ -132,12 +135,12 @@ def _baseline(params):
     sigma = s0 + s1 sin(freq_s x). b_phase = pi/2 makes the drift expansive
     near the origin (b'(0) = b_amp freq > 0), which keeps coupled paths
     separating instead of contracting."""
-    b_amp = float(params.get("b_amp", 0.5))
-    s0 = float(params.get("s0", 1.0))
-    s1 = float(params.get("s1", 0.1))
-    freq = float(params.get("freq", 1.0))
-    freq_s = float(params.get("freq_s", 1.0))
-    b_phase = float(params.get("b_phase", 0.0))
+    b_amp = _param(params, "b_amp", 0.5)
+    s0 = _param(params, "s0", 1.0)
+    s1 = _param(params, "s1", 0.1)
+    freq = _param(params, "freq", 1.0)
+    freq_s = _param(params, "freq_s", 1.0)
+    b_phase = _param(params, "b_phase", 0.0)
     if s0 - s1 <= 0:
         raise DomainError("baseline sigma must stay strictly positive (s0 > s1)")
 
@@ -159,11 +162,11 @@ def _baseline(params):
 
 def _kink_baseline(params):
     """Kinked-hat drift baseline for the mollification experiments."""
-    amp = float(params.get("kink_amp", 1.0))
-    center = float(params.get("kink_center", 0.0))
-    s0 = float(params.get("s0", 1.0))
-    s1 = float(params.get("s1", 0.1))
-    freq_s = float(params.get("freq_s", 1.0))
+    amp = _param(params, "kink_amp", 1.0)
+    center = _param(params, "kink_center", 0.0)
+    s0 = _param(params, "s0", 1.0)
+    s1 = _param(params, "s1", 0.1)
+    freq_s = _param(params, "freq_s", 1.0)
     if s0 - s1 <= 0:
         raise DomainError("baseline sigma must stay strictly positive (s0 > s1)")
 
@@ -191,7 +194,7 @@ def make_pair(name: str, alpha: float, params: dict | None = None) -> Coefficien
     """Named coefficient pairs. All perturbations are time-homogeneous
     functions exposed through the (t, x) signature."""
     params = dict(params or {})
-    x0 = float(params.get("x0", 0.0))
+    x0 = _param(params, "x0", 0.0)
     if name in ("identical", "initial_gap", "drift_shift", "jump_shift",
                 "drift_bump", "jump_bump", "jump_kink"):
         b, sigma, K, k = _baseline(params)
@@ -200,8 +203,8 @@ def make_pair(name: str, alpha: float, params: dict | None = None) -> Coefficien
     else:
         raise DomainError(f"unknown coefficient pair {name!r}")
 
-    x0_tilde = x0 + float(params.get("x0_gap", 0.0))
-    eta_tilde = float(params.get("eta_tilde", 1.0))
+    x0_tilde = x0 + _param(params, "x0_gap", 0.0)
+    eta_tilde = _param(params, "eta_tilde", 1.0)
     lip_b = K
     hol_s = 2.0 * K
 
@@ -209,31 +212,31 @@ def make_pair(name: str, alpha: float, params: dict | None = None) -> Coefficien
         b_t = lambda t, x: b(x)
         s_t = lambda t, x: sigma(x)
     elif name == "drift_shift":
-        c = float(params["shift"])
+        c = _param(params, "shift")
         b_t = lambda t, x: b(x) + c
         s_t = lambda t, x: sigma(x)
     elif name == "jump_shift":
-        c = float(params["shift"])
+        c = _param(params, "shift")
         b_t = lambda t, x: b(x)
         s_t = lambda t, x: sigma(x) + c
     elif name == "drift_bump":
-        amp = float(params["amp"])
-        center = float(params.get("center", x0))
-        width = float(params.get("width", 1.0))
+        amp = _param(params, "amp")
+        center = _param(params, "center", x0)
+        width = _param(params, "width", 1.0)
         b_t = lambda t, x: b(x) + amp * smooth_bump((np.asarray(x) - center) / width)
         s_t = lambda t, x: sigma(x)
         lip_b = K + 2.0 * abs(amp) / width
     elif name == "jump_bump":
-        amp = float(params["amp"])
-        center = float(params.get("center", x0))
-        width = float(params.get("width", 1.0))
+        amp = _param(params, "amp")
+        center = _param(params, "center", x0)
+        width = _param(params, "width", 1.0)
         b_t = lambda t, x: b(x)
         s_t = lambda t, x: sigma(x) + amp * smooth_bump((np.asarray(x) - center) / width)
         hol_s = 2.0 * K + 2.0 * abs(amp) / width
     elif name == "jump_kink":
-        amp = float(params["amp"])
-        center = float(params.get("center", x0))
-        width = float(params.get("width", 1.0))
+        amp = _param(params, "amp")
+        center = _param(params, "center", x0)
+        width = _param(params, "width", 1.0)
         b_t = lambda t, x: b(x)
         s_t = lambda t, x: (sigma(x) + amp
                             * holder_kink((np.asarray(x) - center) / width, eta_tilde))
@@ -242,17 +245,16 @@ def make_pair(name: str, alpha: float, params: dict | None = None) -> Coefficien
         b_t = lambda t, x: b(x)
         s_t = lambda t, x: sigma(x)
     elif name == "mollified_kink":
-        amp = float(params.get("kink_amp", 1.0))
-        center = float(params.get("kink_center", 0.0))
-        h = float(params["h"])
+        amp = _param(params, "kink_amp", 1.0)
+        center = _param(params, "kink_center", 0.0)
+        h = _param(params, "h")
         b_t = lambda t, x: mollified_kink_hat(x, center, amp, h)
         s_t = lambda t, x: sigma(x)
 
     return CoefficientPair(
         b=b, sigma=sigma, b_tilde=b_t, sigma_tilde=s_t,
         x0=x0, x0_tilde=x0_tilde, K=K, k=k, eta=1.0, eta_tilde=eta_tilde,
-        f_b_tilde=_const_fns(lip_b), f_sigma_tilde=_const_fns(hol_s),
-        g_sigma_tilde=_const_fns(2.0 * K + 2.0), label=name)
+        f_b_tilde=_const_fns(lip_b), f_sigma_tilde=_const_fns(hol_s), label=name)
 
 
 # ---------------------------------------------------------------------------
@@ -271,13 +273,12 @@ class PerturbationFamily:
     scales: list
     eta_tilde: float = 1.0
     member_drifts: list = field(default_factory=list)
-    limit_pair: CoefficientPair | None = None
 
 
 def make_family(name: str, alpha: float, params: dict | None = None) -> PerturbationFamily:
     params = dict(params or {})
-    n_start = int(params.get("n_start", 1))
-    n_stop = int(params.get("n_stop", 6))
+    n_start = _param(params, "n_start", 1, int)
+    n_stop = _param(params, "n_stop", 6, int)
     if n_stop < n_start:
         raise DomainError("family index range is empty")
     ns = list(range(n_start, n_stop + 1))
@@ -285,8 +286,8 @@ def make_family(name: str, alpha: float, params: dict | None = None) -> Perturba
     if name == "initial_value":
         gaps = params.get("gaps")
         if gaps is None:
-            gap0 = float(params.get("gap0", 0.64))
-            ratio = float(params.get("ratio", 0.25))
+            gap0 = _param(params, "gap0", 0.64)
+            ratio = _param(params, "ratio", 0.25)
             gaps = [gap0 * ratio ** (n - n_start) for n in ns]
         pairs = [make_pair("initial_gap", alpha, {**params, "x0_gap": g})
                  for g in gaps]
@@ -296,8 +297,8 @@ def make_family(name: str, alpha: float, params: dict | None = None) -> Perturba
                                   scales=[abs(g) for g in gaps])
 
     if name in ("jump_bump", "drift_bump", "jump_kink"):
-        amp0 = float(params.get("amp0", 0.5))
-        ratio = float(params.get("ratio", 0.5))
+        amp0 = _param(params, "amp0", 0.5)
+        ratio = _param(params, "ratio", 0.5)
         amps = [amp0 * ratio ** n for n in ns]
         pairs = []
         for n, amp in zip(ns, amps):
@@ -306,27 +307,24 @@ def make_family(name: str, alpha: float, params: dict | None = None) -> Perturba
             pairs.append(p)
         return PerturbationFamily(name=name, labels=ns, pairs=pairs,
                                   scales=[abs(a) for a in amps],
-                                  eta_tilde=float(params.get("eta_tilde", 1.0)))
+                                  eta_tilde=_param(params, "eta_tilde", 1.0))
 
     if name == "drift_mollification":
-        h0 = float(params.get("h0", 0.5))
-        ratio = float(params.get("ratio", 0.5))
+        h0 = _param(params, "h0", 0.5)
+        ratio = _param(params, "ratio", 0.5)
         hs = [h0 * ratio ** (n - n_start) for n in ns]
         pairs = []
         for n, h in zip(ns, hs):
             p = make_pair("mollified_kink", alpha, {**params, "h": h})
             p.label = f"h={h:g}"
             pairs.append(p)
-        limit = make_pair("kinked_drift", alpha, params)
-        limit.label = "kink-limit"
-        amp = float(params.get("kink_amp", 1.0))
-        center = float(params.get("kink_center", 0.0))
+        amp = _param(params, "kink_amp", 1.0)
+        center = _param(params, "kink_center", 0.0)
         drifts = [(lambda x, hh=h: mollified_kink_hat(x, center, amp, hh))
                   for h in hs]
         drifts.append(lambda x: kink_hat(x, center, amp))
         return PerturbationFamily(name=name, labels=hs, pairs=pairs,
-                                  scales=hs, member_drifts=drifts,
-                                  limit_pair=limit)
+                                  scales=hs, member_drifts=drifts)
 
     raise DomainError(f"unknown perturbation family {name!r}")
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the typed config reads
+that raise ConfigError."""
+
+import numbers
 
 
 class DomainError(ValueError):
@@ -25,3 +28,29 @@ class NumericError(RuntimeError):
         super().__init__(message)
         self.estimate = estimate
         self.error_bound = error_bound
+
+
+class ConfigError(ValueError):
+    """A config value is missing or has the wrong type (CLI exit code 2)."""
+
+
+REQUIRED = object()
+
+
+def as_number(value, label: str, kind=float):
+    """value as kind (float or int). A bool, a non-number or, for int, a
+    non-integer raises ConfigError instead of being coerced."""
+    what = "an integer" if kind is int else "a number"
+    if isinstance(value, bool) or not isinstance(
+            value, numbers.Integral if kind is int else numbers.Real):
+        raise ConfigError(f"{label} must be {what}, got {value!r}")
+    return kind(value)
+
+
+def config_number(section: dict, key: str, default=REQUIRED, kind=float, where=""):
+    """section[key] checked by as_number, or default when the key is absent."""
+    if key in section:
+        return as_number(section[key], where + key, kind)
+    if default is REQUIRED:
+        raise ConfigError(f"{where}{key} must be explicit")
+    return default

@@ -314,10 +314,6 @@ class SmoothedDistance:
 # certifications
 # ---------------------------------------------------------------------------
 
-def psi_eval(m: Mollifier, x):
-    return m.psi(x)
-
-
 def certify_mollifier_shape(m: Mollifier, n_grid: int = 2001) -> Report:
     """Unit integral and the pointwise cap psi <= 2/(x log delta)."""
     nodes, wts = panel_nodes(m.base_edges(), order=24)

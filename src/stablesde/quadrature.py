@@ -63,11 +63,6 @@ def panel_nodes(edges: np.ndarray, order: int = 16):
     return nodes, weights
 
 
-def panel_integrate(f, edges, order: int = 16) -> float:
-    nodes, weights = panel_nodes(edges, order)
-    return float(np.sum(f(nodes) * weights))
-
-
 def graded_edges(a: float, b: float, toward: float, n_levels: int = 24,
                  ratio: float = 0.5) -> np.ndarray:
     """Panel edges on [a, b] geometrically graded toward the endpoint `toward`.

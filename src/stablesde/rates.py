@@ -24,12 +24,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .coefficients import PerturbationFamily, pair_between
+from .coefficients import PerturbationFamily, make_pair
 from .errors import AssumptionViolation, DomainError
 from .measures import DensityModel, TimeGrid, default_time_grid, distance_B, distance_S
 from .quadrature import ols_loglog
-from .simulate import (MomentCurve, SimConfig, TailEstimate, distance_moment_curve,
-                       simulate_coupled, tail_probability, uniform_lp_check)
+from .simulate import (SimConfig, distance_moment_curve, simulate_coupled,
+                       simulate_legs, tail_probability, uniform_lp_check)
 from .stable import StableLaw
 
 _LOG_BRANCH_TOL = 1e-12
@@ -224,39 +224,34 @@ def convergence_experiment(family: PerturbationFamily, sim_config: SimConfig,
                            law: StableLaw, p: float | None = None,
                            params: dict | None = None) -> ConvergenceReport:
     """Successive coupled distances D_{n,n+1} for a coefficient sequence
-    sharing one driving path (common increments across all members), the
-    identification residual against the limiting coefficients, and the
-    uniform L^p boundedness check.
+    sharing one driving path (all members and the limit run as the legs of
+    one simulation), the identification residual against the limiting
+    coefficients, and the uniform L^p boundedness check.
 
     Cauchy behaviour = D_{n,n+1} decreasing up to twice the combined
     standard error.
     """
     if not family.member_drifts:
         raise DomainError("convergence experiment needs a mollification family")
+    base = make_pair("kinked_drift", law.alpha, params)
+    if base.x0_tilde != base.x0:
+        raise DomainError("convergence members share one start: x0_gap must be 0")
     p = p if p is not None else (1.0 + law.alpha) / 2.0
     K = len(family.member_drifts) - 1  # last entry is the limit drift
-    q = law.alpha - 1.0
-    ds, ses, sups = [], [], []
-    for i in range(K - 1):
-        pair = pair_between(family, i, i + 1, law.alpha, params)
-        ens = simulate_coupled(sim_config, pair, law)
-        curve = distance_moment_curve(ens, q)
-        ds.append(curve.sup)
-        ses.append(curve.sup_stderr)
-        sups.append(ens.x_abs_max[ens.ok])
-        if i == K - 2:
-            sups.append(ens.xt_abs_max[ens.ok])
-    ds = np.array(ds)
-    ses = np.array(ses)
+    legs = [(base.x0, lambda t, x, b=b: b(x), lambda t, x: base.sigma(x))
+            for b in family.member_drifts]
+    run = simulate_legs(sim_config, law, legs)
+    curves = [distance_moment_curve(run.pair(i), law.alpha - 1.0)
+              for i in range(K)]
+    ds = np.array([c.sup for c in curves[:-1]])
+    ses = np.array([c.sup_stderr for c in curves[:-1]])
     mono = bool(np.all(ds[1:] <= ds[:-1]
                        + 2.0 * np.sqrt(ses[1:] ** 2 + ses[:-1] ** 2)))
-    pair_lim = pair_between(family, K - 1, K, law.alpha, params)
-    ens_lim = simulate_coupled(sim_config, pair_lim, law)
-    curve_lim = distance_moment_curve(ens_lim, q)
-    lp = uniform_lp_check(sups, p, law.alpha, labels=list(range(1, K + 1)))
+    lp = uniform_lp_check(run.abs_max[:K, ~run.flagged], p, law.alpha,
+                          labels=list(range(1, K + 1)))
     return ConvergenceReport(labels=list(family.labels),
                              pairwise_D=ds, pairwise_se=ses,
                              monotone_within_2se=mono,
-                             limit_residual=curve_lim.sup,
-                             limit_residual_se=curve_lim.sup_stderr,
+                             limit_residual=curves[-1].sup,
+                             limit_residual_se=curves[-1].sup_stderr,
                              lp_report=lp)

@@ -1,22 +1,30 @@
-"""Coupled Euler scheme for the baseline and perturbed equations on a shared
-driving stable path, plus the Monte Carlo functionals built on the ensembles.
+"""Explicit Euler scheme for N equations driven by one shared stable path,
+plus the Monte Carlo functionals built on the ensembles.
 
-Both legs are advanced with the same increments (left-point coefficient
-evaluation), so identical coefficients and initial values give bitwise
-identical paths. Paths are simulated in fixed 4096-column blocks, each block
-owning a counter-based substream keyed by (seed, stream label, block index):
+A leg is a start x0 with coefficients drift(t, x) and jump(t, x). All legs
+are advanced with the same increments (left-point coefficient evaluation),
+so legs with identical coefficients and starts give bitwise identical paths.
+A coupled baseline/perturbed pair is the 2-leg case, the time average behind
+the empirical coefficient distances is the 1-leg case, and a coefficient
+sequence runs all of its members on one path. A path is flagged as soon as
+any leg goes non-finite or leaves [-x_clip, x_clip]; the flag is one per
+path, shared by all legs, and flagged paths are left out of every statistic.
+
+Paths are simulated in fixed 4096-column blocks, each block owning a
+counter-based substream keyed by (seed, stream label, block index):
 results are independent of execution order and worker count.
 
-Per-path state that the functionals need (running maxima, the distance at a
-retained time subgrid, final values) is accumulated online; full paths are
-kept only on request, since big ensembles would not fit in memory.
+Per-path state that the functionals need (running maxima, the distance
+between neighbouring legs at a retained time subgrid, final values) is
+accumulated online into preallocated arrays; full paths are kept only on
+request, since big ensembles would not fit in memory.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,18 +59,14 @@ class SimConfig:
 @dataclass
 class CoupledPathEnsemble:
     alpha: float
-    config: SimConfig
     retained_idx: np.ndarray
     retained_times: np.ndarray
     abs_diff: np.ndarray            # (n_retained, n_paths) |X - X_tilde|
     y_max: np.ndarray               # per-path sup over the full grid of |X - X_tilde|
     x_abs_max: np.ndarray           # per-path sup |X|
-    xt_abs_max: np.ndarray          # per-path sup |X_tilde|
     x_final: np.ndarray
-    xt_final: np.ndarray
     flagged: np.ndarray             # nonfinite / clipped paths, excluded from stats
-    increments_digest_x: str
-    increments_digest_xt: str
+    increments_digest: str | None   # provenance fingerprint of the increments
     paths_x: np.ndarray | None = None
     paths_xt: np.ndarray | None = None
 
@@ -75,104 +79,118 @@ class CoupledPathEnsemble:
         return ~self.flagged
 
 
-def _retained_indices(n_steps: int, max_points: int) -> np.ndarray:
-    idx = np.round(np.linspace(0, n_steps, min(max_points, n_steps + 1))).astype(int)
-    return np.unique(idx)
+@dataclass
+class LegEnsemble:
+    """Accumulators of an N-leg run. Per-leg arrays are stacked on axis 0;
+    neighbour pair i is legs (i, i + 1)."""
+
+    alpha: float
+    retained_idx: np.ndarray
+    retained_times: np.ndarray
+    abs_diff: np.ndarray            # (N-1, n_retained, n_paths) |X_i - X_{i+1}|
+    y_max: np.ndarray               # (N-1, n_paths) grid sup of |X_i - X_{i+1}|
+    abs_max: np.ndarray             # (N, n_paths) grid sup |X_i|
+    final: np.ndarray               # (N, n_paths)
+    flagged: np.ndarray             # (n_paths,) shared by all legs
+    integral: np.ndarray            # leg 0's sum_k integrand(t_k, X_k) dt, or 0
+    paths: np.ndarray | None        # (N, n_steps + 1, n_paths)
+    increments_digest: str | None = None
+
+    def pair(self, i: int) -> CoupledPathEnsemble:
+        """Legs i and i + 1 as a coupled ensemble of views."""
+        return CoupledPathEnsemble(
+            alpha=self.alpha, retained_idx=self.retained_idx,
+            retained_times=self.retained_times, abs_diff=self.abs_diff[i],
+            y_max=self.y_max[i], x_abs_max=self.abs_max[i], x_final=self.final[i],
+            flagged=self.flagged, increments_digest=self.increments_digest,
+            paths_x=None if self.paths is None else self.paths[i],
+            paths_xt=None if self.paths is None else self.paths[i + 1])
+
+
+def _blocks(config: SimConfig, law: StableLaw):
+    """Yield (column slice, increments of shape (n_steps, block width)) per
+    path block; block j draws from the substream (seed, stream_label, j)."""
+    root = RngStream(config.seed)
+    dt = config.T / config.n_steps
+    for b0 in range(0, config.n_paths, config.block_size):
+        cols = slice(b0, min(b0 + config.block_size, config.n_paths))
+        stream = root.substream(config.stream_label, b0 // config.block_size)
+        yield cols, sample_increments(law, dt, (config.n_steps, cols.stop - b0), stream)
+
+
+def simulate_legs(config: SimConfig, law: StableLaw, legs, integrand=None,
+                  digest: bool = False) -> LegEnsemble:
+    """Explicit Euler for the legs (x0, drift(t, x), jump(t, x)) on the
+    shared increments: X[k+1] = X[k] + drift(t_k, X[k]) dt + jump(t_k, X[k]) dZ_k.
+
+    integrand(t, x), when given, is summed along leg 0 (left-endpoint rule
+    in time, matching the Euler grid); digest hashes the increments.
+    Deterministic for fixed (seed, config, legs).
+    """
+    n, npth, nl = config.n_steps, config.n_paths, len(legs)
+    dt = config.T / n
+    times = dt * np.arange(n + 1)
+    ridx = np.unique(np.round(np.linspace(
+        0, n, min(config.retain_grid_max, n + 1))).astype(int))
+    rpos = {k: i for i, k in enumerate(ridx)}
+    x0 = np.array([[leg[0]] for leg in legs], dtype=float)
+    run = LegEnsemble(
+        alpha=law.alpha, retained_idx=ridx, retained_times=times[ridx],
+        abs_diff=np.empty((nl - 1, ridx.size, npth)),
+        y_max=np.full((nl - 1, npth), np.nan), abs_max=np.full((nl, npth), np.nan),
+        final=np.empty((nl, npth)), flagged=np.zeros(npth, dtype=bool),
+        integral=np.zeros(npth),
+        paths=np.empty((nl, n + 1, npth)) if config.keep_paths else None)
+    hasher = hashlib.blake2b(digest_size=16) if digest else None
+
+    for cols, dz in _blocks(config, law):
+        if hasher is not None:
+            hasher.update(np.ascontiguousarray(dz).tobytes())
+        x = np.repeat(x0, dz.shape[1], axis=1)   # leg states, stepped in place
+        # views into the outputs, updated in place
+        flagged, tot = run.flagged[cols], run.integral[cols]
+        y_max, x_max = run.y_max[:, cols], run.abs_max[:, cols]
+        for k in range(n + 1):
+            # record the state at t_k, then step to t_{k+1}
+            with np.errstate(invalid="ignore"):
+                diff = np.abs(x[:-1] - x[1:])
+                np.fmax(y_max, diff, out=y_max)
+                np.fmax(x_max, np.abs(x), out=x_max)
+            if k in rpos:
+                run.abs_diff[:, rpos[k], cols] = diff
+            if run.paths is not None:
+                run.paths[:, k, cols] = x
+            if k == n:
+                break
+            t_k = times[k]
+            np.copyto(x, 0.0, where=flagged)    # flagged paths step from 0
+            if integrand is not None:
+                tot += integrand(t_k, x[0]) * dt
+            for xj, (_, drift, jump) in zip(x, legs):
+                xj[...] = xj + drift(t_k, xj) * dt + jump(t_k, xj) * dz[k]
+                flagged |= ~np.isfinite(xj) | (np.abs(xj) > config.x_clip)
+            np.copyto(x, np.nan, where=flagged)
+
+        run.final[:, cols] = x
+
+    n_flagged = int(np.sum(run.flagged))
+    if n_flagged > 0.01 * npth:
+        raise NumericError(
+            f"{n_flagged}/{npth} paths exceeded the guard "
+            f"x_clip={config.x_clip:g} or went non-finite")
+    if hasher is not None:
+        run.increments_digest = hasher.hexdigest()
+    return run
 
 
 def simulate_coupled(config: SimConfig, pair: CoefficientPair,
                      law: StableLaw) -> CoupledPathEnsemble:
-    """Explicit Euler for both legs on the shared increments.
-
-    X[k+1] = X[k] + b(X[k]) dt + sigma(X[k]) dZ_k and the (t, x) analogue
-    for the perturbed leg; deterministic for fixed (seed, config, pair).
-    """
-    n, npth = config.n_steps, config.n_paths
-    dt = config.T / n
-    times = dt * np.arange(n + 1)
-    ridx = _retained_indices(n, config.retain_grid_max)
-    rpos = {k: i for i, k in enumerate(ridx)}
-
-    root = RngStream(config.seed)
-    dig_x = hashlib.blake2b(digest_size=16)
-    dig_xt = hashlib.blake2b(digest_size=16)
-
-    blocks = []
-    for b0 in range(0, npth, config.block_size):
-        nb = min(config.block_size, npth - b0)
-        stream = root.substream(config.stream_label, b0 // config.block_size)
-        dz = sample_increments(law, dt, (n, nb), stream)
-        raw = np.ascontiguousarray(dz).tobytes()
-        dig_x.update(raw)
-        dig_xt.update(raw)
-
-        x = np.full(nb, pair.x0)
-        xt = np.full(nb, pair.x0_tilde)
-        flagged = np.zeros(nb, dtype=bool)
-        absdiff = np.empty((ridx.size, nb))
-        y_max = np.abs(x - xt)
-        x_max = np.abs(x)
-        xt_max = np.abs(xt)
-        if 0 in rpos:
-            absdiff[rpos[0]] = np.abs(x - xt)
-        keep = config.keep_paths
-        if keep:
-            px = np.empty((n + 1, nb))
-            pxt = np.empty((n + 1, nb))
-            px[0], pxt[0] = x, xt
-
-        for k in range(n):
-            t_k = times[k]
-            xs = np.where(flagged, 0.0, x)
-            xts = np.where(flagged, 0.0, xt)
-            x_new = xs + pair.b(xs) * dt + pair.sigma(xs) * dz[k]
-            xt_new = (xts + pair.b_tilde(t_k, xts) * dt
-                      + pair.sigma_tilde(t_k, xts) * dz[k])
-            bad = (~np.isfinite(x_new) | ~np.isfinite(xt_new)
-                   | (np.abs(x_new) > config.x_clip)
-                   | (np.abs(xt_new) > config.x_clip))
-            flagged |= bad
-            x = np.where(flagged, np.nan, x_new)
-            xt = np.where(flagged, np.nan, xt_new)
-            with np.errstate(invalid="ignore"):
-                y_max = np.fmax(y_max, np.abs(x - xt))
-                x_max = np.fmax(x_max, np.abs(x))
-                xt_max = np.fmax(xt_max, np.abs(xt))
-            if k + 1 in rpos:
-                absdiff[rpos[k + 1]] = np.abs(x - xt)
-            if keep:
-                px[k + 1], pxt[k + 1] = x, xt
-
-        blocks.append({
-            "absdiff": absdiff, "y_max": y_max, "x_max": x_max,
-            "xt_max": xt_max, "x": x, "xt": xt, "flagged": flagged,
-            "px": px if keep else None, "pxt": pxt if keep else None,
-        })
-
-    ens = CoupledPathEnsemble(
-        alpha=law.alpha,
-        config=config,
-        retained_idx=ridx,
-        retained_times=times[ridx],
-        abs_diff=np.concatenate([blk["absdiff"] for blk in blocks], axis=1),
-        y_max=np.concatenate([blk["y_max"] for blk in blocks]),
-        x_abs_max=np.concatenate([blk["x_max"] for blk in blocks]),
-        xt_abs_max=np.concatenate([blk["xt_max"] for blk in blocks]),
-        x_final=np.concatenate([blk["x"] for blk in blocks]),
-        xt_final=np.concatenate([blk["xt"] for blk in blocks]),
-        flagged=np.concatenate([blk["flagged"] for blk in blocks]),
-        increments_digest_x=dig_x.hexdigest(),
-        increments_digest_xt=dig_xt.hexdigest(),
-        paths_x=(np.concatenate([blk["px"] for blk in blocks], axis=1)
-                 if config.keep_paths else None),
-        paths_xt=(np.concatenate([blk["pxt"] for blk in blocks], axis=1)
-                  if config.keep_paths else None),
-    )
-    if ens.n_flagged > 0.01 * npth:
-        raise NumericError(
-            f"{ens.n_flagged}/{npth} paths exceeded the guard "
-            f"x_clip={config.x_clip:g} or went non-finite")
-    return ens
+    """The baseline leg (x0, b, sigma) and the perturbed leg (x0_tilde,
+    b_tilde, sigma_tilde) on the shared increments, with the increments
+    digest; deterministic for fixed (seed, config, pair)."""
+    legs = [(pair.x0, lambda t, x: pair.b(x), lambda t, x: pair.sigma(x)),
+            (pair.x0_tilde, pair.b_tilde, pair.sigma_tilde)]
+    return simulate_legs(config, law, legs, digest=True).pair(0)
 
 
 def simulate_baseline_average(config: SimConfig, law: StableLaw, b, sigma,
@@ -183,30 +201,9 @@ def simulate_baseline_average(config: SimConfig, law: StableLaw, b, sigma,
     This is the Monte Carlo estimator behind the empirical coefficient
     distances (left-endpoint rule in time, matching the Euler grid).
     """
-    n, npth = config.n_steps, config.n_paths
-    dt = config.T / n
-    root = RngStream(config.seed)
-    acc = []
-    for b0 in range(0, npth, config.block_size):
-        nb = min(config.block_size, npth - b0)
-        stream = root.substream(config.stream_label, b0 // config.block_size)
-        dz = sample_increments(law, dt, (n, nb), stream)
-        x = np.full(nb, float(x0))
-        tot = np.zeros(nb)
-        flagged = np.zeros(nb, dtype=bool)
-        for k in range(n):
-            xs = np.where(flagged, 0.0, x)
-            tot += np.where(flagged, 0.0, integrand(k * dt, xs)) * dt
-            x_new = xs + b(xs) * dt + sigma(xs) * dz[k]
-            bad = ~np.isfinite(x_new) | (np.abs(x_new) > config.x_clip)
-            flagged |= bad
-            x = np.where(flagged, np.nan, x_new)
-        acc.append(np.where(flagged, np.nan, tot))
-    tot = np.concatenate(acc)
-    ok = np.isfinite(tot)
-    if np.sum(~ok) > 0.01 * npth:
-        raise NumericError(f"{np.sum(~ok)}/{npth} paths flagged")
-    vals = tot[ok]
+    run = simulate_legs(config, law, [(x0, lambda t, x: b(x), lambda t, x: sigma(x))],
+                        integrand=integrand)
+    vals = run.integral[~run.flagged]
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(vals.size))
 
 
@@ -293,16 +290,13 @@ def uniform_lp_check(sup_abs_values, p: float, alpha: float,
     """Empirical E[sup_k |X|^p] across a coefficient sequence.
 
     Passes when every member mean sits within 3 standard errors of the
-    common (inverse-variance weighted) constant fit. sup_abs_values is a
-    list of per-path sup|X| arrays or of ensembles (whose baseline leg is
-    used), one per member n.
+    common (inverse-variance weighted) constant fit. sup_abs_values holds
+    one per-path sup|X| array per member n.
     """
     if not (1.0 < p < alpha):
         raise DomainError(f"p must lie in (1, alpha), got {p}")
     means, ses = [], []
     for arr in sup_abs_values:
-        if isinstance(arr, CoupledPathEnsemble):
-            arr = arr.x_abs_max[arr.ok]
         v = np.asarray(arr, dtype=float)
         v = v[np.isfinite(v)] ** p
         means.append(v.mean())
@@ -335,13 +329,7 @@ def self_similarity_slope(law: StableLaw, horizons, config: SimConfig) -> tuple:
     medians = []
     for i, T in enumerate(horizons):
         cfg = replace(config, T=float(T), stream_label=f"selfsim-{i}")
-        root = RngStream(cfg.seed)
-        vals = []
-        for b0 in range(0, cfg.n_paths, cfg.block_size):
-            nb = min(cfg.block_size, cfg.n_paths - b0)
-            stream = root.substream(cfg.stream_label, b0 // cfg.block_size)
-            dz = sample_increments(law, cfg.T / cfg.n_steps, (cfg.n_steps, nb), stream)
-            vals.append(np.abs(dz.sum(axis=0)))
-        medians.append(float(np.median(np.concatenate(vals))))
+        sums = [np.abs(dz.sum(axis=0)) for _, dz in _blocks(cfg, law)]
+        medians.append(float(np.median(np.concatenate(sums))))
     slope, _, se = ols_loglog(np.asarray(horizons, dtype=float), np.asarray(medians))
     return slope, se, medians

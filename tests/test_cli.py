@@ -83,6 +83,24 @@ class TestConfigParsing:
         assert main(["run", "--config", cfg]) == 3
         assert "domain error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override, key", [
+        ('law.alpha="abc"', "law.alpha"),
+        ('sim.n_steps="x"', "sim.n_steps"),
+        ("sim.seed=1.5", "sim.seed"),
+        ("sim.n_paths=true", "sim.n_paths"),
+        ("coefficients.name=drift_shift", "params.shift"),  # shift missing
+    ])
+    def test_wrong_typed_or_missing_value_exits_2(self, tmp_path, capsys,
+                                                   override, key):
+        cfg = write_cfg(tmp_path, {
+            "command": "simulate", "law": {"alpha": 1.5},
+            "coefficients": {"name": "identical", "params": {}},
+            "sim": BASE_SIM, "output": {"dir": str(tmp_path / "o")}})
+        assert main(["run", "--config", cfg, "--set", override]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("config error: " + key)
+
     def test_set_overrides(self, tmp_path):
         out = tmp_path / "o1"
         cfg = write_cfg(tmp_path, {"command": "certify-density",
@@ -118,7 +136,7 @@ class TestRunCommands:
             out = tmp_path / name
             cfg_payload["output"]["dir"] = str(out)
             cfg = write_cfg(tmp_path, cfg_payload, name=f"{name}.json")
-            assert main(["run", "--config", cfg, "--threads", "4"]) == 0
+            assert main(["run", "--config", cfg]) == 0
             outs.append((out / "results.csv").read_bytes())
         assert outs[0] == outs[1]
 

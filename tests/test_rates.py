@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stablesde as ss
-from stablesde.coefficients import make_family
+from stablesde.coefficients import make_family, pair_between
 from stablesde.rates import RateBoundSpec
 from stablesde.simulate import SimConfig
 
@@ -185,6 +185,29 @@ class TestConvergenceExperiment:
         assert rep.monotone_within_2se
         assert rep.limit_residual < rep.pairwise_D[0]
         assert rep.lp_report.passes
+
+    def test_one_run_matches_coupled_pairs(self, law15):
+        # the single 4-leg run equals, bitwise, one coupled simulation per
+        # neighbouring pair of members on the same config
+        family = make_family("drift_mollification", 1.5,
+                             {"h0": 0.5, "ratio": 0.5, "n_start": 1,
+                              "n_stop": 3})
+        cfg = SimConfig(T=1.0, n_steps=32, n_paths=512, seed=21)
+        rep = ss.convergence_experiment(family, cfg, law15)
+        curves = [ss.distance_moment_curve(
+                      ss.simulate_coupled(cfg, pair_between(family, i, i + 1, 1.5),
+                                          law15), 0.5)
+                  for i in range(3)]
+        assert rep.pairwise_D.tolist() == [c.sup for c in curves[:-1]]
+        assert rep.pairwise_se.tolist() == [c.sup_stderr for c in curves[:-1]]
+        assert rep.limit_residual == curves[-1].sup
+        assert rep.limit_residual_se == curves[-1].sup_stderr
+
+    def test_nonzero_start_gap_rejected(self, law15):
+        family = make_family("drift_mollification", 1.5, {"n_stop": 2})
+        cfg = SimConfig(T=1.0, n_steps=8, n_paths=64, seed=1)
+        with pytest.raises(ss.DomainError):
+            ss.convergence_experiment(family, cfg, law15, params={"x0_gap": 0.1})
 
     def test_requires_mollification_family(self, law15):
         family = make_family("jump_bump", 1.5, {"n_start": 1, "n_stop": 4})
