@@ -6,8 +6,9 @@
 
 The config is strict JSON: unknown keys are rejected, and physical
 parameters (alpha, eps, delta, T, seed, ...) have no defaults, and every
-number is type-checked where it is read (a bool, a string or a fractional
-count is a config error, never coerced). Outputs are
+value is type-checked where it is read (a bool or a string for a number, a
+fractional count, a scalar for a list, a non-object for params, a string for
+a flag: each is a config error, never coerced). Outputs are
 results.csv (floats at 17 significant digits), report.json (validated
 machine-readable pass/fail rows), and plotdata/*.tsv series.
 
@@ -28,7 +29,7 @@ import numpy as np
 from . import mollifier as moll
 from .coefficients import make_family, make_pair
 from .errors import (REQUIRED, AssumptionViolation, ConfigError, ConstructionError,
-                     DomainError, NumericError, as_number, config_number)
+                     DomainError, NumericError, config_numbers, config_value)
 from .measures import (DensityModel, TimeGrid, distance_B, distance_B_sup, distance_S,
                        distance_S_sup)
 from .rates import RateBoundSpec, convergence_experiment, run_sweep, theoretical_bound
@@ -110,26 +111,21 @@ def _validate_schema(cfg: dict) -> None:
                           "physical parameters)")
 
 
-def _require(cfg, section, keys):
-    if section not in cfg:
-        raise ConfigError(f"command {cfg['command']!r} needs the {section!r} section")
-    for k in keys:
-        if k not in cfg[section]:
-            raise ConfigError(f"{section}.{k} must be explicit")
-    return cfg[section]
+def _value(cfg, section, key, default=REQUIRED, kind=float):
+    return config_value(cfg.get(section, {}), key, default, kind, where=section + ".")
 
 
-def _num(cfg, section, key, default=REQUIRED, kind=float):
-    return config_number(cfg.get(section, {}), key, default, kind, where=section + ".")
+def _numbers(cfg, section, key, default=REQUIRED):
+    return config_numbers(cfg.get(section, {}), key, default, where=section + ".")
 
 
 def _sim_config(cfg, keep_paths_flag=False) -> SimConfig:
-    return SimConfig(T=_num(cfg, "sim", "T"),
-                     n_steps=_num(cfg, "sim", "n_steps", kind=int),
-                     n_paths=_num(cfg, "sim", "n_paths", kind=int),
-                     seed=_num(cfg, "sim", "seed", kind=int),
-                     x_clip=_num(cfg, "sim", "x_clip", 1e12),
-                     keep_paths=bool(cfg["sim"].get("keep_paths", False))
+    return SimConfig(T=_value(cfg, "sim", "T"),
+                     n_steps=_value(cfg, "sim", "n_steps", kind=int),
+                     n_paths=_value(cfg, "sim", "n_paths", kind=int),
+                     seed=_value(cfg, "sim", "seed", kind=int),
+                     x_clip=_value(cfg, "sim", "x_clip", 1e12),
+                     keep_paths=_value(cfg, "sim", "keep_paths", False, bool)
                      or keep_paths_flag)
 
 
@@ -138,22 +134,22 @@ def _sim_config(cfg, keep_paths_flag=False) -> SimConfig:
 # ---------------------------------------------------------------------------
 
 def _cmd_certify_mollifier(cfg, out: Path) -> Report:
-    alpha = _num(cfg, "law", "alpha")
+    alpha = _value(cfg, "law", "alpha")
     law = make_stable_law(alpha)
-    m = moll.build_mollifier(alpha, _num(cfg, "mollifier", "eps"),
-                             _num(cfg, "mollifier", "delta"),
-                             rho=_num(cfg, "mollifier", "rho", None))
+    m = moll.build_mollifier(alpha, _value(cfg, "mollifier", "eps"),
+                             _value(cfg, "mollifier", "delta"),
+                             rho=_value(cfg, "mollifier", "rho", None))
     s = moll.SmoothedDistance(m)
-    lo = _num(cfg, "certify", "grid_lo", -5.0)
-    hi = _num(cfg, "certify", "grid_hi", 5.0)
-    n = _num(cfg, "certify", "grid_points", 2001, int)
+    lo = _value(cfg, "certify", "grid_lo", -5.0)
+    hi = _value(cfg, "certify", "grid_hi", 5.0)
+    n = _value(cfg, "certify", "grid_points", 2001, int)
     grid = np.linspace(lo, hi, n)
     grid = grid[grid != 0.0]
     reports = [moll.certify_mollifier_shape(m),
                moll.certify_sandwich(s, grid),
                moll.certify_derivative_bound(s, grid)]
     a_s, b_s = m.support
-    nk = _num(cfg, "certify", "komatsu_points", 40, int)
+    nk = _value(cfg, "certify", "komatsu_points", 40, int)
     thetas = np.concatenate([np.linspace(a_s * 1.01, b_s * 0.99, nk),
                              [2 * m.eps, -2 * m.eps, 1.0, -1.0, -a_s]])
     reports.append(moll.certify_komatsu(s, law, thetas))
@@ -174,13 +170,14 @@ def _cmd_certify_mollifier(cfg, out: Path) -> Report:
 
 
 def _cmd_certify_density(cfg, out: Path) -> Report:
-    cert = cfg.get("certify", {})
-    alphas = cert["alphas"] if "alphas" in cert else [_num(cfg, "law", "alpha")]
-    tail_x = _num(cfg, "certify", "tail_x", 50.0)
+    alphas = _numbers(cfg, "certify", "alphas", None)
+    if alphas is None:
+        alphas = [_value(cfg, "law", "alpha")]
+    tail_x = _value(cfg, "certify", "tail_x", 50.0)
     checks = []
     rows = []
     for alpha in alphas:
-        law = make_stable_law(as_number(alpha, "certify.alphas[]"))
+        law = make_stable_law(alpha)
         mass = density_total_mass(law, 100.0)
         g0 = stable_density(law, 0.0)
         g0_ref = math.gamma(1.0 + 1.0 / law.alpha) / math.pi
@@ -213,23 +210,22 @@ def _cmd_certify_density(cfg, out: Path) -> Report:
 
 
 def _cmd_distances(cfg, out: Path) -> Report:
-    alpha = _num(cfg, "law", "alpha")
+    alpha = _value(cfg, "law", "alpha")
     law = make_stable_law(alpha)
-    csec = _require(cfg, "coefficients", ("name",))
-    pair = make_pair(csec["name"], alpha, csec.get("params", {}))
-    dsec = _require(cfg, "distances", ("T", "model"))
-    T = _num(cfg, "distances", "T")
-    grid = TimeGrid(n_nodes=_num(cfg, "distances", "time_nodes", 24, int), gamma=alpha)
-    mode = dsec["model"]
+    pair = make_pair(_value(cfg, "coefficients", "name", kind=str), alpha,
+                     _value(cfg, "coefficients", "params", {}, dict))
+    T = _value(cfg, "distances", "T")
+    grid = TimeGrid(n_nodes=_value(cfg, "distances", "time_nodes", 24, int), gamma=alpha)
+    mode = _value(cfg, "distances", "model", kind=str)
     sim_config = _sim_config(cfg) if mode == "empirical" else None
     model = DensityModel(mode=mode, law=law, sigma_ref=pair.sigma, x0=pair.x0,
-                         M=_num(cfg, "distances", "M", 1.0), sim_config=sim_config)
+                         M=_value(cfg, "distances", "M", 1.0), sim_config=sim_config)
+    window = _numbers(cfg, "distances", "sup_window", None)
+    window = tuple(window) if window else None
+    n_pts = _value(cfg, "distances", "sup_points", 10001, int)
+    variant = _value(cfg, "distances", "variant", "time_integral", str)
     B = distance_B(pair, model, T, grid)
     S = distance_S(pair, model, T, grid)
-    window = dsec.get("sup_window")
-    window = tuple(window) if window else None
-    n_pts = _num(cfg, "distances", "sup_points", 10001, int)
-    variant = dsec.get("variant", "time_integral")
     B_inf = distance_B_sup(pair, T, variant=variant, window=window, n_points=n_pts)
     S_inf = distance_S_sup(pair, alpha, T, variant=variant, window=window,
                            n_points=n_pts)
@@ -248,10 +244,10 @@ def _cmd_distances(cfg, out: Path) -> Report:
 
 
 def _cmd_simulate(cfg, out: Path, dump_paths: bool) -> Report:
-    alpha = _num(cfg, "law", "alpha")
+    alpha = _value(cfg, "law", "alpha")
     law = make_stable_law(alpha)
-    csec = _require(cfg, "coefficients", ("name",))
-    pair = make_pair(csec["name"], alpha, csec.get("params", {}))
+    pair = make_pair(_value(cfg, "coefficients", "name", kind=str), alpha,
+                     _value(cfg, "coefficients", "params", {}, dict))
     sim = _sim_config(cfg, keep_paths_flag=dump_paths)
     ens = simulate_coupled(sim, pair, law)
     curve = distance_moment_curve(ens, alpha - 1.0)
@@ -286,16 +282,15 @@ def _cmd_simulate(cfg, out: Path, dump_paths: bool) -> Report:
 
 
 def _cmd_sweep(cfg, out: Path) -> Report:
-    alpha = _num(cfg, "law", "alpha")
+    alpha = _value(cfg, "law", "alpha")
     law = make_stable_law(alpha)
-    ssec = _require(cfg, "sweep", ("family", "eta_tilde"))
-    family = make_family(ssec["family"], alpha, ssec.get("params", {}))
+    family = make_family(_value(cfg, "sweep", "family", kind=str), alpha,
+                         _value(cfg, "sweep", "params", {}, dict))
     sim = _sim_config(cfg)
-    spec = RateBoundSpec(alpha=alpha, eta_tilde=_num(cfg, "sweep", "eta_tilde"))
+    spec = RateBoundSpec(alpha=alpha, eta_tilde=_value(cfg, "sweep", "eta_tilde"))
     res = run_sweep(family, sim, spec, law,
-                    h_values=tuple(as_number(h, "sweep.h_values[]")
-                                   for h in ssec.get("h_values", ())),
-                    calibration_index=_num(cfg, "sweep", "calibration_index", 0, int))
+                    h_values=tuple(_numbers(cfg, "sweep", "h_values", [])),
+                    calibration_index=_value(cfg, "sweep", "calibration_index", 0, int))
     rows = [[str(r.label), r.scale, r.x0_gap, r.B, r.S, r.D, r.D_se,
              r.bound_raw, r.bound_value, str(r.satisfied),
              str(r.assumption_flag)] for r in res.rows]
@@ -334,14 +329,13 @@ def _cmd_sweep(cfg, out: Path) -> Report:
 
 
 def _cmd_converge(cfg, out: Path) -> Report:
-    alpha = _num(cfg, "law", "alpha")
+    alpha = _value(cfg, "law", "alpha")
     law = make_stable_law(alpha)
-    csec = _require(cfg, "converge", ("family",))
-    params = csec.get("params", {})
-    family = make_family(csec["family"], alpha, params)
+    params = _value(cfg, "converge", "params", {}, dict)
+    family = make_family(_value(cfg, "converge", "family", kind=str), alpha, params)
     sim = _sim_config(cfg)
     rep0 = convergence_experiment(family, sim, law,
-                                  p=_num(cfg, "converge", "p_exponent", None),
+                                  p=_value(cfg, "converge", "p_exponent", None),
                                   params=params)
     rows = [[f"{a}-{b}", d, se] for (a, b), d, se in
             zip(zip(range(1, len(rep0.pairwise_D) + 1),
@@ -378,10 +372,10 @@ def run(config_path: str, overrides=(), out_dir: str | None = None,
         dump_paths: bool = False) -> int:
     try:
         cfg = load_config(config_path, overrides)
+        out = Path(out_dir or _value(cfg, "output", "dir", "out", str))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    out = Path(out_dir or cfg.get("output", {}).get("dir", "out"))
     (out / "plotdata").mkdir(parents=True, exist_ok=True)
     command = cfg["command"]
     try:

@@ -14,11 +14,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import REQUIRED, DomainError, config_number
+from .errors import REQUIRED, DomainError, config_numbers, config_value
 
 
 def _param(params: dict, key: str, default=REQUIRED, kind=float):
-    return config_number(params, key, default, kind, where="params.")
+    return config_value(params, key, default, kind, where="params.")
 
 
 @dataclass
@@ -284,7 +284,7 @@ def make_family(name: str, alpha: float, params: dict | None = None) -> Perturba
     ns = list(range(n_start, n_stop + 1))
 
     if name == "initial_value":
-        gaps = params.get("gaps")
+        gaps = config_numbers(params, "gaps", None, where="params.")
         if gaps is None:
             gap0 = _param(params, "gap0", 0.64)
             ratio = _param(params, "ratio", 0.25)

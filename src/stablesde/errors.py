@@ -47,10 +47,28 @@ def as_number(value, label: str, kind=float):
     return kind(value)
 
 
-def config_number(section: dict, key: str, default=REQUIRED, kind=float, where=""):
-    """section[key] checked by as_number, or default when the key is absent."""
-    if key in section:
-        return as_number(section[key], where + key, kind)
-    if default is REQUIRED:
-        raise ConfigError(f"{where}{key} must be explicit")
-    return default
+_KINDS = {str: "a string", bool: "true or false", dict: "an object", list: "a list"}
+
+
+def config_value(section: dict, key: str, default=REQUIRED, kind=float, where=""):
+    """section[key] checked against kind, or default when the key is absent.
+    float and int are checked by as_number; str, bool, dict and list by type,
+    so that e.g. "no" is never read as a true flag."""
+    if key not in section:
+        if default is REQUIRED:
+            raise ConfigError(f"{where}{key} must be explicit")
+        return default
+    value = section[key]
+    if kind in (float, int):
+        return as_number(value, where + key, kind)
+    if not isinstance(value, kind):
+        raise ConfigError(f"{where}{key} must be {_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def config_numbers(section: dict, key: str, default=REQUIRED, where="") -> list:
+    """section[key] as a list of floats, or default when the key is absent."""
+    values = config_value(section, key, default, list, where)
+    if key not in section:
+        return values
+    return [as_number(v, f"{where}{key}[]") for v in values]

@@ -20,7 +20,7 @@ where the frozen density concentrates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -67,6 +67,9 @@ class DensityModel:
     x0: float
     M: float = 1.0
     sim_config: SimConfig | None = None
+    # (pair, law, sim_config, averages) of the last empirical run
+    _empirical: tuple | None = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def __post_init__(self):
         if self.mode not in ("frozen_plain", "frozen_upper", "empirical"):
@@ -203,16 +206,40 @@ def _space_integral(model: DensityModel, t: float, gap_fn, rel_tol: float) -> fl
     return body + tail
 
 
+def _gap_powers(pair: CoefficientPair, alpha: float) -> tuple:
+    """(gap, power) of distance_B and of distance_S."""
+    return (pair.drift_gap, 1.0), (pair.jump_gap, alpha)
+
+
+def _baseline_averages(pair: CoefficientPair, model: DensityModel, which) -> list:
+    """Monte Carlo averages along the baseline paths of the entries `which`
+    of _gap_powers, all from one single-leg run."""
+    gaps = _gap_powers(pair, model.law.alpha)
+    runs = simulate_baseline_average(
+        model.sim_config, model.law, pair.b, pair.sigma, pair.x0,
+        [lambda t, x, g=gaps[i][0], p=gaps[i][1]: g(t, x) ** p for i in which])
+    return [mean for mean, _ in runs]
+
+
+def _empirical_averages(pair: CoefficientPair, model: DensityModel) -> list:
+    """Both baseline-path averages of a (pair, model): the first empirical
+    distance simulates once for both, and the second reuses the run."""
+    key = (pair, model.law, model.sim_config)
+    memo = model._empirical
+    if memo is None or any(k is not m for k, m in zip(key, memo)):
+        memo = model._empirical = key + (_baseline_averages(pair, model, (0, 1)),)
+    return memo[-1]
+
+
 def _distance_weighted(pair: CoefficientPair, model: DensityModel, T: float,
-                       grid: TimeGrid, gap, power: float,
-                       rel_tol: float = 1e-4) -> float:
+                       grid: TimeGrid, which: int, rel_tol: float = 1e-4) -> float:
+    """Time-space integral of entry `which` of _gap_powers against the model
+    density, or its baseline-path average in empirical mode."""
     if T <= 0:
         raise DomainError("T must be > 0")
     if model.mode == "empirical":
-        mean, _ = simulate_baseline_average(
-            model.sim_config, model.law, pair.b, pair.sigma, pair.x0,
-            lambda t, x: gap(t, x) ** power)
-        return mean
+        return _empirical_averages(pair, model)[which]
+    gap, power = _gap_powers(pair, model.law.alpha)[which]
     nodes = grid.nodes(T)
     vals = np.empty_like(nodes)
     # s -> 0 limit: the frozen density concentrates mass (M in upper mode) at x0
@@ -230,7 +257,7 @@ def distance_B(pair: CoefficientPair, model: DensityModel, T: float,
     the model density (equivalently, in empirical mode, the Monte Carlo
     average of the gap along baseline paths)."""
     grid = grid or default_time_grid(model.law.alpha)
-    return _distance_weighted(pair, model, T, grid, pair.drift_gap, 1.0)
+    return _distance_weighted(pair, model, T, grid, 0)
 
 
 def distance_S(pair: CoefficientPair, model: DensityModel, T: float,
@@ -239,8 +266,7 @@ def distance_S(pair: CoefficientPair, model: DensityModel, T: float,
     |sigma(y) - sigma_tilde(s, y)| against the model density, to the power
     1/alpha."""
     grid = grid or default_time_grid(model.law.alpha)
-    raw = _distance_weighted(pair, model, T, grid, pair.jump_gap,
-                             model.law.alpha)
+    raw = _distance_weighted(pair, model, T, grid, 1)
     return raw ** (1.0 / model.law.alpha)
 
 
@@ -312,7 +338,8 @@ def comparability_band(pairs_fit, pairs_check, law: StableLaw, T: float,
                       stream_label=f"{sim_config.stream_label}-{index}")
         emp = DensityModel(mode="empirical", law=law, sigma_ref=pair.sigma,
                            x0=pair.x0, sim_config=cfg)
-        b_emp = distance_B(pair, emp, T, grid)
+        # only the drift average: a run per member, without the jump integrand
+        b_emp = _baseline_averages(pair, emp, (0,))[0]
         if b_frozen <= 0:
             raise DomainError("frozen-mode distance vanished; cannot form ratio")
         return b_emp / b_frozen

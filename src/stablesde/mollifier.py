@@ -9,7 +9,9 @@ integral at 1 while the cap has factor-2 headroom.
 
 The smoothed distance u = |.|^(alpha-1) * psi and its derivatives are
 evaluated by graded-panel Gauss-Legendre quadrature near the support and by
-a binomial moment expansion in the far field (|x| > 3 eps), where
+a binomial moment expansion in the far field (|x| > 3 eps); the near-field
+quadrature runs on batches of points and evaluates psi and psi' once per
+distinct panel (see SmoothedDistance._near_values). In the far field
 
     E|x - Y|^p = |x|^p * sum_k C(p, k) (-sgn x)^k E[Y^k] |x|^{-k},  Y ~ psi.
 
@@ -20,17 +22,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.special import binom
 
 from .errors import ConstructionError, DomainError
-from .quadrature import QuadratureSpec, graded_edges, panel_nodes
+from .quadrature import (QuadratureSpec, graded_edges, graded_fracs, kept_panels,
+                         panel_nodes, panel_rule)
 from .report import CheckRow, Report
 from .stable import StableLaw, generator_apply
 
 _N_FAR_TERMS = 22
+_NEAR_ORDER = 18    # Gauss-Legendre nodes per near-field panel
+_NEAR_BATCH = 4     # points per near-field batch: ~10k nodes, so each array stays in cache
 
 
 def _bump_exp(t):
@@ -196,38 +202,96 @@ class SmoothedDistance:
         return ax ** p * np.sum(coef * signs * ax[..., None] ** (-ks), axis=-1)
 
     # -- near field (direct quadrature) -------------------------------------
+    #
+    # The quadrature mesh for u(x) is the base edges of the support, plus
+    # edges graded toward x when x is inside the support, or toward the
+    # nearer support end when x is outside but within one support width.
+    # A point outside the support thus uses one of three fixed panel sets;
+    # a point inside shares with the base mesh every base panel that its
+    # graded edges do not split. psi and psi' are evaluated once per distinct
+    # panel, and each point's sums run over its own nodes in mesh order, so
+    # the values are those of a panel-by-panel quadrature per point.
 
-    def _near_edges(self, x: float) -> np.ndarray:
+    @cached_property
+    def _fixed_meshes(self):
+        """(base, graded toward eps/delta, graded toward eps): the panel
+        (lo, hi) bounds and, flattened, the nodes, weights, psi and psi' of
+        each of the three meshes a point outside the support uses."""
+        m = self.mollifier
+        a, b = m.support
+        meshes = []
+        for extra in ((), (graded_edges(a, b, toward=a, n_levels=30, ratio=0.5),),
+                      (graded_edges(a, b, toward=b, n_levels=30, ratio=0.5),)):
+            edges = np.unique(np.concatenate((m.base_edges(),) + extra))
+            keep = kept_panels(edges[:-1], edges[1:])
+            lo, hi = edges[:-1][keep], edges[1:][keep]
+            nodes, wts = panel_rule(lo, hi, _NEAR_ORDER)
+            meshes.append((lo, hi, nodes.ravel(), wts.ravel(),
+                           m.psi(nodes).ravel(), m.psi_prime(nodes).ravel()))
+        return tuple(meshes)
+
+    def _kernel_terms(self, w, pv, ppv, wts):
+        """The integrands of u, u'/(alpha-1) and u''/(alpha-1) at the offsets
+        w = x - node."""
+        absw = np.abs(w)
+        k_up = np.sign(w) * absw ** (self.alpha - 2.0)
+        return (pv * absw ** (self.alpha - 1.0) * wts, pv * k_up * wts,
+                ppv * k_up * wts)
+
+    def _outside_values(self, xs, mesh):
+        _, _, nodes, wts, pv, ppv = mesh
+        terms = self._kernel_terms(xs[:, None] - nodes[None, :], pv, ppv, wts)
+        return [np.sum(t, axis=1) for t in terms]
+
+    def _inside_values(self, xs):
         a, b = self.mollifier.support
-        edges = [self.mollifier.base_edges()]
-        if a < x < b:
-            edges.append(graded_edges(a, x, toward=x, n_levels=40, ratio=0.4))
-            edges.append(graded_edges(x, b, toward=x, n_levels=40, ratio=0.4))
-        else:
-            near_edge = a if abs(x - a) <= abs(x - b) else b
-            if min(abs(x - a), abs(x - b)) < (b - a):
-                edges.append(graded_edges(a, b, toward=near_edge,
-                                          n_levels=30, ratio=0.5))
-        return np.unique(np.concatenate(edges))
+        base_lo, base_hi, _, _, base_pv, base_ppv = self._fixed_meshes[0]
+        base = self.mollifier.base_edges()
+        fracs = graded_fracs(40, 0.4)
+        x = xs[:, None]
+        # graded_edges(a, x, toward=x) and graded_edges(x, b, toward=x), row-wise
+        edges = np.sort(np.concatenate([
+            np.broadcast_to(base, (xs.size, base.size)),
+            x - (x - a) * fracs, x + (b - x) * fracs], axis=1), axis=1)
+        # a duplicated edge makes a zero-width panel, which is dropped here
+        # exactly as np.unique would have removed it
+        keep = kept_panels(edges[:, :-1], edges[:, 1:])
+        lo, hi = edges[:, :-1][keep], edges[:, 1:][keep]
+        j = np.minimum(np.searchsorted(base_lo, lo), base_lo.size - 1)
+        shared = (base_lo[j] == lo) & (base_hi[j] == hi)
+        nodes, wts = panel_rule(lo, hi, _NEAR_ORDER)
+        pv = np.empty_like(nodes)
+        ppv = np.empty_like(nodes)
+        pv[shared] = base_pv.reshape(-1, _NEAR_ORDER)[j[shared]]
+        ppv[shared] = base_ppv.reshape(-1, _NEAR_ORDER)[j[shared]]
+        pv[~shared] = self.mollifier.psi(nodes[~shared])
+        ppv[~shared] = self.mollifier.psi_prime(nodes[~shared])
+        sizes = _NEAR_ORDER * keep.sum(axis=1)
+        w = np.repeat(xs, sizes) - nodes.ravel()
+        terms = self._kernel_terms(w, pv.ravel(), ppv.ravel(), wts.ravel())
+        ends = np.cumsum(sizes)
+        return [np.array([np.sum(t[e - n:e]) for n, e in zip(sizes, ends)])
+                for t in terms]
 
     def _near_values(self, xs: np.ndarray):
         """(u, u', u'') at each x by quadrature over the mollifier support."""
+        xs = np.asarray(xs, dtype=float)
+        a, b = self.mollifier.support
+        inside = (a < xs) & (xs < b)
+        d_a, d_b = np.abs(xs - a), np.abs(xs - b)
+        near = np.minimum(d_a, d_b) < (b - a)
+        mesh_of = np.where(inside, -1, np.where(near, np.where(d_a <= d_b, 1, 2), 0))
+        out = np.empty((3, xs.size))
+        for m in (-1, 0, 1, 2):
+            idx = np.nonzero(mesh_of == m)[0]
+            for i0 in range(0, idx.size, _NEAR_BATCH):
+                sel = idx[i0:i0 + _NEAR_BATCH]
+                if m < 0:
+                    out[:, sel] = self._inside_values(xs[sel])
+                else:
+                    out[:, sel] = self._outside_values(xs[sel], self._fixed_meshes[m])
         am1 = self.alpha - 1.0
-        u = np.empty_like(xs)
-        up = np.empty_like(xs)
-        upp = np.empty_like(xs)
-        for i, x in enumerate(xs):
-            nodes, wts = panel_nodes(self._near_edges(x), order=18)
-            w = x - nodes
-            absw = np.abs(w)
-            sgnw = np.sign(w)
-            pv = self.mollifier.psi(nodes)
-            ppv = self.mollifier.psi_prime(nodes)
-            k_up = sgnw * absw ** (self.alpha - 2.0)
-            u[i] = np.sum(pv * absw ** am1 * wts)
-            up[i] = am1 * np.sum(pv * k_up * wts)
-            upp[i] = am1 * np.sum(ppv * k_up * wts)
-        return u, up, upp
+        return out[0], am1 * out[1], am1 * out[2]
 
     # -- cache ---------------------------------------------------------------
 

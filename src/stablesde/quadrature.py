@@ -44,23 +44,35 @@ def gauss_legendre(order: int):
     return x, w
 
 
-def panel_nodes(edges: np.ndarray, order: int = 16):
-    """Gauss-Legendre nodes/weights for the panels defined by `edges`.
+def kept_panels(lo, hi):
+    """Mask of the panels (lo, hi) to integrate over. Zero-width panels (from
+    duplicated breakpoints) are dropped so that no node can land exactly on
+    an endpoint singularity."""
+    return (hi - lo) > 1e-15 * np.maximum(1.0, np.abs(lo))
 
-    Zero-width panels (from duplicated breakpoints) are dropped so that no
-    node can land exactly on an endpoint singularity.
-    """
-    edges = np.asarray(edges, dtype=float)
-    widths = np.diff(edges)
-    keep = widths > 1e-15 * np.maximum(1.0, np.abs(edges[:-1]))
-    lo = edges[:-1][keep]
-    hi = edges[1:][keep]
+
+def panel_rule(lo, hi, order: int):
+    """Gauss-Legendre nodes and weights of the panels (lo, hi), one row per
+    panel."""
     gx, gw = gauss_legendre(order)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    nodes = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-    weights = (half[:, None] * gw[None, :]).ravel()
-    return nodes, weights
+    return mid[:, None] + half[:, None] * gx[None, :], half[:, None] * gw[None, :]
+
+
+def panel_nodes(edges: np.ndarray, order: int = 16):
+    """Gauss-Legendre nodes/weights for the kept panels between consecutive
+    `edges`, flattened panel by panel."""
+    edges = np.asarray(edges, dtype=float)
+    keep = kept_panels(edges[:-1], edges[1:])
+    nodes, weights = panel_rule(edges[:-1][keep], edges[1:][keep], order)
+    return nodes.ravel(), weights.ravel()
+
+
+def graded_fracs(n_levels: int, ratio: float) -> np.ndarray:
+    """0 followed by ratio**n_levels, ..., ratio, 1: the edge fractions of
+    graded_edges."""
+    return np.concatenate([[0.0], ratio ** np.arange(n_levels, -1, -1.0)])
 
 
 def graded_edges(a: float, b: float, toward: float, n_levels: int = 24,
@@ -72,8 +84,7 @@ def graded_edges(a: float, b: float, toward: float, n_levels: int = 24,
     """
     if b <= a:
         return np.array([a, b])
-    fracs = ratio ** np.arange(n_levels, -1, -1.0)
-    fracs = np.concatenate([[0.0], fracs])
+    fracs = graded_fracs(n_levels, ratio)
     if toward <= a:
         return a + (b - a) * fracs
     return np.sort(b - (b - a) * fracs)

@@ -92,7 +92,7 @@ class LegEnsemble:
     abs_max: np.ndarray             # (N, n_paths) grid sup |X_i|
     final: np.ndarray               # (N, n_paths)
     flagged: np.ndarray             # (n_paths,) shared by all legs
-    integral: np.ndarray            # leg 0's sum_k integrand(t_k, X_k) dt, or 0
+    integral: np.ndarray            # (n_integrands, n_paths) leg 0's sum_k f(t_k, X_k) dt
     paths: np.ndarray | None        # (N, n_steps + 1, n_paths)
     increments_digest: str | None = None
 
@@ -118,13 +118,14 @@ def _blocks(config: SimConfig, law: StableLaw):
         yield cols, sample_increments(law, dt, (config.n_steps, cols.stop - b0), stream)
 
 
-def simulate_legs(config: SimConfig, law: StableLaw, legs, integrand=None,
+def simulate_legs(config: SimConfig, law: StableLaw, legs, integrands=(),
                   digest: bool = False) -> LegEnsemble:
     """Explicit Euler for the legs (x0, drift(t, x), jump(t, x)) on the
     shared increments: X[k+1] = X[k] + drift(t_k, X[k]) dt + jump(t_k, X[k]) dZ_k.
 
-    integrand(t, x), when given, is summed along leg 0 (left-endpoint rule
-    in time, matching the Euler grid); digest hashes the increments.
+    Each integrand f(t, x) is summed along leg 0 into its own row of
+    `integral` (left-endpoint rule in time, matching the Euler grid); digest
+    hashes the increments.
     Deterministic for fixed (seed, config, legs).
     """
     n, npth, nl = config.n_steps, config.n_paths, len(legs)
@@ -139,7 +140,7 @@ def simulate_legs(config: SimConfig, law: StableLaw, legs, integrand=None,
         abs_diff=np.empty((nl - 1, ridx.size, npth)),
         y_max=np.full((nl - 1, npth), np.nan), abs_max=np.full((nl, npth), np.nan),
         final=np.empty((nl, npth)), flagged=np.zeros(npth, dtype=bool),
-        integral=np.zeros(npth),
+        integral=np.zeros((len(integrands), npth)),
         paths=np.empty((nl, n + 1, npth)) if config.keep_paths else None)
     hasher = hashlib.blake2b(digest_size=16) if digest else None
 
@@ -148,7 +149,7 @@ def simulate_legs(config: SimConfig, law: StableLaw, legs, integrand=None,
             hasher.update(np.ascontiguousarray(dz).tobytes())
         x = np.repeat(x0, dz.shape[1], axis=1)   # leg states, stepped in place
         # views into the outputs, updated in place
-        flagged, tot = run.flagged[cols], run.integral[cols]
+        flagged, tot = run.flagged[cols], run.integral[:, cols]
         y_max, x_max = run.y_max[:, cols], run.abs_max[:, cols]
         for k in range(n + 1):
             # record the state at t_k, then step to t_{k+1}
@@ -164,8 +165,8 @@ def simulate_legs(config: SimConfig, law: StableLaw, legs, integrand=None,
                 break
             t_k = times[k]
             np.copyto(x, 0.0, where=flagged)    # flagged paths step from 0
-            if integrand is not None:
-                tot += integrand(t_k, x[0]) * dt
+            for tot_i, f in zip(tot, integrands):
+                tot_i += f(t_k, x[0]) * dt
             for xj, (_, drift, jump) in zip(x, legs):
                 xj[...] = xj + drift(t_k, xj) * dt + jump(t_k, xj) * dz[k]
                 flagged |= ~np.isfinite(xj) | (np.abs(xj) > config.x_clip)
@@ -194,17 +195,21 @@ def simulate_coupled(config: SimConfig, pair: CoefficientPair,
 
 
 def simulate_baseline_average(config: SimConfig, law: StableLaw, b, sigma,
-                              x0: float, integrand) -> tuple:
-    """Single-leg Euler simulation accumulating the time-averaged integrand:
-    mean over paths of sum_k integrand(t_k, X_k) dt, with its standard error.
+                              x0: float, integrands) -> list:
+    """Single-leg Euler simulation accumulating time-averaged integrands: for
+    each f, the mean over paths of sum_k f(t_k, X_k) dt with its standard
+    error, as a (mean, stderr) tuple.
 
     This is the Monte Carlo estimator behind the empirical coefficient
     distances (left-endpoint rule in time, matching the Euler grid).
     """
     run = simulate_legs(config, law, [(x0, lambda t, x: b(x), lambda t, x: sigma(x))],
-                        integrand=integrand)
-    vals = run.integral[~run.flagged]
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(vals.size))
+                        integrands=integrands)
+    out = []
+    for row in run.integral:
+        vals = row[~run.flagged]
+        out.append((float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(vals.size))))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,10 @@ Density route: g(x) = (1/pi) * int_0^inf cos(x t) exp(-t^alpha) dt by
 oscillatory-weight quadrature for moderate |x|, switching to the power-law
 tail series beyond the oscillatory cutoff. The tail series is asymptotic
 for alpha in (1,2) but its terms keep decreasing far past any tolerance at
-the cutoffs used here; truncation is at the smallest term.
+the cutoffs used here; truncation is at the smallest term. The series takes
+an array of points: its coefficients are cached per alpha, all points' terms
+are built in one broadcast, and each point's truncated sum is a plain sum of
+its own terms, so the values are bitwise those of a per-point evaluation.
 """
 
 from __future__ import annotations
@@ -102,22 +105,46 @@ def _tail_series_terms(alpha: float, k: np.ndarray) -> np.ndarray:
     return logmag + np.log(np.abs(s) + 1e-300), sign
 
 
-def _density_series(law: StableLaw, x: float) -> float:
-    a = law.alpha
-    ax = abs(x)
+@lru_cache(maxsize=8)
+def _tail_rows(alpha: float):
+    """(k alpha + 1, log|coefficient|, sign) of the tail-series terms
+    k = 1.._TAIL_KMAX, read-only."""
     k = np.arange(1, _TAIL_KMAX + 1, dtype=float)
-    logmag, sign = _tail_series_terms(a, k)
-    logterm = logmag - (k * a + 1.0) * math.log(ax)
-    terms = sign * np.exp(logterm)
-    # truncate at the smallest |term| (asymptotic series)
+    logmag, sign = _tail_series_terms(alpha, k)
+    rows = (k * alpha + 1.0, logmag, sign)
+    for r in rows:
+        r.flags.writeable = False
+    return rows
+
+
+def _density_series(law: StableLaw, x):
+    """Tail series of g at |x|, one row of terms per point, truncated per
+    point at its smallest term. Raises NumericError for the first point whose
+    truncation error exceeds the tolerance. A scalar x gives a float."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    ax = np.abs(xs)
+    kap1, logmag, sign = _tail_rows(law.alpha)
+    # math.log, not np.log: the two differ in the last bit on a few arguments
+    logx = np.array([math.log(v) for v in ax.tolist()])
+    terms = sign * np.exp(logmag - kap1 * logx[:, None])
     mags = np.abs(terms)
-    stop = int(np.argmin(mags)) + 1
-    val = float(np.sum(terms[:stop])) / math.pi
-    err = mags[min(stop, _TAIL_KMAX - 1)] / math.pi
-    if err > max(law.density_quadrature.abs_tol, 1e-8 * abs(val)):
-        raise NumericError(f"tail series not converged at x={x}",
-                           estimate=val, error_bound=float(err))
-    return val
+    stop = np.argmin(mags, axis=1) + 1
+    sums = np.empty(ax.size)
+    # one np.sum per truncation length over contiguous rows keeps each
+    # point's summation order that of a 1-D sum of its own terms
+    for s in np.unique(stop):
+        rows = stop == s
+        sums[rows] = np.sum(terms[rows, :s], axis=1)
+    val = sums / math.pi
+    err = mags[np.arange(ax.size), np.minimum(stop, _TAIL_KMAX - 1)] / math.pi
+    scaled = 1e-8 * np.abs(val)
+    bad = np.nonzero(err > np.where(scaled > law.density_quadrature.abs_tol,
+                                    scaled, law.density_quadrature.abs_tol))[0]
+    if bad.size:
+        i = bad[0]
+        raise NumericError(f"tail series not converged at x={xs[i]}",
+                           estimate=float(val[i]), error_bound=float(err[i]))
+    return float(val[0]) if np.ndim(x) == 0 else val
 
 
 def stable_density(law: StableLaw, x):
@@ -229,8 +256,8 @@ def density_grid(law: StableLaw, x) -> np.ndarray:
     out = np.empty_like(ax)
     inner = ax <= cut
     out[inner] = spline(ax[inner])
-    for i in np.nonzero(~inner)[0]:
-        out[i] = _density_series(law, ax[i])
+    if not inner.all():
+        out[~inner] = _density_series(law, ax[~inner])
     return out
 
 

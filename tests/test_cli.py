@@ -1,5 +1,6 @@
 """Config-driven CLI: strict parsing, exit codes, deterministic outputs."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -89,14 +90,22 @@ class TestConfigParsing:
         ("sim.seed=1.5", "sim.seed"),
         ("sim.n_paths=true", "sim.n_paths"),
         ("coefficients.name=drift_shift", "params.shift"),  # shift missing
+        ('command="certify-density" certify.alphas=1.5', "certify.alphas"),
+        ('command="sweep" sweep.family="initial_value" sweep.eta_tilde=1 '
+         'sweep.h_values=0.1', "sweep.h_values"),
+        ("coefficients.params=[1]", "coefficients.params"),
+        ("output.dir=5", "output.dir"),
+        ('sim.keep_paths="no"', "sim.keep_paths"),
     ])
     def test_wrong_typed_or_missing_value_exits_2(self, tmp_path, capsys,
                                                    override, key):
+        """override is one or more space-separated --set items."""
         cfg = write_cfg(tmp_path, {
             "command": "simulate", "law": {"alpha": 1.5},
             "coefficients": {"name": "identical", "params": {}},
             "sim": BASE_SIM, "output": {"dir": str(tmp_path / "o")}})
-        assert main(["run", "--config", cfg, "--set", override]) == 2
+        sets = [arg for item in override.split() for arg in ("--set", item)]
+        assert main(["run", "--config", cfg] + sets) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("config error: " + key)
@@ -202,3 +211,24 @@ class TestRunCommands:
             "output": {"dir": str(out)}})
         assert main(["run", "--config", cfg, "--dump-paths"]) == 0
         assert (out / "paths_x.csv").exists()
+
+
+class TestPinnedOutputs:
+    """The shipped density configs reproduce the output bytes pinned for the
+    benchmark in perfbench/digests.json (read, never written here)."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+
+    @pytest.mark.parametrize("label, config", [
+        ("frozen", "configs/distances_drift_bump.json"),
+        ("mollifier", "configs/certify_mollifier.json"),
+    ])
+    def test_sha256_matches_pin(self, tmp_path, label, config):
+        pinned = json.loads((self.ROOT / "perfbench" / "digests.json").read_text())
+        want = {name.split("/", 1)[1]: digest for name, digest in
+                pinned["density"]["default"].items() if name.startswith(label + "/")}
+        assert main(["run", "--config", str(self.ROOT / config),
+                     "--out", str(tmp_path)]) == 0
+        got = {str(p.relative_to(tmp_path)): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+        assert got == want

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import stablesde as ss
 from stablesde.coefficients import make_pair
+from stablesde import measures
 from stablesde.measures import DensityModel, TimeGrid, default_time_grid
 
 G0_15 = 0.28735275145216445
@@ -196,6 +197,28 @@ class TestDistances:
                                                    n_paths=20000, seed=31))
         b_emp = ss.distance_B(pair, emp, 1.0)
         assert 0.5 < b_emp / b_frozen < 2.0
+
+
+    def test_empirical_B_and_S_share_one_run(self, law15, monkeypatch):
+        pair = make_pair("jump_bump", 1.5, {"amp": 0.3, "s1": 0.05})
+        cfg = ss.SimConfig(T=1.0, n_steps=32, n_paths=512, seed=7)
+        emp = DensityModel(mode="empirical", law=law15, sigma_ref=pair.sigma,
+                           x0=pair.x0, sim_config=cfg)
+        calls = []
+        real = measures.simulate_baseline_average
+        monkeypatch.setattr(measures, "simulate_baseline_average",
+                            lambda *a: calls.append(a) or real(*a))
+        B, S = ss.distance_B(pair, emp, 1.0), ss.distance_S(pair, emp, 1.0)
+        assert len(calls) == 1
+        # each average is bitwise what a run of that integrand alone gives
+        (b_alone, _), = real(cfg, law15, pair.b, pair.sigma, pair.x0,
+                             [lambda t, x: pair.drift_gap(t, x) ** 1.0])
+        (s_alone, _), = real(cfg, law15, pair.b, pair.sigma, pair.x0,
+                             [lambda t, x: pair.jump_gap(t, x) ** 1.5])
+        assert B == b_alone and S == s_alone ** (1 / 1.5) and S > 0
+        # another pair on the same model simulates again
+        ss.distance_B(make_pair("drift_shift", 1.5, {"shift": 0.2}), emp, 1.0)
+        assert len(calls) == 2
 
 
 class TestSupDistances:

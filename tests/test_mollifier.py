@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import stablesde as ss
-from stablesde.quadrature import panel_nodes
+from stablesde.quadrature import graded_edges, panel_nodes
 from stablesde.report import validate_report
 
 
@@ -214,3 +214,49 @@ class TestGeneratorIdentity:
         rep = ss.certify_komatsu(smooth15, law15, thetas)
         assert rep.passed
         validate_report(json.loads(rep.to_json()))
+
+
+def _scalar_near_values(s, xs):
+    """The per-point near-field quadrature the batched version replaced: the
+    oracle. Each x gets its own mesh and fresh psi, psi' on every node."""
+    a, b = s.mollifier.support
+    am1 = s.alpha - 1.0
+    out = np.empty((3, len(xs)))
+    for i, x in enumerate(xs):
+        edges = [s.mollifier.base_edges()]
+        if a < x < b:
+            edges.append(graded_edges(a, x, toward=x, n_levels=40, ratio=0.4))
+            edges.append(graded_edges(x, b, toward=x, n_levels=40, ratio=0.4))
+        elif min(abs(x - a), abs(x - b)) < (b - a):
+            near_edge = a if abs(x - a) <= abs(x - b) else b
+            edges.append(graded_edges(a, b, toward=near_edge, n_levels=30,
+                                      ratio=0.5))
+        nodes, wts = panel_nodes(np.unique(np.concatenate(edges)), order=18)
+        w = x - nodes
+        absw = np.abs(w)
+        pv = s.mollifier.psi(nodes)
+        ppv = s.mollifier.psi_prime(nodes)
+        k_up = np.sign(w) * absw ** (s.alpha - 2.0)
+        out[:, i] = (np.sum(pv * absw ** am1 * wts), am1 * np.sum(pv * k_up * wts),
+                     am1 * np.sum(ppv * k_up * wts))
+    return out
+
+
+class TestNearFieldBatched:
+    """The batched near-field quadrature is bitwise the per-point one."""
+
+    @pytest.mark.parametrize("alpha, eps, delta", [(1.5, 0.1, 4.0),
+                                                   (1.2, 0.05, 10.0)])
+    def test_bitwise_per_point(self, alpha, eps, delta):
+        s = ss.SmoothedDistance(ss.build_mollifier(alpha, eps, delta))
+        a, b = s.mollifier.support
+        up, down = np.nextafter([a, b], np.inf), np.nextafter([a, b], -np.inf)
+        xs = np.concatenate([
+            np.linspace(a, b, 23)[1:-1],                 # inside the support
+            [a, b], up, down,                            # at and next to the ends
+            np.linspace(-3 * eps, 3 * eps, 25),          # outside, incl. 0
+            [0.0, a - 0.5 * (b - a), b + 0.5 * (b - a)]])
+        got = s._near_values(xs)
+        ref = _scalar_near_values(s, xs)
+        for g, r in zip(got, ref):
+            assert np.array_equal(g, r)

@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 import stablesde as ss
-from stablesde.stable import density_total_mass
+from stablesde.quadrature import QuadratureSpec
+from stablesde.stable import _density_series, density_total_mass
 
 ORACLE_C_ALPHA = {1.2: 0.33354942991224811, 1.5: 0.29920671030107451,
                   1.8: 0.16490493881830272}
@@ -232,3 +234,59 @@ class TestNumericErrorContract:
                               error_bound=4.5e-3)
         assert err.estimate == 1.23
         assert err.error_bound == 4.5e-3
+
+
+def _scalar_tail_series(law, x):
+    """The per-point tail series the array version replaced: the oracle.
+    Returns (value, number of terms summed)."""
+    a = law.alpha
+    k = np.arange(1, 81, dtype=float)
+    s = np.sin(k * a * np.pi / 2.0)
+    sign = np.where(k % 2 == 1, 1.0, -1.0) * np.sign(s)
+    logmag = (gammaln(k * a + 1.0) - gammaln(k + 1.0)
+              + np.log(np.abs(s) + 1e-300))
+    terms = sign * np.exp(logmag - (k * a + 1.0) * math.log(abs(x)))
+    mags = np.abs(terms)
+    stop = int(np.argmin(mags)) + 1
+    val = float(np.sum(terms[:stop])) / math.pi
+    err = mags[min(stop, 79)] / math.pi
+    if err > max(law.density_quadrature.abs_tol, 1e-8 * abs(val)):
+        raise ss.NumericError(f"tail series not converged at x={x}",
+                              estimate=val, error_bound=float(err))
+    return val, stop
+
+
+class TestTailSeriesArray:
+    """The array tail series is bitwise the per-point series."""
+
+    @pytest.mark.parametrize("alpha, stop_1e5", [(1.2, 55), (1.5, 48), (1.8, 42)])
+    def test_bitwise_per_point(self, alpha, stop_1e5):
+        law = ss.make_stable_law(alpha)
+        # 35.7520475 and 281.734615: np.log and math.log differ in the last bit
+        xs = np.array([np.nextafter(20.0, 21.0), 20.5, 35.7520475, 50.0, -50.0,
+                       281.734615, 1e3, 1e5])
+        ref = [_scalar_tail_series(law, x) for x in xs]
+        assert ref[-1][1] == stop_1e5       # truncated before the 80th term
+        got = _density_series(law, xs)
+        assert np.array_equal(got, [v for v, _ in ref])
+        scalar = _density_series(law, 1e5)
+        assert type(scalar) is float and scalar == ref[-1][0]
+
+    def test_density_grid_tail_points(self, law15):
+        xs = np.concatenate([np.linspace(-200.0, 200.0, 801), [1e4, -3e5]])
+        tail = np.abs(xs) > 20.0
+        got = ss.density_grid(law15, xs)[tail]
+        assert np.array_equal(got, [_scalar_tail_series(law15, x)[0]
+                                    for x in xs[tail]])
+
+    def test_first_failing_point_raises(self):
+        law = ss.make_stable_law(1.5, QuadratureSpec(oscillatory_cutoff=3.0))
+        with pytest.raises(ss.NumericError) as info:
+            _density_series(law, [6.0, 3.5, 10.0])
+        with pytest.raises(ss.NumericError) as ref:
+            _scalar_tail_series(law, 3.5)
+        assert str(info.value) == str(ref.value) == "tail series not converged at x=3.5"
+        assert info.value.estimate == ref.value.estimate == pytest.approx(
+            0.020473569448, rel=1e-10)
+        assert info.value.error_bound == ref.value.error_bound == pytest.approx(
+            1.3726e-4, rel=1e-4)
