@@ -177,7 +177,7 @@ def _cmd_certify_density(cfg, out: Path) -> Report:
     checks = []
     rows = []
     for alpha in alphas:
-        law = make_stable_law(alpha)
+        law = make_stable_law(float(alpha))
         mass = density_total_mass(law, 100.0)
         g0 = stable_density(law, 0.0)
         g0_ref = math.gamma(1.0 + 1.0 / law.alpha) / math.pi
@@ -289,7 +289,7 @@ def _cmd_sweep(cfg, out: Path) -> Report:
     sim = _sim_config(cfg)
     spec = RateBoundSpec(alpha=alpha, eta_tilde=_value(cfg, "sweep", "eta_tilde"))
     res = run_sweep(family, sim, spec, law,
-                    h_values=tuple(_numbers(cfg, "sweep", "h_values", [])),
+                    h_values=tuple(map(float, _numbers(cfg, "sweep", "h_values", []))),
                     calibration_index=_value(cfg, "sweep", "calibration_index", 0, int))
     rows = [[str(r.label), r.scale, r.x0_gap, r.B, r.S, r.D, r.D_se,
              r.bound_raw, r.bound_value, str(r.satisfied),

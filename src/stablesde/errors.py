@@ -67,8 +67,10 @@ def config_value(section: dict, key: str, default=REQUIRED, kind=float, where=""
 
 
 def config_numbers(section: dict, key: str, default=REQUIRED, where="") -> list:
-    """section[key] as a list of floats, or default when the key is absent."""
+    """section[key] checked to be a list of numbers and returned as written
+    (an int entry stays an int), or default when the key is absent."""
     values = config_value(section, key, default, list, where)
-    if key not in section:
-        return values
-    return [as_number(v, f"{where}{key}[]") for v in values]
+    if key in section:
+        for v in values:
+            as_number(v, f"{where}{key}[]")
+    return values

@@ -211,23 +211,18 @@ def _gap_powers(pair: CoefficientPair, alpha: float) -> tuple:
     return (pair.drift_gap, 1.0), (pair.jump_gap, alpha)
 
 
-def _baseline_averages(pair: CoefficientPair, model: DensityModel, which) -> list:
-    """Monte Carlo averages along the baseline paths of the entries `which`
-    of _gap_powers, all from one single-leg run."""
-    gaps = _gap_powers(pair, model.law.alpha)
-    runs = simulate_baseline_average(
-        model.sim_config, model.law, pair.b, pair.sigma, pair.x0,
-        [lambda t, x, g=gaps[i][0], p=gaps[i][1]: g(t, x) ** p for i in which])
-    return [mean for mean, _ in runs]
-
-
 def _empirical_averages(pair: CoefficientPair, model: DensityModel) -> list:
-    """Both baseline-path averages of a (pair, model): the first empirical
-    distance simulates once for both, and the second reuses the run."""
+    """The baseline-path averages of both entries of _gap_powers, from one
+    single-leg run: the first empirical distance of a (pair, model)
+    simulates once for both, and the second reuses the run."""
     key = (pair, model.law, model.sim_config)
     memo = model._empirical
     if memo is None or any(k is not m for k, m in zip(key, memo)):
-        memo = model._empirical = key + (_baseline_averages(pair, model, (0, 1)),)
+        runs = simulate_baseline_average(
+            model.sim_config, model.law, pair.b, pair.sigma, pair.x0,
+            [lambda t, x, g=g, p=p: g(t, x) ** p
+             for g, p in _gap_powers(pair, model.law.alpha)])
+        memo = model._empirical = key + ([mean for mean, _ in runs],)
     return memo[-1]
 
 
@@ -338,8 +333,7 @@ def comparability_band(pairs_fit, pairs_check, law: StableLaw, T: float,
                       stream_label=f"{sim_config.stream_label}-{index}")
         emp = DensityModel(mode="empirical", law=law, sigma_ref=pair.sigma,
                            x0=pair.x0, sim_config=cfg)
-        # only the drift average: a run per member, without the jump integrand
-        b_emp = _baseline_averages(pair, emp, (0,))[0]
+        b_emp = distance_B(pair, emp, T, grid)
         if b_frozen <= 0:
             raise DomainError("frozen-mode distance vanished; cannot form ratio")
         return b_emp / b_frozen

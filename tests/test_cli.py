@@ -110,6 +110,22 @@ class TestConfigParsing:
         assert len(err) == 1
         assert err[0].startswith("config error: " + key)
 
+    def test_number_list_entries_kept_as_written(self, tmp_path):
+        """A checked list of numbers is not coerced: integer entries reach
+        the report as integers."""
+        cfg = write_cfg(tmp_path, {
+            "command": "distances", "law": {"alpha": 1.5},
+            "coefficients": {"name": "drift_bump", "params": {"amp": 0.2, "s1": 0.05}},
+            "distances": {"T": 1.0, "model": "frozen_plain", "time_nodes": 4,
+                          "variant": "time_integral", "sup_window": [-5, 5.0],
+                          "sup_points": 11},
+            "output": {"dir": str(tmp_path / "o")}})
+        assert main(["run", "--config", cfg]) == 0
+        window = json.loads((tmp_path / "o" / "report.json").read_text())[
+            "params"]["sup_window"]
+        assert window == [-5, 5.0]
+        assert [type(v) for v in window] == [int, float]
+
     def test_set_overrides(self, tmp_path):
         out = tmp_path / "o1"
         cfg = write_cfg(tmp_path, {"command": "certify-density",
