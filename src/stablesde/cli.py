@@ -4,16 +4,18 @@
                   [--dump-paths]
     stablesde print-bound --alpha A --eta-tilde E --B B --S S --x0-gap G [--h H]
 
-The config is strict JSON: unknown keys are rejected, and physical
-parameters (alpha, eps, delta, T, seed, ...) have no defaults, and every
-value is type-checked where it is read (a bool or a string for a number, a
-fractional count, a scalar for a list, a non-object for params, a string for
-a flag: each is a config error, never coerced). Outputs are
+The config is strict JSON. _SCHEMA below is the reference for its keys: it
+declares each key's type, default and lower bound once, and physical
+parameters (alpha, eps, delta, T, seed, ...) have no default. Every key
+present is checked before any command runs, and is never coerced; catalog
+params are checked against the keys their pair or family reads. Outputs are
 results.csv (floats at 17 significant digits), report.json (validated
 machine-readable pass/fail rows), and plotdata/*.tsv series.
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 config parse error,
-3 domain error, 4 numeric failure.
+Exit codes: 0 all checks pass, 1 a check failed, 2 config error (parse,
+unknown key, wrong type, missing value, an output directory that cannot be
+created), 3 domain error (e.g. a value below its bound), 4 numeric failure;
+2-4 print one line on stderr.
 """
 
 from __future__ import annotations
@@ -27,33 +29,43 @@ from pathlib import Path
 import numpy as np
 
 from . import mollifier as moll
-from .coefficients import make_family, make_pair
+from .coefficients import check_params, make_family, make_pair
 from .errors import (REQUIRED, AssumptionViolation, ConfigError, ConstructionError,
-                     DomainError, NumericError, config_numbers, config_value)
+                     DomainError, NumericError, config_value)
 from .measures import (DensityModel, TimeGrid, distance_B, distance_B_sup, distance_S,
                        distance_S_sup)
-from .rates import RateBoundSpec, convergence_experiment, run_sweep, theoretical_bound
+from .rates import RateBoundSpec, convergence_experiment, run_sweep, tail_bound, theoretical_bound
 from .report import CheckRow, Report, fmt17, validate_report, write_plotdata, write_results_csv
 from .simulate import SimConfig, distance_moment_curve, simulate_coupled, tail_probability
 from .stable import (density_total_mass, envelope_comparability_check,
                      make_stable_law, stable_density)
 
+# section -> key -> (kind, default, lower bound). kind list is a list of
+# numbers. Default REQUIRED: the key must be given when a command reads it;
+# None: absent means unset, and the reader's own default applies. An int or
+# a list's length must be at least its lower bound, a float must exceed it.
 _SCHEMA = {
-    "command": None,
-    "law": {"alpha"},
-    "mollifier": {"eps", "delta", "rho"},
-    "coefficients": {"name", "params"},
-    "sim": {"T", "n_steps", "n_paths", "seed", "x_clip", "keep_paths"},
-    "distances": {"model", "M", "time_nodes", "sup_window", "sup_points",
-                  "variant", "T"},
-    "sweep": {"family", "params", "eta_tilde", "calibration_index", "h_values"},
-    "converge": {"family", "params", "p_exponent"},
-    "certify": {"grid_lo", "grid_hi", "grid_points", "komatsu_points",
-                "alphas", "tail_x"},
-    "output": {"dir"},
+    "law": {"alpha": (float, REQUIRED, None)},
+    "mollifier": {"eps": (float, REQUIRED, 0.0), "delta": (float, REQUIRED, 1.0),
+                  "rho": (float, None, None)},
+    "coefficients": {"name": (str, REQUIRED, None), "params": (dict, {}, None)},
+    "sim": {"T": (float, REQUIRED, 0.0), "n_steps": (int, REQUIRED, 1),
+            "n_paths": (int, REQUIRED, 1), "seed": (int, REQUIRED, None),
+            "x_clip": (float, None, 0.0), "keep_paths": (bool, None, None)},
+    "distances": {"model": (str, REQUIRED, None), "M": (float, None, None),
+                  "time_nodes": (int, None, 2), "sup_window": (list, None, None),
+                  "sup_points": (int, 10001, 1),
+                  "variant": (str, "time_integral", None), "T": (float, REQUIRED, 0.0)},
+    "sweep": {"family": (str, REQUIRED, None), "params": (dict, {}, None),
+              "eta_tilde": (float, REQUIRED, None),
+              "calibration_index": (int, 0, 0), "h_values": (list, [], None)},
+    "converge": {"family": (str, REQUIRED, None), "params": (dict, {}, None),
+                 "p_exponent": (float, None, None)},
+    "certify": {"grid_lo": (float, -5.0, None), "grid_hi": (float, 5.0, None),
+                "grid_points": (int, 2001, 1), "komatsu_points": (int, 40, 0),
+                "alphas": (list, None, 1), "tail_x": (float, 50.0, 0.0)},
+    "output": {"dir": (str, "out", None)},
 }
-_COMMANDS = ("certify-mollifier", "certify-density", "distances", "simulate",
-             "sweep", "converge")
 
 
 def load_config(path: str, overrides) -> dict:
@@ -90,66 +102,83 @@ def _apply_override(cfg: dict, dotted: str, raw: str) -> None:
 
 
 def _validate_schema(cfg: dict) -> None:
-    unknown = set(cfg) - set(_SCHEMA)
+    """Check every key of cfg against _SCHEMA, replacing each value by its
+    typed value (an int written for a float becomes a float)."""
+    unknown = set(cfg) - set(_SCHEMA) - {"command"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if "command" not in cfg:
-        raise ConfigError("config must declare a command")
-    if cfg["command"] not in _COMMANDS:
-        raise ConfigError(f"unknown command {cfg['command']!r}; "
-                          f"expected one of {_COMMANDS}")
-    for key, allowed in _SCHEMA.items():
-        if allowed is None or key not in cfg:
-            continue
-        if not isinstance(cfg[key], dict):
-            raise ConfigError(f"config section {key!r} must be an object")
-        extra = set(cfg[key]) - allowed
+    command = config_value(cfg, "command", kind=str)
+    if command not in _COMMANDS:
+        raise ConfigError(f"unknown command {command!r}; "
+                          f"expected one of {tuple(_COMMANDS)}")
+    for section, table in _SCHEMA.items():
+        given = cfg.get(section, {})
+        if not isinstance(given, dict):
+            raise ConfigError(f"config section {section!r} must be an object")
+        extra = set(given) - set(table)
         if extra:
-            raise ConfigError(f"unknown keys in {key!r}: {sorted(extra)}")
-    if "law" not in cfg or "alpha" not in cfg["law"]:
-        raise ConfigError("law.alpha must be explicit (no defaults for "
-                          "physical parameters)")
+            raise ConfigError(f"unknown keys in {section!r}: {sorted(extra)}")
+        for key in given:
+            kind, _, low = table[key]
+            value = given[key] = config_value(given, key, kind=kind, where=section + ".")
+            size = len(value) if kind is list else value
+            op = ">" if kind is float else ">="
+            if low is not None and not (size > low or (op == ">=" and size == low)):
+                raise DomainError(f"{section}.{key} must be {op} {low}"
+                                  f"{' entries long' if kind is list else ''}, got {value}")
 
 
-def _value(cfg, section, key, default=REQUIRED, kind=float):
-    return config_value(cfg.get(section, {}), key, default, kind, where=section + ".")
+def _value(cfg, section, key):
+    """A key's checked value, or its _SCHEMA default when absent."""
+    value = cfg.get(section, {}).get(key, _SCHEMA[section][key][1])
+    if value is REQUIRED:
+        raise ConfigError(f"{section}.{key} must be explicit")
+    return value
 
 
-def _numbers(cfg, section, key, default=REQUIRED):
-    return config_numbers(cfg.get(section, {}), key, default, where=section + ".")
+def _given(cfg, section, *keys) -> dict:
+    """The keys set (or required), for a constructor with defaults for the rest."""
+    return {key: value for key in keys
+            if (value := _value(cfg, section, key)) is not None}
 
 
-def _sim_config(cfg, keep_paths_flag=False) -> SimConfig:
-    return SimConfig(T=_value(cfg, "sim", "T"),
-                     n_steps=_value(cfg, "sim", "n_steps", kind=int),
-                     n_paths=_value(cfg, "sim", "n_paths", kind=int),
-                     seed=_value(cfg, "sim", "seed", kind=int),
-                     x_clip=_value(cfg, "sim", "x_clip", 1e12),
-                     keep_paths=_value(cfg, "sim", "keep_paths", False, bool)
-                     or keep_paths_flag)
+def _sim_config(cfg, keep_paths=False) -> SimConfig:
+    sim = _given(cfg, "sim", *_SCHEMA["sim"])
+    if keep_paths:
+        sim["keep_paths"] = True
+    return SimConfig(**sim)
+
+
+def _catalog(cfg, section, alpha):
+    """The coefficient pair (section coefficients) or perturbation family
+    (sweep, converge) the section names, and its params."""
+    family = section != "coefficients"
+    name = _value(cfg, section, "family" if family else "name")
+    params = _value(cfg, section, "params")
+    check_params(name, params, family, section + ".params")
+    return (make_family if family else make_pair)(name, alpha, params), params
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def _cmd_certify_mollifier(cfg, out: Path) -> Report:
-    alpha = _value(cfg, "law", "alpha")
-    law = make_stable_law(alpha)
+def _cmd_certify_mollifier(cfg, law, out: Path, dump_paths: bool) -> Report:
+    alpha = law.alpha
     m = moll.build_mollifier(alpha, _value(cfg, "mollifier", "eps"),
                              _value(cfg, "mollifier", "delta"),
-                             rho=_value(cfg, "mollifier", "rho", None))
+                             rho=_value(cfg, "mollifier", "rho"))
     s = moll.SmoothedDistance(m)
-    lo = _value(cfg, "certify", "grid_lo", -5.0)
-    hi = _value(cfg, "certify", "grid_hi", 5.0)
-    n = _value(cfg, "certify", "grid_points", 2001, int)
+    lo = _value(cfg, "certify", "grid_lo")
+    hi = _value(cfg, "certify", "grid_hi")
+    n = _value(cfg, "certify", "grid_points")
     grid = np.linspace(lo, hi, n)
     grid = grid[grid != 0.0]
     reports = [moll.certify_mollifier_shape(m),
                moll.certify_sandwich(s, grid),
                moll.certify_derivative_bound(s, grid)]
     a_s, b_s = m.support
-    nk = _value(cfg, "certify", "komatsu_points", 40, int)
+    nk = _value(cfg, "certify", "komatsu_points")
     thetas = np.concatenate([np.linspace(a_s * 1.01, b_s * 0.99, nk),
                              [2 * m.eps, -2 * m.eps, 1.0, -1.0, -a_s]])
     reports.append(moll.certify_komatsu(s, law, thetas))
@@ -169,11 +198,9 @@ def _cmd_certify_mollifier(cfg, out: Path) -> Report:
     return rep
 
 
-def _cmd_certify_density(cfg, out: Path) -> Report:
-    alphas = _numbers(cfg, "certify", "alphas", None)
-    if alphas is None:
-        alphas = [_value(cfg, "law", "alpha")]
-    tail_x = _value(cfg, "certify", "tail_x", 50.0)
+def _cmd_certify_density(cfg, law, out: Path, dump_paths: bool) -> Report:
+    alphas = _value(cfg, "certify", "alphas") or [law.alpha]
+    tail_x = _value(cfg, "certify", "tail_x")
     checks = []
     rows = []
     for alpha in alphas:
@@ -209,30 +236,27 @@ def _cmd_certify_density(cfg, out: Path) -> Report:
     return rep
 
 
-def _cmd_distances(cfg, out: Path) -> Report:
-    alpha = _value(cfg, "law", "alpha")
-    law = make_stable_law(alpha)
-    pair = make_pair(_value(cfg, "coefficients", "name", kind=str), alpha,
-                     _value(cfg, "coefficients", "params", {}, dict))
+def _cmd_distances(cfg, law, out: Path, dump_paths: bool) -> Report:
+    alpha = law.alpha
+    pair, _ = _catalog(cfg, "coefficients", alpha)
     T = _value(cfg, "distances", "T")
-    grid = TimeGrid(n_nodes=_value(cfg, "distances", "time_nodes", 24, int), gamma=alpha)
-    mode = _value(cfg, "distances", "model", kind=str)
+    nodes = _value(cfg, "distances", "time_nodes")
+    grid = TimeGrid(gamma=alpha) if nodes is None else TimeGrid(nodes, alpha)
+    mode = _value(cfg, "distances", "model")
     sim_config = _sim_config(cfg) if mode == "empirical" else None
     model = DensityModel(mode=mode, law=law, sigma_ref=pair.sigma, x0=pair.x0,
-                         M=_value(cfg, "distances", "M", 1.0), sim_config=sim_config)
-    window = _numbers(cfg, "distances", "sup_window", None)
-    window = tuple(window) if window else None
-    n_pts = _value(cfg, "distances", "sup_points", 10001, int)
-    variant = _value(cfg, "distances", "variant", "time_integral", str)
+                         sim_config=sim_config, **_given(cfg, "distances", "M"))
+    window = tuple(_value(cfg, "distances", "sup_window") or (pair.x0 - 10.0, pair.x0 + 10.0))
+    n_pts = _value(cfg, "distances", "sup_points")
+    variant = _value(cfg, "distances", "variant")
     B = distance_B(pair, model, T, grid)
     S = distance_S(pair, model, T, grid)
     B_inf = distance_B_sup(pair, T, variant=variant, window=window, n_points=n_pts)
     S_inf = distance_S_sup(pair, alpha, T, variant=variant, window=window,
                            n_points=n_pts)
-    win = window or (pair.x0 - 10.0, pair.x0 + 10.0)
     rep = Report(name="distances",
                  params={"alpha": alpha, "pair": pair.label, "T": T,
-                         "model": mode, "sup_window": list(win),
+                         "model": mode, "sup_window": list(window),
                          "sup_points": n_pts, "variant": variant},
                  checks=[CheckRow("distances_finite",
                                   "all four coefficient distances are finite",
@@ -243,12 +267,10 @@ def _cmd_distances(cfg, out: Path) -> Report:
     return rep
 
 
-def _cmd_simulate(cfg, out: Path, dump_paths: bool) -> Report:
-    alpha = _value(cfg, "law", "alpha")
-    law = make_stable_law(alpha)
-    pair = make_pair(_value(cfg, "coefficients", "name", kind=str), alpha,
-                     _value(cfg, "coefficients", "params", {}, dict))
-    sim = _sim_config(cfg, keep_paths_flag=dump_paths)
+def _cmd_simulate(cfg, law, out: Path, dump_paths: bool) -> Report:
+    alpha = law.alpha
+    pair, _ = _catalog(cfg, "coefficients", alpha)
+    sim = _sim_config(cfg, keep_paths=dump_paths)
     ens = simulate_coupled(sim, pair, law)
     curve = distance_moment_curve(ens, alpha - 1.0)
     rows = [[t, mu, se] for t, mu, se in
@@ -265,32 +287,29 @@ def _cmd_simulate(cfg, out: Path, dump_paths: bool) -> Report:
     if dump_paths and ens.paths_x is not None:
         np.savetxt(out / "paths_x.csv", ens.paths_x, delimiter=",")
         np.savetxt(out / "paths_xt.csv", ens.paths_xt, delimiter=",")
-    rep = Report(name="simulate",
-                 params={"alpha": alpha, "pair": pair.label,
-                         "n_paths": sim.n_paths, "n_steps": sim.n_steps,
-                         "seed": sim.seed, "T": sim.T,
-                         "sup_moment": curve.sup,
-                         "digest": ens.increments_digest},
-                 checks=[
-                     CheckRow("flagged_paths",
-                              "flagged paths <= 1% of the ensemble",
-                              float(ens.n_flagged), 0.01 * sim.n_paths,
-                              0.01 * sim.n_paths - ens.n_flagged,
-                              ens.n_flagged <= 0.01 * sim.n_paths),
-                 ])
-    return rep
+    return Report(name="simulate",
+                  params={"alpha": alpha, "pair": pair.label,
+                          "n_paths": sim.n_paths, "n_steps": sim.n_steps,
+                          "seed": sim.seed, "T": sim.T,
+                          "sup_moment": curve.sup,
+                          "digest": ens.increments_digest},
+                  checks=[
+                      CheckRow("flagged_paths",
+                               "flagged paths <= 1% of the ensemble",
+                               float(ens.n_flagged), 0.01 * sim.n_paths,
+                               0.01 * sim.n_paths - ens.n_flagged,
+                               ens.n_flagged <= 0.01 * sim.n_paths),
+                  ])
 
 
-def _cmd_sweep(cfg, out: Path) -> Report:
-    alpha = _value(cfg, "law", "alpha")
-    law = make_stable_law(alpha)
-    family = make_family(_value(cfg, "sweep", "family", kind=str), alpha,
-                         _value(cfg, "sweep", "params", {}, dict))
+def _cmd_sweep(cfg, law, out: Path, dump_paths: bool) -> Report:
+    alpha = law.alpha
+    family, _ = _catalog(cfg, "sweep", alpha)
     sim = _sim_config(cfg)
     spec = RateBoundSpec(alpha=alpha, eta_tilde=_value(cfg, "sweep", "eta_tilde"))
     res = run_sweep(family, sim, spec, law,
-                    h_values=tuple(map(float, _numbers(cfg, "sweep", "h_values", []))),
-                    calibration_index=_value(cfg, "sweep", "calibration_index", 0, int))
+                    h_values=tuple(map(float, _value(cfg, "sweep", "h_values"))),
+                    calibration_index=_value(cfg, "sweep", "calibration_index"))
     rows = [[str(r.label), r.scale, r.x0_gap, r.B, r.S, r.D, r.D_se,
              r.bound_raw, r.bound_value, str(r.satisfied),
              str(r.assumption_flag)] for r in res.rows]
@@ -317,25 +336,22 @@ def _cmd_sweep(cfg, out: Path) -> Report:
                 "tail probability with Wilson interval (informational)",
                 te.prob, 1.0, 1.0 - te.prob, True,
                 context={"h": te.h, "lo": te.wilson_low, "hi": te.wilson_high}))
-    rep = Report(name="sweep",
-                 params={"alpha": alpha, "family": family.name,
-                         "eta_tilde": spec.eta_tilde, "C_fit": res.spec.C_fit,
-                         "branch": res.spec.branch,
-                         "slope_D_vs_scale": res.slope_D_vs_scale,
-                         "slope_S_vs_inverse_scale": res.slope_S_vs_inverse_scale,
-                         "seed": sim.seed},
-                 checks=checks)
-    return rep
+    return Report(name="sweep",
+                  params={"alpha": alpha, "family": family.name,
+                          "eta_tilde": spec.eta_tilde, "C_fit": res.spec.C_fit,
+                          "branch": res.spec.branch,
+                          "slope_D_vs_scale": res.slope_D_vs_scale,
+                          "slope_S_vs_inverse_scale": res.slope_S_vs_inverse_scale,
+                          "seed": sim.seed},
+                  checks=checks)
 
 
-def _cmd_converge(cfg, out: Path) -> Report:
-    alpha = _value(cfg, "law", "alpha")
-    law = make_stable_law(alpha)
-    params = _value(cfg, "converge", "params", {}, dict)
-    family = make_family(_value(cfg, "converge", "family", kind=str), alpha, params)
+def _cmd_converge(cfg, law, out: Path, dump_paths: bool) -> Report:
+    alpha = law.alpha
+    family, params = _catalog(cfg, "converge", alpha)
     sim = _sim_config(cfg)
     rep0 = convergence_experiment(family, sim, law,
-                                  p=_value(cfg, "converge", "p_exponent", None),
+                                  p=_value(cfg, "converge", "p_exponent"),
                                   params=params)
     rows = [[f"{a}-{b}", d, se] for (a, b), d, se in
             zip(zip(range(1, len(rep0.pairwise_D) + 1),
@@ -356,12 +372,17 @@ def _cmd_converge(cfg, out: Path) -> Report:
                  3.0 - rep0.lp_report.max_abs_dev_in_se,
                  rep0.lp_report.passes),
     ]
-    rep = Report(name="converge",
-                 params={"alpha": alpha, "family": family.name,
-                         "p": rep0.lp_report.p, "seed": sim.seed,
-                         "limit_residual": rep0.limit_residual},
-                 checks=checks)
-    return rep
+    return Report(name="converge",
+                  params={"alpha": alpha, "family": family.name,
+                          "p": rep0.lp_report.p, "seed": sim.seed,
+                          "limit_residual": rep0.limit_residual},
+                  checks=checks)
+
+
+# command -> handler(cfg, law of law.alpha, output directory, --dump-paths flag)
+_COMMANDS = {"certify-mollifier": _cmd_certify_mollifier,
+             "certify-density": _cmd_certify_density, "distances": _cmd_distances,
+             "simulate": _cmd_simulate, "sweep": _cmd_sweep, "converge": _cmd_converge}
 
 
 # ---------------------------------------------------------------------------
@@ -372,25 +393,15 @@ def run(config_path: str, overrides=(), out_dir: str | None = None,
         dump_paths: bool = False) -> int:
     try:
         cfg = load_config(config_path, overrides)
-        out = Path(out_dir or _value(cfg, "output", "dir", "out", str))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    (out / "plotdata").mkdir(parents=True, exist_ok=True)
-    command = cfg["command"]
-    try:
-        if command == "certify-mollifier":
-            rep = _cmd_certify_mollifier(cfg, out)
-        elif command == "certify-density":
-            rep = _cmd_certify_density(cfg, out)
-        elif command == "distances":
-            rep = _cmd_distances(cfg, out)
-        elif command == "simulate":
-            rep = _cmd_simulate(cfg, out, dump_paths)
-        elif command == "sweep":
-            rep = _cmd_sweep(cfg, out)
-        else:
-            rep = _cmd_converge(cfg, out)
+        command = cfg["command"]
+        out = Path(out_dir or _value(cfg, "output", "dir"))
+        try:
+            (out / "plotdata").mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {str(out)!r}: "
+                              f"{exc.strerror}") from exc
+        law = make_stable_law(_value(cfg, "law", "alpha"))
+        rep = _COMMANDS[command](cfg, law, out, dump_paths)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -414,6 +425,7 @@ def print_bound(alpha: float, eta_tilde: float, B: float, S: float,
     try:
         spec = RateBoundSpec(alpha=alpha, eta_tilde=eta_tilde)
         value = theoretical_bound(spec, x0_gap, B, S)
+        tail = None if h is None else tail_bound(spec, x0_gap, B, S, h)
     except AssumptionViolation as exc:
         print(f"assumption violated: {exc}", file=sys.stderr)
         return 3
@@ -427,8 +439,8 @@ def print_bound(alpha: float, eta_tilde: float, B: float, S: float,
         print(f"exponent e_S    : {fmt17(spec.exponent_S)}")
     print(f"gap term        : {fmt17(abs(x0_gap) ** (alpha - 1.0) if x0_gap else 0.0)}")
     print(f"bound (C_fit=1) : {fmt17(value)}")
-    if h is not None:
-        print(f"tail bound at h : {fmt17(tail := value / h)}")
+    if tail is not None:
+        print(f"tail bound at h : {fmt17(tail)}")
     return 0
 
 

@@ -14,11 +14,58 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import REQUIRED, DomainError, config_numbers, config_value
+from .errors import REQUIRED, ConfigError, DomainError, config_value
+
+# Catalog parameters by group: key -> default (REQUIRED: no default). A pair
+# reads the groups _PAIRS lists; a family reads its own groups and those of
+# its member pair, except the key it sets for each member.
+_PARAMS = {
+    "start": {"x0": 0.0, "x0_gap": 0.0, "eta_tilde": 1.0},
+    "sigma": {"s0": 1.0, "s1": 0.1, "freq_s": 1.0},
+    "trig": {"b_amp": 0.5, "freq": 1.0, "b_phase": 0.0},
+    "kink": {"kink_amp": 1.0, "kink_center": 0.0},
+    "shift": {"shift": REQUIRED},
+    "bump": {"amp": REQUIRED, "center": None, "width": 1.0},  # center None: x0
+    "h": {"h": REQUIRED},
+    "members": {"n_start": 1, "n_stop": 6},
+    "gaps": {"gaps": None, "gap0": 0.64, "ratio": 0.25},
+    "amps": {"amp0": 0.5, "ratio": 0.5},
+    "hs": {"h0": 0.5, "ratio": 0.5},
+}
+_TRIG = ("start", "sigma", "trig")
+_KINK = ("start", "sigma", "kink")
+_PAIRS = {"identical": _TRIG, "initial_gap": _TRIG,
+          "drift_shift": _TRIG + ("shift",), "jump_shift": _TRIG + ("shift",),
+          "drift_bump": _TRIG + ("bump",), "jump_bump": _TRIG + ("bump",),
+          "jump_kink": _TRIG + ("bump",), "kinked_drift": _KINK,
+          "mollified_kink": _KINK + ("h",)}
+# family -> (its group besides "members", member pair, key set per member)
+_FAMILIES = {
+    "initial_value": ("gaps", "initial_gap", "x0_gap"),
+    "jump_bump": ("amps", "jump_bump", "amp"), "drift_bump": ("amps", "drift_bump", "amp"),
+    "jump_kink": ("amps", "jump_kink", "amp"),
+    "drift_mollification": ("hs", "mollified_kink", "h"),
+}
 
 
-def _param(params: dict, key: str, default=REQUIRED, kind=float):
-    return config_value(params, key, default, kind, where="params.")
+def _param(params: dict, group: str, key: str, kind=float):
+    return config_value(params, key, _PARAMS[group][key], kind, where="params.")
+
+
+def check_params(name: str, params: dict, family: bool, where: str) -> None:
+    """Raise ConfigError naming the keys of params that the pair (or family)
+    name does not read. An unknown name is left to make_pair/make_family."""
+    per_member = None
+    if family and name in _FAMILIES:
+        own, member, per_member = _FAMILIES[name]
+        groups = ("members", own) + _PAIRS[member]
+    elif not family and name in _PAIRS:
+        groups = _PAIRS[name]
+    else:
+        return
+    unused = set(params) - ({k for g in groups for k in _PARAMS[g]} - {per_member})
+    if unused:
+        raise ConfigError(f"unknown keys in {where} of {name!r}: {sorted(unused)}")
 
 
 @dataclass
@@ -130,54 +177,49 @@ def mollified_kink_hat(x, center, amp, h):
 # baseline coefficients
 # ---------------------------------------------------------------------------
 
+def _sigma(params):
+    """sigma = s0 + s1 sin(freq_s x), with its upper bound, a Lipschitz
+    constant of sigma^alpha and its lower bound."""
+    s0 = _param(params, "sigma", "s0")
+    s1 = _param(params, "sigma", "s1")
+    freq_s = _param(params, "sigma", "freq_s")
+    if s0 - s1 <= 0:
+        raise DomainError("baseline sigma must stay strictly positive (s0 > s1)")
+
+    def sigma(x):
+        return s0 + s1 * np.sin(freq_s * np.asarray(x, dtype=float))
+
+    # |d/dx sigma^alpha| <= 2 * sig_hi^(2-1) * s1 * freq_s is a crude cap;
+    # use alpha<2 so sigma^alpha has Lipschitz constant <= 2 sig_hi s1 freq_s
+    return sigma, s0 + s1, 2.0 * (s0 + s1) * s1 * freq_s, s0 - s1
+
+
 def _baseline(params):
     """Bounded trigonometric baseline: b = b_amp cos(freq x - b_phase),
     sigma = s0 + s1 sin(freq_s x). b_phase = pi/2 makes the drift expansive
     near the origin (b'(0) = b_amp freq > 0), which keeps coupled paths
     separating instead of contracting."""
-    b_amp = _param(params, "b_amp", 0.5)
-    s0 = _param(params, "s0", 1.0)
-    s1 = _param(params, "s1", 0.1)
-    freq = _param(params, "freq", 1.0)
-    freq_s = _param(params, "freq_s", 1.0)
-    b_phase = _param(params, "b_phase", 0.0)
-    if s0 - s1 <= 0:
-        raise DomainError("baseline sigma must stay strictly positive (s0 > s1)")
+    b_amp = _param(params, "trig", "b_amp")
+    freq = _param(params, "trig", "freq")
+    b_phase = _param(params, "trig", "b_phase")
+    sigma, sig_hi, lip_sa, k = _sigma(params)
 
     def b(x):
         return b_amp * np.cos(freq * np.asarray(x, dtype=float) - b_phase)
 
-    def sigma(x):
-        return s0 + s1 * np.sin(freq_s * np.asarray(x, dtype=float))
-
-    k = s0 - s1
-    sig_hi = s0 + s1
-    lip_b = b_amp * freq
-    # |d/dx sigma^alpha| <= 2 * sig_hi^(2-1) * s1 * freq_s is a crude cap;
-    # use alpha<2 so sigma^alpha has Lipschitz constant <= 2 sig_hi s1 freq_s
-    lip_sa = 2.0 * sig_hi * s1 * freq_s
-    K = max(b_amp, sig_hi, lip_b, lip_sa, 1.0)
-    return b, sigma, K, k
+    return b, sigma, max(b_amp, sig_hi, b_amp * freq, lip_sa, 1.0), k
 
 
 def _kink_baseline(params):
     """Kinked-hat drift baseline for the mollification experiments."""
-    amp = _param(params, "kink_amp", 1.0)
-    center = _param(params, "kink_center", 0.0)
-    s0 = _param(params, "s0", 1.0)
-    s1 = _param(params, "s1", 0.1)
-    freq_s = _param(params, "freq_s", 1.0)
-    if s0 - s1 <= 0:
-        raise DomainError("baseline sigma must stay strictly positive (s0 > s1)")
+    amp = _param(params, "kink", "kink_amp")
+    center = _param(params, "kink", "kink_center")
+    sigma, sig_hi, lip_sa, k = _sigma(params)
 
     def b(x):
         return kink_hat(x, center, amp)
 
-    def sigma(x):
-        return s0 + s1 * np.sin(freq_s * np.asarray(x, dtype=float))
-
-    K = max(amp, s0 + s1, 2.0 * (s0 + s1) * s1 * freq_s, 1.0)
-    return b, sigma, K, s0 - s1
+    return b, sigma, max(amp, sig_hi, lip_sa, 1.0), k
 
 
 def _const_fns(value):
@@ -193,63 +235,49 @@ def _const_fns(value):
 def make_pair(name: str, alpha: float, params: dict | None = None) -> CoefficientPair:
     """Named coefficient pairs. All perturbations are time-homogeneous
     functions exposed through the (t, x) signature."""
-    params = dict(params or {})
-    x0 = _param(params, "x0", 0.0)
-    if name in ("identical", "initial_gap", "drift_shift", "jump_shift",
-                "drift_bump", "jump_bump", "jump_kink"):
-        b, sigma, K, k = _baseline(params)
-    elif name in ("kinked_drift", "mollified_kink"):
-        b, sigma, K, k = _kink_baseline(params)
-    else:
+    groups = _PAIRS.get(name)
+    if groups is None:
         raise DomainError(f"unknown coefficient pair {name!r}")
-
-    x0_tilde = x0 + _param(params, "x0_gap", 0.0)
-    eta_tilde = _param(params, "eta_tilde", 1.0)
+    params = dict(params or {})
+    x0 = _param(params, "start", "x0")
+    b, sigma, K, k = (_baseline if "trig" in groups else _kink_baseline)(params)
+    x0_tilde = x0 + _param(params, "start", "x0_gap")
+    eta_tilde = _param(params, "start", "eta_tilde")
     lip_b = K
     hol_s = 2.0 * K
+    b_t = lambda t, x: b(x)
+    s_t = lambda t, x: sigma(x)
+    if "shift" in groups:
+        c = _param(params, "shift", "shift")
+    if "bump" in groups:
+        amp = _param(params, "bump", "amp")
+        center = _param(params, "bump", "center")
+        center = x0 if center is None else center
+        width = _param(params, "bump", "width")
+        if width <= 0:
+            raise DomainError("bump width must be > 0")
 
-    if name in ("identical", "initial_gap"):
-        b_t = lambda t, x: b(x)
-        s_t = lambda t, x: sigma(x)
-    elif name == "drift_shift":
-        c = _param(params, "shift")
+    if name == "drift_shift":
         b_t = lambda t, x: b(x) + c
-        s_t = lambda t, x: sigma(x)
     elif name == "jump_shift":
-        c = _param(params, "shift")
-        b_t = lambda t, x: b(x)
         s_t = lambda t, x: sigma(x) + c
     elif name == "drift_bump":
-        amp = _param(params, "amp")
-        center = _param(params, "center", x0)
-        width = _param(params, "width", 1.0)
         b_t = lambda t, x: b(x) + amp * smooth_bump((np.asarray(x) - center) / width)
-        s_t = lambda t, x: sigma(x)
         lip_b = K + 2.0 * abs(amp) / width
     elif name == "jump_bump":
-        amp = _param(params, "amp")
-        center = _param(params, "center", x0)
-        width = _param(params, "width", 1.0)
-        b_t = lambda t, x: b(x)
         s_t = lambda t, x: sigma(x) + amp * smooth_bump((np.asarray(x) - center) / width)
         hol_s = 2.0 * K + 2.0 * abs(amp) / width
     elif name == "jump_kink":
-        amp = _param(params, "amp")
-        center = _param(params, "center", x0)
-        width = _param(params, "width", 1.0)
-        b_t = lambda t, x: b(x)
         s_t = lambda t, x: (sigma(x) + amp
                             * holder_kink((np.asarray(x) - center) / width, eta_tilde))
         hol_s = 2.0 * K + abs(amp) / width ** eta_tilde
-    elif name == "kinked_drift":
-        b_t = lambda t, x: b(x)
-        s_t = lambda t, x: sigma(x)
     elif name == "mollified_kink":
-        amp = _param(params, "kink_amp", 1.0)
-        center = _param(params, "kink_center", 0.0)
-        h = _param(params, "h")
+        amp = _param(params, "kink", "kink_amp")
+        center = _param(params, "kink", "kink_center")
+        h = _param(params, "h", "h")
+        if h <= 0:
+            raise DomainError("mollification scale h must be > 0")
         b_t = lambda t, x: mollified_kink_hat(x, center, amp, h)
-        s_t = lambda t, x: sigma(x)
 
     return CoefficientPair(
         b=b, sigma=sigma, b_tilde=b_t, sigma_tilde=s_t,
@@ -268,65 +296,52 @@ class PerturbationFamily:
     converging to a kinked limit)."""
 
     name: str
-    labels: list
     pairs: list
     scales: list
-    eta_tilde: float = 1.0
     member_drifts: list = field(default_factory=list)
 
 
 def make_family(name: str, alpha: float, params: dict | None = None) -> PerturbationFamily:
+    """Members n_start..n_stop: geometric start gaps (or the gaps given),
+    bump amplitudes or mollification scales."""
+    if name not in _FAMILIES:
+        raise DomainError(f"unknown perturbation family {name!r}")
+    group, member, per_member = _FAMILIES[name]
     params = dict(params or {})
-    n_start = _param(params, "n_start", 1, int)
-    n_stop = _param(params, "n_stop", 6, int)
+    n_start = _param(params, "members", "n_start", int)
+    n_stop = _param(params, "members", "n_stop", int)
     if n_stop < n_start:
         raise DomainError("family index range is empty")
     ns = list(range(n_start, n_stop + 1))
 
-    if name == "initial_value":
-        gaps = config_numbers(params, "gaps", None, where="params.")
-        if gaps is None:
-            gap0 = _param(params, "gap0", 0.64)
-            ratio = _param(params, "ratio", 0.25)
-            gaps = [gap0 * ratio ** (n - n_start) for n in ns]
-        pairs = [make_pair("initial_gap", alpha, {**params, "x0_gap": g})
-                 for g in gaps]
-        for p, g in zip(pairs, gaps):
-            p.label = f"gap={g:g}"
-        return PerturbationFamily(name=name, labels=list(gaps), pairs=pairs,
-                                  scales=[abs(g) for g in gaps])
-
-    if name in ("jump_bump", "drift_bump", "jump_kink"):
-        amp0 = _param(params, "amp0", 0.5)
-        ratio = _param(params, "ratio", 0.5)
-        amps = [amp0 * ratio ** n for n in ns]
-        pairs = []
-        for n, amp in zip(ns, amps):
-            p = make_pair(name, alpha, {**params, "amp": amp})
-            p.label = f"n={n}"
-            pairs.append(p)
-        return PerturbationFamily(name=name, labels=ns, pairs=pairs,
-                                  scales=[abs(a) for a in amps],
-                                  eta_tilde=_param(params, "eta_tilde", 1.0))
-
-    if name == "drift_mollification":
-        h0 = _param(params, "h0", 0.5)
-        ratio = _param(params, "ratio", 0.5)
-        hs = [h0 * ratio ** (n - n_start) for n in ns]
-        pairs = []
-        for n, h in zip(ns, hs):
-            p = make_pair("mollified_kink", alpha, {**params, "h": h})
-            p.label = f"h={h:g}"
-            pairs.append(p)
-        amp = _param(params, "kink_amp", 1.0)
-        center = _param(params, "kink_center", 0.0)
-        drifts = [(lambda x, hh=h: mollified_kink_hat(x, center, amp, hh))
-                  for h in hs]
-        drifts.append(lambda x: kink_hat(x, center, amp))
-        return PerturbationFamily(name=name, labels=hs, pairs=pairs,
-                                  scales=hs, member_drifts=drifts)
-
-    raise DomainError(f"unknown perturbation family {name!r}")
+    if group == "gaps":
+        values = _param(params, "gaps", "gaps", list)
+        if values is None:
+            gap0 = _param(params, "gaps", "gap0")
+            ratio = _param(params, "gaps", "ratio")
+            values = [gap0 * ratio ** (n - n_start) for n in ns]
+        scales, tags = [abs(g) for g in values], [f"gap={g:g}" for g in values]
+    elif group == "amps":
+        amp0 = _param(params, "amps", "amp0")
+        ratio = _param(params, "amps", "ratio")
+        values = [amp0 * ratio ** n for n in ns]
+        scales, tags = [abs(a) for a in values], [f"n={n}" for n in ns]
+    else:
+        h0 = _param(params, "hs", "h0")
+        ratio = _param(params, "hs", "ratio")
+        values = [h0 * ratio ** (n - n_start) for n in ns]
+        scales, tags = values, [f"h={h:g}" for h in values]
+    pairs = [make_pair(member, alpha, {**params, per_member: v}) for v in values]
+    for p, tag in zip(pairs, tags):
+        p.label = tag
+    family = PerturbationFamily(name=name, pairs=pairs, scales=scales)
+    if group == "hs":
+        amp = _param(params, "kink", "kink_amp")
+        center = _param(params, "kink", "kink_center")
+        family.member_drifts = [(lambda x, hh=h: mollified_kink_hat(x, center, amp, hh))
+                                for h in values]
+        family.member_drifts.append(lambda x: kink_hat(x, center, amp))
+    return family
 
 
 def pair_between(family: PerturbationFamily, i: int, j: int,

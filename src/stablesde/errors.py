@@ -47,13 +47,15 @@ def as_number(value, label: str, kind=float):
     return kind(value)
 
 
-_KINDS = {str: "a string", bool: "true or false", dict: "an object", list: "a list"}
+_KINDS = {str: "a string", bool: "true or false", dict: "an object",
+          list: "a list of numbers"}
 
 
 def config_value(section: dict, key: str, default=REQUIRED, kind=float, where=""):
     """section[key] checked against kind, or default when the key is absent.
-    float and int are checked by as_number; str, bool, dict and list by type,
-    so that e.g. "no" is never read as a true flag."""
+    float and int are checked by as_number; str, bool and dict by type, so
+    that e.g. "no" is never read as a true flag; list is a list of numbers,
+    returned as written (an int entry stays an int)."""
     if key not in section:
         if default is REQUIRED:
             raise ConfigError(f"{where}{key} must be explicit")
@@ -63,14 +65,7 @@ def config_value(section: dict, key: str, default=REQUIRED, kind=float, where=""
         return as_number(value, where + key, kind)
     if not isinstance(value, kind):
         raise ConfigError(f"{where}{key} must be {_KINDS[kind]}, got {value!r}")
-    return value
-
-
-def config_numbers(section: dict, key: str, default=REQUIRED, where="") -> list:
-    """section[key] checked to be a list of numbers and returned as written
-    (an int entry stays an int), or default when the key is absent."""
-    values = config_value(section, key, default, list, where)
-    if key in section:
-        for v in values:
+    if kind is list:
+        for v in value:
             as_number(v, f"{where}{key}[]")
-    return values
+    return value

@@ -270,6 +270,8 @@ def _sup_distance(pair: CoefficientPair, T: float, gap, power: float,
                   n_time: int) -> float:
     if variant not in ("time_integral", "time_sup"):
         raise DomainError(f"unknown sup-distance variant {variant!r}")
+    if len(window) != 2:
+        raise DomainError(f"sup window must be (lo, hi), got {window}")
     lo, hi = window
     ys = np.linspace(lo, hi, n_points)
     ts = np.linspace(0.0, T, n_time)

@@ -21,7 +21,7 @@ Since psi is one-sided, u is not even: u'(0) = -(alpha-1) E[Y^(alpha-2)] < 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -29,8 +29,7 @@ from scipy.interpolate import CubicSpline
 from scipy.special import binom
 
 from .errors import ConstructionError, DomainError
-from .quadrature import (QuadratureSpec, graded_edges, graded_fracs, kept_panels,
-                         panel_nodes, panel_rule)
+from .quadrature import graded_edges, graded_fracs, kept_panels, panel_nodes, panel_rule
 from .report import CheckRow, Report
 from .stable import StableLaw, generator_apply
 
@@ -73,7 +72,6 @@ class Mollifier:
     delta: float
     rho: float
     psi_normalizer: float
-    conv_quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
 
     @property
     def support(self):
@@ -136,8 +134,7 @@ class Mollifier:
 
 
 def build_mollifier(alpha: float, eps: float, delta: float, *,
-                    rho: float | None = None,
-                    quadrature: QuadratureSpec | None = None) -> Mollifier:
+                    rho: float | None = None) -> Mollifier:
     """Construct psi with unit integral and the 2/(x log delta) cap.
 
     The window half-width fraction rho is searched over [1e-4, 0.2]; the
@@ -153,7 +150,6 @@ def build_mollifier(alpha: float, eps: float, delta: float, *,
         raise DomainError("delta must be > 1")
     if not (1.0 < alpha < 2.0):
         raise DomainError("alpha must lie strictly in (1, 2)")
-    quadrature = quadrature or QuadratureSpec()
     candidates = [rho] if rho is not None else [0.05, 0.02, 0.1, 0.01, 0.005,
                                                 0.15, 0.2, 1e-3, 1e-4]
     worst = None
@@ -161,13 +157,13 @@ def build_mollifier(alpha: float, eps: float, delta: float, *,
         if not (1e-4 <= r <= 0.2):
             raise DomainError("rho must lie in [1e-4, 0.2]")
         trial = Mollifier(alpha=alpha, eps=eps, delta=delta, rho=r,
-                          psi_normalizer=1.0, conv_quadrature=quadrature)
+                          psi_normalizer=1.0)
         nodes, wts = panel_nodes(trial.base_edges(), order=24)
         mass = float(np.sum(trial.psi(nodes) * wts))
-        normalizer = 1.0 / mass
+        normalizer = 1.0 / mass if mass > 0 else math.inf  # mass 0: no usable window
         if normalizer <= 2.0 * (1.0 - 1e-12):
             return Mollifier(alpha=alpha, eps=eps, delta=delta, rho=r,
-                             psi_normalizer=normalizer, conv_quadrature=quadrature)
+                             psi_normalizer=normalizer)
         worst = normalizer
     raise ConstructionError(
         f"no window fraction in [1e-4, 0.2] keeps psi <= 2/(x log delta); "

@@ -39,7 +39,6 @@ _LOG_BRANCH_TOL = 1e-12
 class RateBoundSpec:
     alpha: float
     eta_tilde: float
-    distance_flavor: str = "weighted"
     C_fit: float = 1.0
 
     def __post_init__(self):
@@ -49,8 +48,6 @@ class RateBoundSpec:
         if self.eta_tilde < lo - _LOG_BRANCH_TOL or self.eta_tilde > 1.0 + _LOG_BRANCH_TOL:
             raise DomainError(
                 f"eta_tilde must lie in [1/alpha, 1] = [{lo:.6f}, 1], got {self.eta_tilde}")
-        if self.distance_flavor not in ("weighted", "sup"):
-            raise DomainError("distance_flavor must be 'weighted' or 'sup'")
 
     @property
     def branch(self) -> str:
@@ -118,18 +115,12 @@ class SweepRow:
 
 @dataclass
 class SweepResult:
-    family: str
     spec: RateBoundSpec
     rows: list
     calibration_index: int
-    slope_D_vs_bound: float | None = None
-    slope_D_vs_bound_se: float | None = None
     slope_D_vs_scale: float | None = None          # log D against log scale
-    slope_D_vs_scale_se: float | None = None
     slope_S_vs_inverse_scale: float | None = None  # log S against log(1/scale)
     slope_S_vs_inverse_scale_se: float | None = None
-    slope_B_vs_inverse_scale: float | None = None
-    slope_B_vs_inverse_scale_se: float | None = None
 
     @property
     def bound_satisfied_out_of_sample(self) -> bool:
@@ -148,6 +139,9 @@ def run_sweep(family: PerturbationFamily, sim_config: SimConfig,
     instead of failing the sweep."""
     if not family.pairs:
         raise DomainError("perturbation family has no members")
+    if not 0 <= calibration_index < len(family.pairs):
+        raise DomainError(f"calibration_index must lie in [0, {len(family.pairs)}) "
+                          f"for this family, got {calibration_index}")
     time_grid = time_grid or default_time_grid(law.alpha)
     q = law.alpha - 1.0
     rows = []
@@ -184,20 +178,14 @@ def run_sweep(family: PerturbationFamily, sim_config: SimConfig,
             r.bound_value = c_fit * r.bound_raw
             r.satisfied = bool(r.D <= r.bound_value * (1.0 + 1e-12))
 
-    result = SweepResult(family=family.name, spec=spec, rows=rows,
-                         calibration_index=calibration_index)
+    result = SweepResult(spec=spec, rows=rows, calibration_index=calibration_index)
     good = [r for r in rows if not r.assumption_flag and r.D > 0 and r.bound_raw > 0]
     if len(good) >= 4:
-        s, _, se = ols_loglog([r.bound_raw for r in good], [r.D for r in good])
-        result.slope_D_vs_bound, result.slope_D_vs_bound_se = s, se
-        s, _, se = ols_loglog([r.scale for r in good], [r.D for r in good])
-        result.slope_D_vs_scale, result.slope_D_vs_scale_se = s, se
+        result.slope_D_vs_scale = ols_loglog([r.scale for r in good],
+                                             [r.D for r in good])[0]
         if all(r.S > 0 for r in good):
             s, _, se = ols_loglog([1.0 / r.scale for r in good], [r.S for r in good])
             result.slope_S_vs_inverse_scale, result.slope_S_vs_inverse_scale_se = s, se
-        if all(r.B > 0 for r in good):
-            s, _, se = ols_loglog([1.0 / r.scale for r in good], [r.B for r in good])
-            result.slope_B_vs_inverse_scale, result.slope_B_vs_inverse_scale_se = s, se
     return result
 
 
@@ -207,7 +195,6 @@ def run_sweep(family: PerturbationFamily, sim_config: SimConfig,
 
 @dataclass
 class ConvergenceReport:
-    labels: list
     pairwise_D: np.ndarray
     pairwise_se: np.ndarray
     monotone_within_2se: bool
@@ -247,10 +234,8 @@ def convergence_experiment(family: PerturbationFamily, sim_config: SimConfig,
     ses = np.array([c.sup_stderr for c in curves[:-1]])
     mono = bool(np.all(ds[1:] <= ds[:-1]
                        + 2.0 * np.sqrt(ses[1:] ** 2 + ses[:-1] ** 2)))
-    lp = uniform_lp_check(run.abs_max[:K, ~run.flagged], p, law.alpha,
-                          labels=list(range(1, K + 1)))
-    return ConvergenceReport(labels=list(family.labels),
-                             pairwise_D=ds, pairwise_se=ses,
+    lp = uniform_lp_check(run.abs_max[:K, ~run.flagged], p, law.alpha)
+    return ConvergenceReport(pairwise_D=ds, pairwise_se=ses,
                              monotone_within_2se=mono,
                              limit_residual=curves[-1].sup,
                              limit_residual_se=curves[-1].sup_stderr,

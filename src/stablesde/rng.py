@@ -12,6 +12,8 @@ import hashlib
 
 import numpy as np
 
+from .errors import DomainError
+
 
 class RngStream:
     """Single-owner random stream. Derive children with substream()."""
@@ -20,6 +22,8 @@ class RngStream:
         if _key_bytes is None:
             if not isinstance(seed, (int, np.integer)):
                 raise TypeError("seed must be an integer")
+            if not -2 ** 127 <= seed < 2 ** 127:
+                raise DomainError(f"seed must fit in 128 signed bits, got {seed}")
             _key_bytes = int(seed).to_bytes(16, "little", signed=True)
         self._key_bytes = _key_bytes
         key = int.from_bytes(_key_bytes, "little")

@@ -34,6 +34,9 @@ from .quadrature import ols_loglog
 from .rng import RngStream
 from .stable import StableLaw, sample_increments
 
+_BLOCK_SIZE = 4096        # paths per substream block
+_RETAIN_GRID_MAX = 129    # retained times of the per-path differences
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -42,8 +45,6 @@ class SimConfig:
     n_paths: int
     seed: int
     x_clip: float = 1e12
-    block_size: int = 4096
-    retain_grid_max: int = 129
     keep_paths: bool = False
     stream_label: str = "coupled"
 
@@ -112,9 +113,9 @@ def _blocks(config: SimConfig, law: StableLaw):
     path block; block j draws from the substream (seed, stream_label, j)."""
     root = RngStream(config.seed)
     dt = config.T / config.n_steps
-    for b0 in range(0, config.n_paths, config.block_size):
-        cols = slice(b0, min(b0 + config.block_size, config.n_paths))
-        stream = root.substream(config.stream_label, b0 // config.block_size)
+    for b0 in range(0, config.n_paths, _BLOCK_SIZE):
+        cols = slice(b0, min(b0 + _BLOCK_SIZE, config.n_paths))
+        stream = root.substream(config.stream_label, b0 // _BLOCK_SIZE)
         yield cols, sample_increments(law, dt, (config.n_steps, cols.stop - b0), stream)
 
 
@@ -132,7 +133,7 @@ def simulate_legs(config: SimConfig, law: StableLaw, legs, integrands=(),
     dt = config.T / n
     times = dt * np.arange(n + 1)
     ridx = np.unique(np.round(np.linspace(
-        0, n, min(config.retain_grid_max, n + 1))).astype(int))
+        0, n, min(_RETAIN_GRID_MAX, n + 1))).astype(int))
     rpos = {k: i for i, k in enumerate(ridx)}
     x0 = np.array([[leg[0]] for leg in legs], dtype=float)
     run = LegEnsemble(
@@ -218,7 +219,6 @@ def simulate_baseline_average(config: SimConfig, law: StableLaw, b, sigma,
 
 @dataclass
 class MomentCurve:
-    q: float
     times: np.ndarray
     mean: np.ndarray
     stderr: np.ndarray
@@ -240,7 +240,7 @@ def distance_moment_curve(ens: CoupledPathEnsemble, q: float) -> MomentCurve:
     mean = vals.mean(axis=1)
     stderr = vals.std(axis=1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
     i_sup = int(np.argmax(mean))
-    return MomentCurve(q=q, times=ens.retained_times, mean=mean, stderr=stderr,
+    return MomentCurve(times=ens.retained_times, mean=mean, stderr=stderr,
                        sup=float(mean[i_sup]), sup_stderr=float(stderr[i_sup]),
                        sup_time=float(ens.retained_times[i_sup]))
 
@@ -251,7 +251,6 @@ class TailEstimate:
     prob: float
     wilson_low: float
     wilson_high: float
-    n: int
 
 
 def wilson_interval(successes: int, n: int, z: float = 1.959963984540054):
@@ -273,25 +272,19 @@ def tail_probability(ens: CoupledPathEnsemble, h: float) -> TailEstimate:
     n = y.size
     hits = int(np.sum(y ** (ens.alpha - 1.0) > h))
     lo, hi = wilson_interval(hits, n)
-    return TailEstimate(h=h, prob=hits / n, wilson_low=lo, wilson_high=hi, n=n)
+    return TailEstimate(h=h, prob=hits / n, wilson_low=lo, wilson_high=hi)
 
 
 @dataclass
 class UniformLpReport:
     p: float
-    labels: list
     means: np.ndarray
-    stderrs: np.ndarray
-    common_fit: float
     max_abs_dev_in_se: float
     passes: bool
-    slope: float
-    slope_se: float
     slope_ci_contains_zero: bool
 
 
-def uniform_lp_check(sup_abs_values, p: float, alpha: float,
-                     labels=None) -> UniformLpReport:
+def uniform_lp_check(sup_abs_values, p: float, alpha: float) -> UniformLpReport:
     """Empirical E[sup_k |X|^p] across a coefficient sequence.
 
     Passes when every member mean sits within 3 standard errors of the
@@ -320,11 +313,8 @@ def uniform_lp_check(sup_abs_values, p: float, alpha: float,
     dof = max(means.size - 2, 1)
     slope_se = float(np.sqrt(np.sum(resid ** 2) / dof / sxx))
     return UniformLpReport(
-        p=p, labels=list(labels) if labels is not None else list(range(len(means))),
-        means=means, stderrs=ses, common_fit=fit,
-        max_abs_dev_in_se=float(dev.max()),
+        p=p, means=means, max_abs_dev_in_se=float(dev.max()),
         passes=bool(np.all(dev <= 3.0)),
-        slope=slope, slope_se=slope_se,
         slope_ci_contains_zero=bool(abs(slope) <= 1.959963984540054 * slope_se))
 
 

@@ -1,12 +1,18 @@
 """Config-driven CLI: strict parsing, exit codes, deterministic outputs."""
 
+import contextlib
+import copy
 import hashlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stablesde.cli import main
+from stablesde.cli import _SCHEMA, main
 from stablesde.report import validate_report
 
 
@@ -17,6 +23,34 @@ def write_cfg(tmp_path, payload, name="cfg.json"):
 
 
 BASE_SIM = {"T": 1.0, "n_steps": 32, "n_paths": 512, "seed": 11}
+
+TINY_SIM = {"T": 1.0, "n_steps": 4, "n_paths": 16, "seed": 5}
+# one small valid config per command; each passes
+TINY = {
+    "certify-mollifier": {"law": {"alpha": 1.5}, "mollifier": {"eps": 0.1, "delta": 4.0},
+                          "certify": {"grid_points": 11, "komatsu_points": 2}},
+    "certify-density": {"law": {"alpha": 1.5}, "certify": {"tail_x": 50.0}},
+    "distances": {"law": {"alpha": 1.5},
+                  "coefficients": {"name": "drift_bump", "params": {"amp": 0.2}},
+                  "distances": {"T": 1.0, "model": "frozen_plain", "time_nodes": 2,
+                                "sup_points": 11}},
+    "simulate": {"law": {"alpha": 1.5}, "coefficients": {"name": "identical"},
+                 "sim": TINY_SIM},
+    "sweep": {"law": {"alpha": 1.5}, "sim": TINY_SIM,
+              "sweep": {"family": "initial_value", "eta_tilde": 1.0,
+                        "params": {"gaps": [0.2, 0.1]}}},
+    "converge": {"law": {"alpha": 1.5}, "sim": TINY_SIM,
+                 "converge": {"family": "drift_mollification",
+                              "params": {"n_stop": 2}}},
+}
+
+
+def run_quiet(argv):
+    """main(argv) with stdout and stderr captured: (exit code, stderr lines)."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv)
+    return rc, err.getvalue().splitlines()
 
 
 class TestPrintBound:
@@ -109,6 +143,47 @@ class TestConfigParsing:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("config error: " + key)
+
+    @pytest.mark.parametrize("command, args, code, needle", [
+        ("distances", "--set coefficients.params.widht=2", 2, "widht"),
+        ("converge", "--set converge.params.n_stpo=2", 2, "n_stpo"),
+        # a key the family sets for each member
+        ("sweep", '--set sweep.family="jump_bump" --set sweep.params={"amp":0.1}', 2,
+         "amp"),
+        ("sweep", '--set sweep.params={"gaps":[0.2],"x0_gap":1}', 2, "x0_gap"),
+        ("converge", "--set converge.params.h=0.1", 2, "'h'"),
+        ("simulate", "--out {cfg}", 2, "cannot create output directory"),
+        ("certify-mollifier", "--set certify.grid_points=-1", 3, "certify.grid_points"),
+        ("certify-mollifier", "--set certify.komatsu_points=-1", 3,
+         "certify.komatsu_points"),
+        ("distances", "--set distances.sup_points=0", 3, "distances.sup_points"),
+        ("certify-density", "--set certify.tail_x=-1", 3, "certify.tail_x"),
+        ("sweep", "--set sweep.calibration_index=9", 3, "calibration_index"),
+        ("sweep", "--set sweep.calibration_index=-1", 3, "sweep.calibration_index"),
+        ("certify-density", "--set certify.alphas=[]", 3, "certify.alphas"),
+        ("simulate", "--set sim.seed=" + "9" * 45, 3, "seed"),
+        ("distances", "--set coefficients.params.width=0", 3, "width"),
+        ("converge", "--set converge.params.h0=0", 3, "scale h"),
+        ("certify-mollifier", "--set mollifier.eps=1e-5 --set mollifier.delta=1.0001", 3,
+         "cap violated"),
+        (None, "--h 0", 3, "tail threshold h"),
+        (None, "--h -1", 3, "tail threshold h"),
+    ])
+    def test_bad_input_exits_with_one_line(self, tmp_path, command, args, code,
+                                           needle):
+        """command None is print-bound with valid values before args."""
+        if command is None:
+            argv = ["print-bound", "--alpha", "1.5", "--eta-tilde", "1.0", "--B", "0.01",
+                    "--S", "0.01", "--x0-gap", "0"]
+        else:
+            cfg = write_cfg(tmp_path, {"command": command, **TINY[command]})
+            argv = ["run", "--config", cfg, "--out", str(tmp_path / "o")]
+            args = args.replace("{cfg}", cfg)
+        rc, err = run_quiet(argv + args.split())
+        assert rc == code
+        assert len(err) == 1
+        assert err[0].startswith("config error: " if code == 2 else "domain error: ")
+        assert needle in err[0]
 
     def test_number_list_entries_kept_as_written(self, tmp_path):
         """A checked list of numbers is not coerced: integer entries reach
@@ -248,3 +323,81 @@ class TestPinnedOutputs:
         got = {str(p.relative_to(tmp_path)): hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(tmp_path.rglob("*")) if p.is_file()}
         assert got == want
+
+
+# ---------------------------------------------------------------------------
+# property: any one-key mutation of a valid config exits cleanly
+# ---------------------------------------------------------------------------
+
+_WRONG_TYPE = {float: ["1.5", True, None, [1.0]], int: [1.5, "3", False, None],
+               str: [5, True, ["x"], None], bool: ["no", 1, None],
+               dict: [[1], "x", 2], list: [1.5, ["a"], [True], {"a": 1}, "x"]}
+
+
+def _out_of_range(kind, low):
+    if kind is list:
+        return st.lists(st.floats(1.1, 1.9), max_size=low - 1)
+    if kind is int:
+        return st.integers(low - 10 ** 6, low - 1)
+    return st.one_of(st.just(low), st.just(float("nan")),
+                     st.floats(max_value=low, allow_nan=False))
+
+
+def _in_range(kind, low):
+    if kind is int:
+        base = 0 if low is None else low
+        return st.integers(base, base + 3)
+    if kind is float:
+        if low is None:
+            return st.floats(-3.0, 4.0)
+        return st.floats(low, low + 4.0, exclude_min=True)
+    if kind is list:
+        return st.lists(st.floats(-3.0, 3.0), min_size=low or 0, max_size=3)
+    if kind is bool:
+        return st.booleans()
+    if kind is str:
+        return st.text("abcdefghijklmnopqrstuvwxyz_-", max_size=8)
+    return st.dictionaries(st.sampled_from(["amp", "s0", "n_stop", "gaps", "bogus"]),
+                           st.floats(-1.0, 1.0), max_size=2)
+
+
+_KEYS = [(section, key) for section in _SCHEMA for key in _SCHEMA[section]]
+
+
+@st.composite
+def mutated_configs(draw):
+    """(command, config, mutation): one key of a TINY config is replaced by
+    an unknown key, a wrong-typed value, a value below its bound or a value
+    in range."""
+    command = draw(st.sampled_from(sorted(TINY)))
+    cfg = copy.deepcopy({"command": command, **TINY[command]})
+    section, key = draw(st.sampled_from(_KEYS))
+    kind, _, low = _SCHEMA[section][key]
+    kinds = ["unknown", "wrong_type", "in_range"] + (["out_of_range"] if low is not None
+                                                     else [])
+    mutation = draw(st.sampled_from(kinds))
+    node = cfg.setdefault(section, {})
+    if mutation == "unknown":
+        node[key + "_typo"] = 1.0
+    elif mutation == "wrong_type":
+        node[key] = draw(st.sampled_from(_WRONG_TYPE[kind]))
+    elif mutation == "out_of_range":
+        node[key] = draw(_out_of_range(kind, low))
+    else:
+        node[key] = draw(_in_range(kind, low))
+    return command, cfg, mutation
+
+
+class TestMutatedConfigs:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(case=mutated_configs())
+    def test_runs_or_exits_with_one_line(self, case):
+        command, cfg, mutation = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps(cfg))
+            rc, err = run_quiet(["run", "--config", str(path), "--out", tmp + "/o"])
+        assert rc in (0, 1) or (rc in (2, 3, 4) and len(err) == 1), (rc, err)
+        expected = {"unknown": 2, "wrong_type": 2, "out_of_range": 3}
+        if mutation in expected:
+            assert rc == expected[mutation], (rc, err)

@@ -53,8 +53,6 @@ class TestBoundSpec:
             RateBoundSpec(alpha=1.5, eta_tilde=0.5)
         with pytest.raises(ss.DomainError):
             RateBoundSpec(alpha=1.5, eta_tilde=1.1)
-        with pytest.raises(ss.DomainError):
-            RateBoundSpec(alpha=1.5, eta_tilde=1.0, distance_flavor="nope")
 
 
 class TestTheoreticalBound:
