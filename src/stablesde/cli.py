@@ -8,8 +8,9 @@ The config is strict JSON. _SCHEMA below is the reference for its keys: it
 declares each key's type, default and lower bound once, and physical
 parameters (alpha, eps, delta, T, seed, ...) have no default. Every key
 present is checked before any command runs, and is never coerced; catalog
-params are checked against the keys their pair or family reads. Outputs are
-results.csv (floats at 17 significant digits), report.json (validated
+params are checked against the keys their pair or family reads, and are the
+only source of coefficient parameters, a sweep's eta_tilde among them. Outputs
+are results.csv (floats at 17 significant digits), report.json (validated
 machine-readable pass/fail rows), and plotdata/*.tsv series.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 config error (parse,
@@ -57,13 +58,12 @@ _SCHEMA = {
                   "sup_points": (int, 10001, 1),
                   "variant": (str, "time_integral", None), "T": (float, REQUIRED, 0.0)},
     "sweep": {"family": (str, REQUIRED, None), "params": (dict, {}, None),
-              "eta_tilde": (float, REQUIRED, None),
               "calibration_index": (int, 0, 0), "h_values": (list, [], None)},
     "converge": {"family": (str, REQUIRED, None), "params": (dict, {}, None),
                  "p_exponent": (float, None, None)},
     "certify": {"grid_lo": (float, -5.0, None), "grid_hi": (float, 5.0, None),
                 "grid_points": (int, 2001, 1), "komatsu_points": (int, 40, 0),
-                "alphas": (list, None, 1), "tail_x": (float, 50.0, 0.0)},
+                "alphas": (list, None, 1)},
     "output": {"dir": (str, "out", None)},
 }
 
@@ -151,12 +151,12 @@ def _sim_config(cfg, keep_paths=False) -> SimConfig:
 
 def _catalog(cfg, section, alpha):
     """The coefficient pair (section coefficients) or perturbation family
-    (sweep, converge) the section names, and its params."""
+    (sweep, converge) the section names."""
     family = section != "coefficients"
     name = _value(cfg, section, "family" if family else "name")
     params = _value(cfg, section, "params")
     check_params(name, params, family, section + ".params")
-    return (make_family if family else make_pair)(name, alpha, params), params
+    return (make_family if family else make_pair)(name, alpha, params)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +200,7 @@ def _cmd_certify_mollifier(cfg, law, out: Path, dump_paths: bool) -> Report:
 
 def _cmd_certify_density(cfg, law, out: Path, dump_paths: bool) -> Report:
     alphas = _value(cfg, "certify", "alphas") or [law.alpha]
-    tail_x = _value(cfg, "certify", "tail_x")
+    tail_x = 50.0  # the abscissa where the [0.98, 1.02] ratio band holds
     checks = []
     rows = []
     for alpha in alphas:
@@ -220,7 +220,7 @@ def _cmd_certify_density(cfg, law, out: Path, dump_paths: bool) -> Report:
                      g0, g0_ref, 1e-6 - abs(g0 - g0_ref),
                      abs(g0 - g0_ref) <= 1e-6),
             CheckRow(f"density_tail_ratio_a{alpha}",
-                     "g(x) / (c_alpha |x|^(-1-alpha)) in [0.98, 1.02] at |x| = 50",
+                     f"g(x) / (c_alpha |x|^(-1-alpha)) in [0.98, 1.02] at |x| = {tail_x:g}",
                      ratio, 1.02, min(1.02 - ratio, ratio - 0.98),
                      0.98 <= ratio <= 1.02),
             CheckRow(f"envelope_band_a{alpha}",
@@ -238,7 +238,7 @@ def _cmd_certify_density(cfg, law, out: Path, dump_paths: bool) -> Report:
 
 def _cmd_distances(cfg, law, out: Path, dump_paths: bool) -> Report:
     alpha = law.alpha
-    pair, _ = _catalog(cfg, "coefficients", alpha)
+    pair = _catalog(cfg, "coefficients", alpha)
     T = _value(cfg, "distances", "T")
     nodes = _value(cfg, "distances", "time_nodes")
     grid = TimeGrid(gamma=alpha) if nodes is None else TimeGrid(nodes, alpha)
@@ -269,7 +269,7 @@ def _cmd_distances(cfg, law, out: Path, dump_paths: bool) -> Report:
 
 def _cmd_simulate(cfg, law, out: Path, dump_paths: bool) -> Report:
     alpha = law.alpha
-    pair, _ = _catalog(cfg, "coefficients", alpha)
+    pair = _catalog(cfg, "coefficients", alpha)
     sim = _sim_config(cfg, keep_paths=dump_paths)
     ens = simulate_coupled(sim, pair, law)
     curve = distance_moment_curve(ens, alpha - 1.0)
@@ -304,10 +304,9 @@ def _cmd_simulate(cfg, law, out: Path, dump_paths: bool) -> Report:
 
 def _cmd_sweep(cfg, law, out: Path, dump_paths: bool) -> Report:
     alpha = law.alpha
-    family, _ = _catalog(cfg, "sweep", alpha)
+    family = _catalog(cfg, "sweep", alpha)
     sim = _sim_config(cfg)
-    spec = RateBoundSpec(alpha=alpha, eta_tilde=_value(cfg, "sweep", "eta_tilde"))
-    res = run_sweep(family, sim, spec, law,
+    res = run_sweep(family, sim, law,
                     h_values=tuple(map(float, _value(cfg, "sweep", "h_values"))),
                     calibration_index=_value(cfg, "sweep", "calibration_index"))
     rows = [[str(r.label), r.scale, r.x0_gap, r.B, r.S, r.D, r.D_se,
@@ -338,7 +337,7 @@ def _cmd_sweep(cfg, law, out: Path, dump_paths: bool) -> Report:
                 context={"h": te.h, "lo": te.wilson_low, "hi": te.wilson_high}))
     return Report(name="sweep",
                   params={"alpha": alpha, "family": family.name,
-                          "eta_tilde": spec.eta_tilde, "C_fit": res.spec.C_fit,
+                          "eta_tilde": res.spec.eta_tilde, "C_fit": res.spec.C_fit,
                           "branch": res.spec.branch,
                           "slope_D_vs_scale": res.slope_D_vs_scale,
                           "slope_S_vs_inverse_scale": res.slope_S_vs_inverse_scale,
@@ -348,11 +347,10 @@ def _cmd_sweep(cfg, law, out: Path, dump_paths: bool) -> Report:
 
 def _cmd_converge(cfg, law, out: Path, dump_paths: bool) -> Report:
     alpha = law.alpha
-    family, params = _catalog(cfg, "converge", alpha)
+    family = _catalog(cfg, "converge", alpha)
     sim = _sim_config(cfg)
     rep0 = convergence_experiment(family, sim, law,
-                                  p=_value(cfg, "converge", "p_exponent"),
-                                  params=params)
+                                  p=_value(cfg, "converge", "p_exponent"))
     rows = [[f"{a}-{b}", d, se] for (a, b), d, se in
             zip(zip(range(1, len(rep0.pairwise_D) + 1),
                     range(2, len(rep0.pairwise_D) + 2)),

@@ -20,12 +20,13 @@ from .errors import REQUIRED, ConfigError, DomainError, config_value
 # reads the groups _PAIRS lists; a family reads its own groups and those of
 # its member pair, except the key it sets for each member.
 _PARAMS = {
-    "start": {"x0": 0.0, "x0_gap": 0.0, "eta_tilde": 1.0},
+    "start": {"x0": 0.0, "x0_gap": 0.0},
     "sigma": {"s0": 1.0, "s1": 0.1, "freq_s": 1.0},
     "trig": {"b_amp": 0.5, "freq": 1.0, "b_phase": 0.0},
     "kink": {"kink_amp": 1.0, "kink_center": 0.0},
     "shift": {"shift": REQUIRED},
     "bump": {"amp": REQUIRED, "center": None, "width": 1.0},  # center None: x0
+    "holder": {"eta_tilde": 1.0},
     "h": {"h": REQUIRED},
     "members": {"n_start": 1, "n_stop": 6},
     "gaps": {"gaps": None, "gap0": 0.64, "ratio": 0.25},
@@ -37,7 +38,7 @@ _KINK = ("start", "sigma", "kink")
 _PAIRS = {"identical": _TRIG, "initial_gap": _TRIG,
           "drift_shift": _TRIG + ("shift",), "jump_shift": _TRIG + ("shift",),
           "drift_bump": _TRIG + ("bump",), "jump_bump": _TRIG + ("bump",),
-          "jump_kink": _TRIG + ("bump",), "kinked_drift": _KINK,
+          "jump_kink": _TRIG + ("bump", "holder"), "kinked_drift": _KINK,
           "mollified_kink": _KINK + ("h",)}
 # family -> (its group besides "members", member pair, key set per member)
 _FAMILIES = {
@@ -234,7 +235,8 @@ def _const_fns(value):
 
 def make_pair(name: str, alpha: float, params: dict | None = None) -> CoefficientPair:
     """Named coefficient pairs. All perturbations are time-homogeneous
-    functions exposed through the (t, x) signature."""
+    functions exposed through the (t, x) signature. Only jump_kink's
+    sigma_tilde is eta_tilde-Holder; every other pair's is Lipschitz."""
     groups = _PAIRS.get(name)
     if groups is None:
         raise DomainError(f"unknown coefficient pair {name!r}")
@@ -242,7 +244,7 @@ def make_pair(name: str, alpha: float, params: dict | None = None) -> Coefficien
     x0 = _param(params, "start", "x0")
     b, sigma, K, k = (_baseline if "trig" in groups else _kink_baseline)(params)
     x0_tilde = x0 + _param(params, "start", "x0_gap")
-    eta_tilde = _param(params, "start", "eta_tilde")
+    eta_tilde = _param(params, "holder", "eta_tilde") if "holder" in groups else 1.0
     lip_b = K
     hol_s = 2.0 * K
     b_t = lambda t, x: b(x)
@@ -344,16 +346,13 @@ def make_family(name: str, alpha: float, params: dict | None = None) -> Perturba
     return family
 
 
-def pair_between(family: PerturbationFamily, i: int, j: int,
-                 alpha: float, params: dict | None = None) -> CoefficientPair:
+def pair_between(family: PerturbationFamily, i: int, j: int) -> CoefficientPair:
     """Coupled pair whose baseline leg runs member i's drift and whose
     perturbed leg runs member j's (mollification family only)."""
     if not family.member_drifts:
         raise DomainError("pair_between needs a family with member drifts")
-    params = dict(params or {})
-    base = make_pair("kinked_drift", alpha, params)
     bi = family.member_drifts[i]
     bj = family.member_drifts[j]
-    return replace(base,
+    return replace(family.pairs[0],
                    b=bi, b_tilde=lambda t, x: bj(x),
                    label=f"members({i},{j})")

@@ -14,7 +14,8 @@ eta_tilde of the perturbed jump coefficient:
 valid under B < 1, S < 1. The multiplicative constant depends on quantities
 no experiment can print, so every bound check is one-point calibrated:
 C_fit is fitted on a single designated row and all remaining rows are
-out-of-sample. The tail version divides the same bracket by h.
+out-of-sample. The tail version divides the same bracket by h. Sweeps and
+convergence runs take eta_tilde, start and sigma from their family's members.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .coefficients import PerturbationFamily, make_pair
+from .coefficients import PerturbationFamily
 from .errors import AssumptionViolation, DomainError
 from .measures import DensityModel, TimeGrid, default_time_grid, distance_B, distance_S
 from .quadrature import ols_loglog
@@ -120,7 +121,6 @@ class SweepResult:
     calibration_index: int
     slope_D_vs_scale: float | None = None          # log D against log scale
     slope_S_vs_inverse_scale: float | None = None  # log S against log(1/scale)
-    slope_S_vs_inverse_scale_se: float | None = None
 
     @property
     def bound_satisfied_out_of_sample(self) -> bool:
@@ -129,19 +129,19 @@ class SweepResult:
 
 
 def run_sweep(family: PerturbationFamily, sim_config: SimConfig,
-              spec: RateBoundSpec, law: StableLaw, *,
-              model_mode: str = "frozen_plain",
+              law: StableLaw, *, model_mode: str = "frozen_plain",
               h_values=(), calibration_index: int = 0,
               time_grid: TimeGrid | None = None) -> SweepResult:
     """For each family member: distances B_n, S_n, a coupled simulation, the
     sup moment D_n = sup_t mean|X - X~|^(alpha-1), tail rows, and the
-    one-point-calibrated bound check. Assumption violations flag rows
-    instead of failing the sweep."""
+    one-point-calibrated check of the members' eta_tilde bound. Assumption
+    violations flag rows instead of failing the sweep."""
     if not family.pairs:
         raise DomainError("perturbation family has no members")
     if not 0 <= calibration_index < len(family.pairs):
         raise DomainError(f"calibration_index must lie in [0, {len(family.pairs)}) "
                           f"for this family, got {calibration_index}")
+    spec = RateBoundSpec(alpha=law.alpha, eta_tilde=family.pairs[0].eta_tilde)
     time_grid = time_grid or default_time_grid(law.alpha)
     q = law.alpha - 1.0
     rows = []
@@ -156,7 +156,7 @@ def run_sweep(family: PerturbationFamily, sim_config: SimConfig,
         gap = pair.x0_tilde - pair.x0
         flag = False
         try:
-            raw = theoretical_bound(replace(spec, C_fit=1.0), gap, B, S)
+            raw = theoretical_bound(spec, gap, B, S)
         except AssumptionViolation:
             raw = float("nan")
             flag = True
@@ -184,8 +184,8 @@ def run_sweep(family: PerturbationFamily, sim_config: SimConfig,
         result.slope_D_vs_scale = ols_loglog([r.scale for r in good],
                                              [r.D for r in good])[0]
         if all(r.S > 0 for r in good):
-            s, _, se = ols_loglog([1.0 / r.scale for r in good], [r.S for r in good])
-            result.slope_S_vs_inverse_scale, result.slope_S_vs_inverse_scale_se = s, se
+            result.slope_S_vs_inverse_scale = ols_loglog(
+                [1.0 / r.scale for r in good], [r.S for r in good])[0]
     return result
 
 
@@ -208,8 +208,7 @@ class ConvergenceReport:
 
 
 def convergence_experiment(family: PerturbationFamily, sim_config: SimConfig,
-                           law: StableLaw, p: float | None = None,
-                           params: dict | None = None) -> ConvergenceReport:
+                           law: StableLaw, p: float | None = None) -> ConvergenceReport:
     """Successive coupled distances D_{n,n+1} for a coefficient sequence
     sharing one driving path (all members and the limit run as the legs of
     one simulation), the identification residual against the limiting
@@ -220,7 +219,7 @@ def convergence_experiment(family: PerturbationFamily, sim_config: SimConfig,
     """
     if not family.member_drifts:
         raise DomainError("convergence experiment needs a mollification family")
-    base = make_pair("kinked_drift", law.alpha, params)
+    base = family.pairs[0]
     if base.x0_tilde != base.x0:
         raise DomainError("convergence members share one start: x0_gap must be 0")
     p = p if p is not None else (1.0 + law.alpha) / 2.0

@@ -224,7 +224,6 @@ class MomentCurve:
     stderr: np.ndarray
     sup: float
     sup_stderr: float
-    sup_time: float
 
 
 def distance_moment_curve(ens: CoupledPathEnsemble, q: float) -> MomentCurve:
@@ -241,8 +240,7 @@ def distance_moment_curve(ens: CoupledPathEnsemble, q: float) -> MomentCurve:
     stderr = vals.std(axis=1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
     i_sup = int(np.argmax(mean))
     return MomentCurve(times=ens.retained_times, mean=mean, stderr=stderr,
-                       sup=float(mean[i_sup]), sup_stderr=float(stderr[i_sup]),
-                       sup_time=float(ens.retained_times[i_sup]))
+                       sup=float(mean[i_sup]), sup_stderr=float(stderr[i_sup]))
 
 
 @dataclass

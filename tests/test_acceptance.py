@@ -20,7 +20,6 @@ from stablesde.coefficients import make_family, make_pair
 from stablesde.measures import (DensityModel, comparability_band,
                                 default_time_grid, distance_B)
 from stablesde.quadrature import ols_loglog
-from stablesde.rates import RateBoundSpec
 from stablesde.simulate import SimConfig
 from stablesde.stable import density_total_mass
 
@@ -47,8 +46,7 @@ def jump_sweep(law):
     family = make_family("jump_bump", ALPHA,
                          {"amp0": -0.1, "width": 0.6, "n_start": 1, "n_stop": 6})
     cfg = SimConfig(T=1.0, n_steps=500, n_paths=150000, seed=31415)
-    spec = RateBoundSpec(alpha=ALPHA, eta_tilde=1.0)
-    return ss.run_sweep(family, cfg, spec, law,
+    return ss.run_sweep(family, cfg, law,
                         h_values=(0.05, 0.1, 0.2, 0.4), calibration_index=0)
 
 

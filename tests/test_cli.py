@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablesde.cli import _SCHEMA, main
+from stablesde.cli import _COMMANDS, _SCHEMA, load_config, main
 from stablesde.report import validate_report
 
 
@@ -22,6 +22,7 @@ def write_cfg(tmp_path, payload, name="cfg.json"):
     return str(p)
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 BASE_SIM = {"T": 1.0, "n_steps": 32, "n_paths": 512, "seed": 11}
 
 TINY_SIM = {"T": 1.0, "n_steps": 4, "n_paths": 16, "seed": 5}
@@ -29,7 +30,7 @@ TINY_SIM = {"T": 1.0, "n_steps": 4, "n_paths": 16, "seed": 5}
 TINY = {
     "certify-mollifier": {"law": {"alpha": 1.5}, "mollifier": {"eps": 0.1, "delta": 4.0},
                           "certify": {"grid_points": 11, "komatsu_points": 2}},
-    "certify-density": {"law": {"alpha": 1.5}, "certify": {"tail_x": 50.0}},
+    "certify-density": {"law": {"alpha": 1.5}},
     "distances": {"law": {"alpha": 1.5},
                   "coefficients": {"name": "drift_bump", "params": {"amp": 0.2}},
                   "distances": {"T": 1.0, "model": "frozen_plain", "time_nodes": 2,
@@ -37,8 +38,7 @@ TINY = {
     "simulate": {"law": {"alpha": 1.5}, "coefficients": {"name": "identical"},
                  "sim": TINY_SIM},
     "sweep": {"law": {"alpha": 1.5}, "sim": TINY_SIM,
-              "sweep": {"family": "initial_value", "eta_tilde": 1.0,
-                        "params": {"gaps": [0.2, 0.1]}}},
+              "sweep": {"family": "initial_value", "params": {"gaps": [0.2, 0.1]}}},
     "converge": {"law": {"alpha": 1.5}, "sim": TINY_SIM,
                  "converge": {"family": "drift_mollification",
                               "params": {"n_stop": 2}}},
@@ -125,8 +125,8 @@ class TestConfigParsing:
         ("sim.n_paths=true", "sim.n_paths"),
         ("coefficients.name=drift_shift", "params.shift"),  # shift missing
         ('command="certify-density" certify.alphas=1.5', "certify.alphas"),
-        ('command="sweep" sweep.family="initial_value" sweep.eta_tilde=1 '
-         'sweep.h_values=0.1', "sweep.h_values"),
+        ('command="sweep" sweep.family="initial_value" sweep.h_values=0.1',
+         "sweep.h_values"),
         ("coefficients.params=[1]", "coefficients.params"),
         ("output.dir=5", "output.dir"),
         ('sim.keep_paths="no"', "sim.keep_paths"),
@@ -152,12 +152,14 @@ class TestConfigParsing:
          "amp"),
         ("sweep", '--set sweep.params={"gaps":[0.2],"x0_gap":1}', 2, "x0_gap"),
         ("converge", "--set converge.params.h=0.1", 2, "'h'"),
+        # eta_tilde is read from the family, and only jump_kink's sigma_tilde has one
+        ("sweep", "--set sweep.eta_tilde=1", 2, "eta_tilde"),
+        ("distances", "--set coefficients.params.eta_tilde=0.9", 2, "eta_tilde"),
         ("simulate", "--out {cfg}", 2, "cannot create output directory"),
         ("certify-mollifier", "--set certify.grid_points=-1", 3, "certify.grid_points"),
         ("certify-mollifier", "--set certify.komatsu_points=-1", 3,
          "certify.komatsu_points"),
         ("distances", "--set distances.sup_points=0", 3, "distances.sup_points"),
-        ("certify-density", "--set certify.tail_x=-1", 3, "certify.tail_x"),
         ("sweep", "--set sweep.calibration_index=9", 3, "calibration_index"),
         ("sweep", "--set sweep.calibration_index=-1", 3, "sweep.calibration_index"),
         ("certify-density", "--set certify.alphas=[]", 3, "certify.alphas"),
@@ -200,6 +202,10 @@ class TestConfigParsing:
             "params"]["sup_window"]
         assert window == [-5, 5.0]
         assert [type(v) for v in window] == [int, float]
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
+    def test_shipped_config_loads(self, path):
+        assert load_config(str(path), ())["command"] in _COMMANDS
 
     def test_set_overrides(self, tmp_path):
         out = tmp_path / "o1"
@@ -284,7 +290,7 @@ class TestRunCommands:
         out = tmp_path / "sweep"
         cfg = write_cfg(tmp_path, {
             "command": "sweep", "law": {"alpha": 1.5},
-            "sweep": {"family": "initial_value", "eta_tilde": 1.0,
+            "sweep": {"family": "initial_value",
                       "params": {"gaps": [0.4, 0.2, 0.1, 0.05]}},
             "sim": {"T": 1.0, "n_steps": 32, "n_paths": 2048, "seed": 3},
             "output": {"dir": str(out)}})
@@ -292,6 +298,17 @@ class TestRunCommands:
         rep = json.loads((out / "report.json").read_text())
         validate_report(rep)
         assert rep["params"]["slope_D_vs_scale"] == pytest.approx(0.5, abs=0.2)
+
+    def test_sweep_bound_takes_eta_tilde_from_family(self, tmp_path):
+        cfg = write_cfg(tmp_path, {
+            "command": "sweep", "law": {"alpha": 1.5}, "sim": TINY_SIM,
+            "sweep": {"family": "jump_kink",
+                      "params": {"amp0": 0.2, "n_stop": 2, "eta_tilde": 0.7}}})
+        rc, err = run_quiet(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc in (0, 1) and err == []
+        params = json.loads((tmp_path / "o" / "report.json").read_text())["params"]
+        assert params["eta_tilde"] == 0.7
+        assert params["branch"] == "holder"
 
     def test_dump_paths(self, tmp_path):
         out = tmp_path / "dp"

@@ -136,8 +136,7 @@ class TestRunSweep:
         family = make_family("initial_value", 1.5,
                              {"gaps": [0.64, 0.16, 0.04, 0.01]})
         cfg = SimConfig(T=1.0, n_steps=100, n_paths=12000, seed=7)
-        spec = RateBoundSpec(alpha=1.5, eta_tilde=1.0)
-        res = ss.run_sweep(family, cfg, spec, law15)
+        res = ss.run_sweep(family, cfg, law15)
         assert res.slope_D_vs_scale == pytest.approx(0.5, abs=0.15)
         # B = S = 0 for the pure initial-value family
         assert all(r.B == 0.0 and r.S == 0.0 for r in res.rows)
@@ -148,17 +147,15 @@ class TestRunSweep:
         family = make_family("jump_bump", 1.5,
                              {"amp0": 0.5, "n_start": 1, "n_stop": 3})
         cfg = SimConfig(T=1.0, n_steps=64, n_paths=4000, seed=21)
-        spec = RateBoundSpec(alpha=1.5, eta_tilde=1.0)
-        r1 = ss.run_sweep(family, cfg, spec, law15)
-        r2 = ss.run_sweep(family, cfg, spec, law15)
+        r1 = ss.run_sweep(family, cfg, law15)
+        r2 = ss.run_sweep(family, cfg, law15)
         assert [r.D for r in r1.rows] == [r.D for r in r2.rows]
         assert [r.B for r in r1.rows] == [r.B for r in r2.rows]
 
     def test_no_slopes_under_four_members(self, law15):
         family = make_family("jump_bump", 1.5, {"n_start": 1, "n_stop": 3})
         cfg = SimConfig(T=1.0, n_steps=32, n_paths=2000, seed=4)
-        res = ss.run_sweep(family, cfg, RateBoundSpec(alpha=1.5, eta_tilde=1.0),
-                           law15)
+        res = ss.run_sweep(family, cfg, law15)
         assert res.slope_D_vs_scale is None
 
 
@@ -193,8 +190,7 @@ class TestConvergenceExperiment:
         cfg = SimConfig(T=1.0, n_steps=32, n_paths=512, seed=21)
         rep = ss.convergence_experiment(family, cfg, law15)
         curves = [ss.distance_moment_curve(
-                      ss.simulate_coupled(cfg, pair_between(family, i, i + 1, 1.5),
-                                          law15), 0.5)
+                      ss.simulate_coupled(cfg, pair_between(family, i, i + 1), law15), 0.5)
                   for i in range(3)]
         assert rep.pairwise_D.tolist() == [c.sup for c in curves[:-1]]
         assert rep.pairwise_se.tolist() == [c.sup_stderr for c in curves[:-1]]
@@ -202,10 +198,11 @@ class TestConvergenceExperiment:
         assert rep.limit_residual_se == curves[-1].sup_stderr
 
     def test_nonzero_start_gap_rejected(self, law15):
-        family = make_family("drift_mollification", 1.5, {"n_stop": 2})
+        family = make_family("drift_mollification", 1.5,
+                             {"n_stop": 2, "x0_gap": 0.1})
         cfg = SimConfig(T=1.0, n_steps=8, n_paths=64, seed=1)
         with pytest.raises(ss.DomainError):
-            ss.convergence_experiment(family, cfg, law15, params={"x0_gap": 0.1})
+            ss.convergence_experiment(family, cfg, law15)
 
     def test_requires_mollification_family(self, law15):
         family = make_family("jump_bump", 1.5, {"n_start": 1, "n_stop": 4})
