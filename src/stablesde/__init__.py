@@ -19,10 +19,10 @@ from .rates import (ConvergenceReport, RateBoundSpec, SweepResult,
                     theoretical_bound)
 from .report import CheckRow, Report, validate_report
 from .rng import RngStream
-from .simulate import (CoupledPathEnsemble, MomentCurve, SimConfig,
-                       TailEstimate, distance_moment_curve,
-                       self_similarity_slope, simulate_coupled,
-                       tail_probability, uniform_lp_check, wilson_interval)
+from .simulate import (LegEnsemble, MomentCurve, SimConfig, TailEstimate,
+                       distance_moment_curve, self_similarity_slope,
+                       simulate_coupled, tail_probability, uniform_lp_check,
+                       wilson_interval)
 from .stable import (StableLaw, density_envelope, density_grid,
                      density_total_mass, envelope_comparability_check,
                      generator_apply, make_stable_law, sample_increment,

@@ -1,7 +1,7 @@
 """Configuration-driven command line.
 
     stablesde run --config cfg.json [--set key=value ...] [--out DIR]
-                  [--dump-paths]
+                  [--dump-paths (simulate only)]
     stablesde print-bound --alpha A --eta-tilde E --B B --S S --x0-gap G [--h H]
 
 The config is strict JSON. _SCHEMA below is the reference for its keys: it
@@ -52,7 +52,7 @@ _SCHEMA = {
     "coefficients": {"name": (str, REQUIRED, None), "params": (dict, {}, None)},
     "sim": {"T": (float, REQUIRED, 0.0), "n_steps": (int, REQUIRED, 1),
             "n_paths": (int, REQUIRED, 1), "seed": (int, REQUIRED, None),
-            "x_clip": (float, None, 0.0), "keep_paths": (bool, None, None)},
+            "x_clip": (float, None, 0.0)},
     "distances": {"model": (str, REQUIRED, None), "M": (float, None, None),
                   "time_nodes": (int, None, 2), "sup_window": (list, None, None),
                   "sup_points": (int, 10001, 1),
@@ -143,10 +143,7 @@ def _given(cfg, section, *keys) -> dict:
 
 
 def _sim_config(cfg, keep_paths=False) -> SimConfig:
-    sim = _given(cfg, "sim", *_SCHEMA["sim"])
-    if keep_paths:
-        sim["keep_paths"] = True
-    return SimConfig(**sim)
+    return SimConfig(**_given(cfg, "sim", *_SCHEMA["sim"]), keep_paths=keep_paths)
 
 
 def _catalog(cfg, section, alpha):
@@ -284,9 +281,9 @@ def _cmd_simulate(cfg, law, out: Path, dump_paths: bool) -> Report:
                       ["h", "prob", "wilson_low", "wilson_high"], tail_rows)
     write_plotdata(out / "plotdata" / "moment_curve.tsv", "t",
                    "mean_q_moment", curve.times, curve.mean)
-    if dump_paths and ens.paths_x is not None:
-        np.savetxt(out / "paths_x.csv", ens.paths_x, delimiter=",")
-        np.savetxt(out / "paths_xt.csv", ens.paths_xt, delimiter=",")
+    if dump_paths:
+        np.savetxt(out / "paths_x.csv", ens.paths[0], delimiter=",")
+        np.savetxt(out / "paths_xt.csv", ens.paths[1], delimiter=",")
     return Report(name="simulate",
                   params={"alpha": alpha, "pair": pair.label,
                           "n_paths": sim.n_paths, "n_steps": sim.n_steps,
@@ -392,6 +389,9 @@ def run(config_path: str, overrides=(), out_dir: str | None = None,
     try:
         cfg = load_config(config_path, overrides)
         command = cfg["command"]
+        if dump_paths and command != "simulate":
+            raise ConfigError(f"--dump-paths applies to the simulate command only, "
+                              f"not {command!r}")
         out = Path(out_dir or _value(cfg, "output", "dir"))
         try:
             (out / "plotdata").mkdir(parents=True, exist_ok=True)

@@ -10,7 +10,7 @@ perturbed coefficients b_tilde, sigma_tilde take (t, x) with scalar t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -294,13 +294,12 @@ def make_pair(name: str, alpha: float, params: dict | None = None) -> Coefficien
 @dataclass
 class PerturbationFamily:
     """A finite sequence of coefficient pairs converging to the baseline
-    (or, for the mollification family, member coefficient functions
-    converging to a kinked limit)."""
+    (for the mollification family, member drifts b_tilde converging to the
+    kinked baseline drift b)."""
 
     name: str
     pairs: list
     scales: list
-    member_drifts: list = field(default_factory=list)
 
 
 def make_family(name: str, alpha: float, params: dict | None = None) -> PerturbationFamily:
@@ -336,23 +335,22 @@ def make_family(name: str, alpha: float, params: dict | None = None) -> Perturba
     pairs = [make_pair(member, alpha, {**params, per_member: v}) for v in values]
     for p, tag in zip(pairs, tags):
         p.label = tag
-    family = PerturbationFamily(name=name, pairs=pairs, scales=scales)
-    if group == "hs":
-        amp = _param(params, "kink", "kink_amp")
-        center = _param(params, "kink", "kink_center")
-        family.member_drifts = [(lambda x, hh=h: mollified_kink_hat(x, center, amp, hh))
-                                for h in values]
-        family.member_drifts.append(lambda x: kink_hat(x, center, amp))
-    return family
+    return PerturbationFamily(name=name, pairs=pairs, scales=scales)
+
+
+def drift_sequence(family: PerturbationFamily, who: str) -> list:
+    """A mollification family's member drifts b_tilde(t, x), then their limit,
+    the baseline drift; DomainError naming `who` for any other family."""
+    if family.name != "drift_mollification":
+        raise DomainError(f"{who} needs a mollification family")
+    base = family.pairs[0].b
+    return [p.b_tilde for p in family.pairs] + [lambda t, x: base(x)]
 
 
 def pair_between(family: PerturbationFamily, i: int, j: int) -> CoefficientPair:
     """Coupled pair whose baseline leg runs member i's drift and whose
-    perturbed leg runs member j's (mollification family only)."""
-    if not family.member_drifts:
-        raise DomainError("pair_between needs a family with member drifts")
-    bi = family.member_drifts[i]
-    bj = family.member_drifts[j]
-    return replace(family.pairs[0],
-                   b=bi, b_tilde=lambda t, x: bj(x),
+    perturbed leg runs member j's; index len(family.pairs) is the limit."""
+    drifts = drift_sequence(family, "pair_between")
+    bi, bj = drifts[i], drifts[j]
+    return replace(family.pairs[0], b=lambda x: bi(0.0, x), b_tilde=bj,
                    label=f"members({i},{j})")

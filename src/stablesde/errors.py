@@ -47,15 +47,13 @@ def as_number(value, label: str, kind=float):
     return kind(value)
 
 
-_KINDS = {str: "a string", bool: "true or false", dict: "an object",
-          list: "a list of numbers"}
+_KINDS = {str: "a string", dict: "an object", list: "a list of numbers"}
 
 
 def config_value(section: dict, key: str, default=REQUIRED, kind=float, where=""):
     """section[key] checked against kind, or default when the key is absent.
-    float and int are checked by as_number; str, bool and dict by type, so
-    that e.g. "no" is never read as a true flag; list is a list of numbers,
-    returned as written (an int entry stays an int)."""
+    float and int are checked by as_number; str and dict by type; list is a
+    list of numbers, returned as written (an int entry stays an int)."""
     if key not in section:
         if default is REQUIRED:
             raise ConfigError(f"{where}{key} must be explicit")

@@ -57,8 +57,9 @@ def default_time_grid(alpha: float, n_nodes: int = 24) -> TimeGrid:
 class DensityModel:
     """Density stand-in for the law of the baseline solution.
 
-    frozen_plain: p0;  frozen_upper: M * p0 (upper comparability envelope);
-    empirical: Monte Carlo average along simulated baseline paths.
+    frozen_plain: p0;  frozen_upper: M * p0 (upper comparability envelope,
+    M >= 1); empirical: Monte Carlo average along simulated baseline paths.
+    M is 1 outside frozen_upper.
     """
 
     mode: str
@@ -74,8 +75,11 @@ class DensityModel:
     def __post_init__(self):
         if self.mode not in ("frozen_plain", "frozen_upper", "empirical"):
             raise DomainError(f"unknown density model mode {self.mode!r}")
-        if self.mode == "frozen_upper" and self.M < 1.0:
+        if self.mode == "frozen_upper" and not self.M >= 1.0:
             raise DomainError("comparability constant M must be >= 1")
+        if self.mode != "frozen_upper" and self.M != 1.0:
+            raise DomainError(f"comparability constant M applies to the frozen_upper "
+                              f"model only, got M={self.M:g} with model {self.mode!r}")
         if self.mode == "empirical" and self.sim_config is None:
             raise DomainError("empirical mode needs a SimConfig")
 
@@ -104,9 +108,7 @@ def frozen_density(model: DensityModel, t: float, y):
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     sig = np.asarray(model.sigma_ref(y_arr), dtype=float)
     scale = t ** (1.0 / model.law.alpha) * sig ** (1.0 / model.law.alpha)
-    vals = density_grid(model.law, (y_arr - model.x0) / scale) / scale
-    if model.mode == "frozen_upper":
-        vals = model.M * vals
+    vals = model.M * (density_grid(model.law, (y_arr - model.x0) / scale) / scale)
     return float(vals[0]) if np.ndim(y) == 0 else vals
 
 
@@ -124,8 +126,7 @@ def frozen_density_mass(model: DensityModel, t: float,
     body = float(np.sum(frozen_density(model, t, nodes) * wts))
     z = R / scale_hi * (k_lo / k_hi) ** (1.0 / model.law.alpha)
     tail = 2.0 * stable_tail_mass(model.law, z)
-    mult = model.M if model.mode == "frozen_upper" else 1.0
-    return body + mult * tail
+    return body + model.M * tail
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +199,7 @@ def _space_integral(model: DensityModel, t: float, gap_fn, rel_tol: float) -> fl
         body = float(np.sum(gap_fn(nodes) * frozen_density(model, t, nodes) * wts))
         gap_far = max(float(gap_fn(np.array([x0 + R]))[0]),
                       float(gap_fn(np.array([x0 - R]))[0]))
-        mult = model.M if model.mode == "frozen_upper" else 1.0
-        tail = 2.0 * mult * gap_far * stable_tail_mass(model.law, Z * 0.8)
+        tail = 2.0 * model.M * gap_far * stable_tail_mass(model.law, Z * 0.8)
         if tail <= rel_tol * max(body, 1e-300) or gap_far == 0.0:
             return body + tail
         Z *= 4.0
@@ -238,8 +238,7 @@ def _distance_weighted(pair: CoefficientPair, model: DensityModel, T: float,
     nodes = grid.nodes(T)
     vals = np.empty_like(nodes)
     # s -> 0 limit: the frozen density concentrates mass (M in upper mode) at x0
-    mult0 = model.M if model.mode == "frozen_upper" else 1.0
-    vals[0] = mult0 * float(gap(0.0, np.array([pair.x0]))[0]) ** power
+    vals[0] = model.M * float(gap(0.0, np.array([pair.x0]))[0]) ** power
     for j, s in enumerate(nodes[1:], start=1):
         vals[j] = _space_integral(model, s, lambda y, s_=s: gap(s_, y) ** power,
                                   rel_tol)

@@ -25,9 +25,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .coefficients import PerturbationFamily
+from .coefficients import PerturbationFamily, drift_sequence
 from .errors import AssumptionViolation, DomainError
-from .measures import DensityModel, TimeGrid, default_time_grid, distance_B, distance_S
+from .measures import DensityModel, distance_B, distance_S
 from .quadrature import ols_loglog
 from .simulate import (SimConfig, distance_moment_curve, simulate_coupled,
                        simulate_legs, tail_probability, uniform_lp_check)
@@ -129,11 +129,10 @@ class SweepResult:
 
 
 def run_sweep(family: PerturbationFamily, sim_config: SimConfig,
-              law: StableLaw, *, model_mode: str = "frozen_plain",
-              h_values=(), calibration_index: int = 0,
-              time_grid: TimeGrid | None = None) -> SweepResult:
-    """For each family member: distances B_n, S_n, a coupled simulation, the
-    sup moment D_n = sup_t mean|X - X~|^(alpha-1), tail rows, and the
+              law: StableLaw, *, h_values=(), calibration_index: int = 0) -> SweepResult:
+    """For each family member: frozen_plain distances B_n, S_n on the
+    default time grid, a coupled simulation, the sup moment
+    D_n = sup_t mean|X - X~|^(alpha-1), tail rows, and the
     one-point-calibrated check of the members' eta_tilde bound. Assumption
     violations flag rows instead of failing the sweep."""
     if not family.pairs:
@@ -142,14 +141,13 @@ def run_sweep(family: PerturbationFamily, sim_config: SimConfig,
         raise DomainError(f"calibration_index must lie in [0, {len(family.pairs)}) "
                           f"for this family, got {calibration_index}")
     spec = RateBoundSpec(alpha=law.alpha, eta_tilde=family.pairs[0].eta_tilde)
-    time_grid = time_grid or default_time_grid(law.alpha)
     q = law.alpha - 1.0
     rows = []
     for i, pair in enumerate(family.pairs):
-        model = DensityModel(mode=model_mode, law=law, sigma_ref=pair.sigma,
+        model = DensityModel(mode="frozen_plain", law=law, sigma_ref=pair.sigma,
                              x0=pair.x0)
-        B = distance_B(pair, model, sim_config.T, time_grid)
-        S = distance_S(pair, model, sim_config.T, time_grid)
+        B = distance_B(pair, model, sim_config.T)
+        S = distance_S(pair, model, sim_config.T)
         cfg = replace(sim_config, stream_label=f"sweep-{family.name}-{i}")
         ens = simulate_coupled(cfg, pair, law)
         curve = distance_moment_curve(ens, q)
@@ -217,23 +215,20 @@ def convergence_experiment(family: PerturbationFamily, sim_config: SimConfig,
     Cauchy behaviour = D_{n,n+1} decreasing up to twice the combined
     standard error.
     """
-    if not family.member_drifts:
-        raise DomainError("convergence experiment needs a mollification family")
+    drifts = drift_sequence(family, "convergence experiment")
     base = family.pairs[0]
     if base.x0_tilde != base.x0:
         raise DomainError("convergence members share one start: x0_gap must be 0")
     p = p if p is not None else (1.0 + law.alpha) / 2.0
-    K = len(family.member_drifts) - 1  # last entry is the limit drift
-    legs = [(base.x0, lambda t, x, b=b: b(x), lambda t, x: base.sigma(x))
-            for b in family.member_drifts]
+    K = len(family.pairs)
+    legs = [(base.x0, b, lambda t, x: base.sigma(x)) for b in drifts]
     run = simulate_legs(sim_config, law, legs)
-    curves = [distance_moment_curve(run.pair(i), law.alpha - 1.0)
-              for i in range(K)]
+    curves = [distance_moment_curve(run, law.alpha - 1.0, i) for i in range(K)]
     ds = np.array([c.sup for c in curves[:-1]])
     ses = np.array([c.sup_stderr for c in curves[:-1]])
     mono = bool(np.all(ds[1:] <= ds[:-1]
                        + 2.0 * np.sqrt(ses[1:] ** 2 + ses[:-1] ** 2)))
-    lp = uniform_lp_check(run.abs_max[:K, ~run.flagged], p, law.alpha)
+    lp = uniform_lp_check(run.abs_max[:K, run.ok], p, law.alpha)
     return ConvergenceReport(pairwise_D=ds, pairwise_se=ses,
                              monotone_within_2se=mono,
                              limit_residual=curves[-1].sup,

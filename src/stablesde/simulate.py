@@ -4,11 +4,12 @@ plus the Monte Carlo functionals built on the ensembles.
 A leg is a start x0 with coefficients drift(t, x) and jump(t, x). All legs
 are advanced with the same increments (left-point coefficient evaluation),
 so legs with identical coefficients and starts give bitwise identical paths.
-A coupled baseline/perturbed pair is the 2-leg case, the time average behind
-the empirical coefficient distances is the 1-leg case, and a coefficient
-sequence runs all of its members on one path. A path is flagged as soon as
-any leg goes non-finite or leaves [-x_clip, x_clip]; the flag is one per
-path, shared by all legs, and flagged paths are left out of every statistic.
+Every run returns one result type, LegEnsemble: a coupled baseline/perturbed
+pair is the 2-leg case, the empirical coefficient distances average along
+the 1-leg case, and a coefficient sequence runs all of its members on one
+path. A path is flagged as soon as any leg goes non-finite or leaves
+[-x_clip, x_clip]; the flag is one per path, shared by all legs, and flagged
+paths are left out of every statistic.
 
 Paths are simulated in fixed 4096-column blocks, each block owning a
 counter-based substream keyed by (seed, stream label, block index):
@@ -58,29 +59,6 @@ class SimConfig:
 
 
 @dataclass
-class CoupledPathEnsemble:
-    alpha: float
-    retained_idx: np.ndarray
-    retained_times: np.ndarray
-    abs_diff: np.ndarray            # (n_retained, n_paths) |X - X_tilde|
-    y_max: np.ndarray               # per-path sup over the full grid of |X - X_tilde|
-    x_abs_max: np.ndarray           # per-path sup |X|
-    x_final: np.ndarray
-    flagged: np.ndarray             # nonfinite / clipped paths, excluded from stats
-    increments_digest: str | None   # provenance fingerprint of the increments
-    paths_x: np.ndarray | None = None
-    paths_xt: np.ndarray | None = None
-
-    @property
-    def n_flagged(self) -> int:
-        return int(np.sum(self.flagged))
-
-    @property
-    def ok(self) -> np.ndarray:
-        return ~self.flagged
-
-
-@dataclass
 class LegEnsemble:
     """Accumulators of an N-leg run. Per-leg arrays are stacked on axis 0;
     neighbour pair i is legs (i, i + 1)."""
@@ -92,20 +70,18 @@ class LegEnsemble:
     y_max: np.ndarray               # (N-1, n_paths) grid sup of |X_i - X_{i+1}|
     abs_max: np.ndarray             # (N, n_paths) grid sup |X_i|
     final: np.ndarray               # (N, n_paths)
-    flagged: np.ndarray             # (n_paths,) shared by all legs
+    flagged: np.ndarray             # (n_paths,) shared by all legs, excluded from stats
     integral: np.ndarray            # (n_integrands, n_paths) leg 0's sum_k f(t_k, X_k) dt
     paths: np.ndarray | None        # (N, n_steps + 1, n_paths)
-    increments_digest: str | None = None
+    increments_digest: str | None = None  # provenance fingerprint of the increments
 
-    def pair(self, i: int) -> CoupledPathEnsemble:
-        """Legs i and i + 1 as a coupled ensemble of views."""
-        return CoupledPathEnsemble(
-            alpha=self.alpha, retained_idx=self.retained_idx,
-            retained_times=self.retained_times, abs_diff=self.abs_diff[i],
-            y_max=self.y_max[i], x_abs_max=self.abs_max[i], x_final=self.final[i],
-            flagged=self.flagged, increments_digest=self.increments_digest,
-            paths_x=None if self.paths is None else self.paths[i],
-            paths_xt=None if self.paths is None else self.paths[i + 1])
+    @property
+    def n_flagged(self) -> int:
+        return int(np.sum(self.flagged))
+
+    @property
+    def ok(self) -> np.ndarray:
+        return ~self.flagged
 
 
 def _blocks(config: SimConfig, law: StableLaw):
@@ -175,10 +151,9 @@ def simulate_legs(config: SimConfig, law: StableLaw, legs, integrands=(),
 
         run.final[:, cols] = x
 
-    n_flagged = int(np.sum(run.flagged))
-    if n_flagged > 0.01 * npth:
+    if run.n_flagged > 0.01 * npth:
         raise NumericError(
-            f"{n_flagged}/{npth} paths exceeded the guard "
+            f"{run.n_flagged}/{npth} paths exceeded the guard "
             f"x_clip={config.x_clip:g} or went non-finite")
     if hasher is not None:
         run.increments_digest = hasher.hexdigest()
@@ -186,13 +161,13 @@ def simulate_legs(config: SimConfig, law: StableLaw, legs, integrands=(),
 
 
 def simulate_coupled(config: SimConfig, pair: CoefficientPair,
-                     law: StableLaw) -> CoupledPathEnsemble:
+                     law: StableLaw) -> LegEnsemble:
     """The baseline leg (x0, b, sigma) and the perturbed leg (x0_tilde,
     b_tilde, sigma_tilde) on the shared increments, with the increments
     digest; deterministic for fixed (seed, config, pair)."""
     legs = [(pair.x0, lambda t, x: pair.b(x), lambda t, x: pair.sigma(x)),
             (pair.x0_tilde, pair.b_tilde, pair.sigma_tilde)]
-    return simulate_legs(config, law, legs, digest=True).pair(0)
+    return simulate_legs(config, law, legs, digest=True)
 
 
 def simulate_baseline_average(config: SimConfig, law: StableLaw, b, sigma,
@@ -208,7 +183,7 @@ def simulate_baseline_average(config: SimConfig, law: StableLaw, b, sigma,
                         integrands=integrands)
     out = []
     for row in run.integral:
-        vals = row[~run.flagged]
+        vals = row[run.ok]
         out.append((float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(vals.size))))
     return out
 
@@ -226,15 +201,16 @@ class MomentCurve:
     sup_stderr: float
 
 
-def distance_moment_curve(ens: CoupledPathEnsemble, q: float) -> MomentCurve:
-    """Per-retained-time Monte Carlo mean of |X_t - X_tilde_t|^q.
+def distance_moment_curve(ens: LegEnsemble, q: float, i: int = 0) -> MomentCurve:
+    """Per-retained-time Monte Carlo mean of |X_t - X_tilde_t|^q over the
+    legs X, X_tilde of neighbour pair i.
 
     Moments of order q >= alpha do not exist for stable-driven differences;
     the precondition is 0 < q < alpha.
     """
     if not (0.0 < q < ens.alpha):
         raise DomainError(f"moment order q must lie in (0, alpha), got {q}")
-    vals = ens.abs_diff[:, ens.ok] ** q
+    vals = ens.abs_diff[i][:, ens.ok] ** q
     n = vals.shape[1]
     mean = vals.mean(axis=1)
     stderr = vals.std(axis=1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
@@ -261,12 +237,13 @@ def wilson_interval(successes: int, n: int, z: float = 1.959963984540054):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def tail_probability(ens: CoupledPathEnsemble, h: float) -> TailEstimate:
-    """Fraction of paths with sup_k |X - X_tilde|^(alpha-1) > h over the full
-    simulation grid (a grid sup, which underestimates the continuous sup)."""
+def tail_probability(ens: LegEnsemble, h: float) -> TailEstimate:
+    """Fraction of paths with sup_k |X - X_tilde|^(alpha-1) > h for the legs
+    of neighbour pair 0 (a sup over the simulation grid, which underestimates
+    the continuous sup)."""
     if h <= 0:
         raise DomainError("tail threshold h must be > 0")
-    y = ens.y_max[ens.ok]
+    y = ens.y_max[0][ens.ok]
     n = y.size
     hits = int(np.sum(y ** (ens.alpha - 1.0) > h))
     lo, hi = wilson_interval(hits, n)

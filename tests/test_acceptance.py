@@ -223,7 +223,7 @@ def test_criterion_11_moment_threshold_negative_control(law):
     cfg = SimConfig(T=1.0, n_steps=400, n_paths=120000, seed=777,
                     stream_label="c11")
     ens = ss.simulate_coupled(cfg, pair, law)
-    y_final = ens.abs_diff[-1][ens.ok]
+    y_final = ens.abs_diff[0, -1][ens.ok]
 
     def cauchy_stable(q):
         # stability: doubling the path count moves the estimate by < 2

@@ -129,7 +129,6 @@ class TestConfigParsing:
          "sweep.h_values"),
         ("coefficients.params=[1]", "coefficients.params"),
         ("output.dir=5", "output.dir"),
-        ('sim.keep_paths="no"', "sim.keep_paths"),
     ])
     def test_wrong_typed_or_missing_value_exits_2(self, tmp_path, capsys,
                                                    override, key):
@@ -156,6 +155,9 @@ class TestConfigParsing:
         ("sweep", "--set sweep.eta_tilde=1", 2, "eta_tilde"),
         ("distances", "--set coefficients.params.eta_tilde=0.9", 2, "eta_tilde"),
         ("simulate", "--out {cfg}", 2, "cannot create output directory"),
+        # paths are kept by --dump-paths alone, and only simulate writes them
+        ("simulate", "--set sim.keep_paths=true", 2, "keep_paths"),
+        ("sweep", "--dump-paths", 2, "--dump-paths"),
         ("certify-mollifier", "--set certify.grid_points=-1", 3, "certify.grid_points"),
         ("certify-mollifier", "--set certify.komatsu_points=-1", 3,
          "certify.komatsu_points"),
@@ -165,6 +167,11 @@ class TestConfigParsing:
         ("certify-density", "--set certify.alphas=[]", 3, "certify.alphas"),
         ("simulate", "--set sim.seed=" + "9" * 45, 3, "seed"),
         ("distances", "--set coefficients.params.width=0", 3, "width"),
+        # M scales the frozen_upper envelope and no other model
+        ("distances", "--set distances.M=0.5", 3, "frozen_upper"),
+        ("distances", '--set distances.model=empirical --set distances.M=7 '
+                      '--set sim={"T":1.0,"n_steps":4,"n_paths":16,"seed":5}', 3,
+         "frozen_upper"),
         ("converge", "--set converge.params.h0=0", 3, "scale h"),
         ("certify-mollifier", "--set mollifier.eps=1e-5 --set mollifier.delta=1.0001", 3,
          "cap violated"),
@@ -322,21 +329,31 @@ class TestRunCommands:
 
 
 class TestPinnedOutputs:
-    """The shipped density configs reproduce the output bytes pinned for the
-    benchmark in perfbench/digests.json (read, never written here)."""
+    """Shipped configs, resized as the benchmark runs them, reproduce the
+    output bytes pinned for it in perfbench/digests.json (read, never
+    written here)."""
 
     ROOT = Path(__file__).resolve().parents[1]
+    # step label -> (workload, its --set overrides in perfbench/workloads.py)
+    STEPS = {"frozen": ("density", ""), "mollifier": ("density", ""),
+             "converge": ("euler", "sim.n_paths=8192 sim.n_steps=200"),
+             "empirical": ("euler", "distances.model=empirical sim.T=1.0 "
+                                    "sim.n_steps=400 sim.n_paths=20000 sim.seed=2718")}
 
     @pytest.mark.parametrize("label, config", [
         ("frozen", "configs/distances_drift_bump.json"),
         ("mollifier", "configs/certify_mollifier.json"),
+        ("converge", "configs/converge_mollified_drift.json"),
+        ("empirical", "configs/distances_drift_bump.json"),
     ])
     def test_sha256_matches_pin(self, tmp_path, label, config):
+        workload, overrides = self.STEPS[label]
         pinned = json.loads((self.ROOT / "perfbench" / "digests.json").read_text())
         want = {name.split("/", 1)[1]: digest for name, digest in
-                pinned["density"]["default"].items() if name.startswith(label + "/")}
+                pinned[workload]["default"].items() if name.startswith(label + "/")}
+        sets = [arg for item in overrides.split() for arg in ("--set", item)]
         assert main(["run", "--config", str(self.ROOT / config),
-                     "--out", str(tmp_path)]) == 0
+                     "--out", str(tmp_path)] + sets) == 0
         got = {str(p.relative_to(tmp_path)): hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(tmp_path.rglob("*")) if p.is_file()}
         assert got == want
@@ -347,8 +364,8 @@ class TestPinnedOutputs:
 # ---------------------------------------------------------------------------
 
 _WRONG_TYPE = {float: ["1.5", True, None, [1.0]], int: [1.5, "3", False, None],
-               str: [5, True, ["x"], None], bool: ["no", 1, None],
-               dict: [[1], "x", 2], list: [1.5, ["a"], [True], {"a": 1}, "x"]}
+               str: [5, True, ["x"], None], dict: [[1], "x", 2],
+               list: [1.5, ["a"], [True], {"a": 1}, "x"]}
 
 
 def _out_of_range(kind, low):
@@ -370,8 +387,6 @@ def _in_range(kind, low):
         return st.floats(low, low + 4.0, exclude_min=True)
     if kind is list:
         return st.lists(st.floats(-3.0, 3.0), min_size=low or 0, max_size=3)
-    if kind is bool:
-        return st.booleans()
     if kind is str:
         return st.text("abcdefghijklmnopqrstuvwxyz_-", max_size=8)
     return st.dictionaries(st.sampled_from(["amp", "s0", "n_stop", "gaps", "bogus"]),

@@ -209,3 +209,5 @@ class TestConvergenceExperiment:
         cfg = SimConfig(T=1.0, n_steps=16, n_paths=100, seed=1)
         with pytest.raises(ss.DomainError):
             ss.convergence_experiment(family, cfg, law15)
+        with pytest.raises(ss.DomainError):
+            pair_between(family, 0, 1)

@@ -52,14 +52,14 @@ class TestCoupling:
         pair = make_pair("initial_gap", 1.5, {"x0_gap": 0.25})
         ens = ss.simulate_coupled(small_cfg, pair, law15)
         assert ens.retained_times[0] == 0.0
-        assert np.all(ens.abs_diff[0] == 0.25)
+        assert np.all(ens.abs_diff[0, 0] == 0.25)
 
     def test_bit_reproducible(self, law15, small_cfg):
         pair = make_pair("jump_bump", 1.5, {"amp": 0.3})
         a = ss.simulate_coupled(small_cfg, pair, law15)
         b = ss.simulate_coupled(small_cfg, pair, law15)
         assert np.array_equal(a.abs_diff, b.abs_diff)
-        assert np.array_equal(a.x_final, b.x_final)
+        assert np.array_equal(a.final[0], b.final[0])
         assert a.increments_digest == b.increments_digest
 
     def test_block_structure_does_not_change_results_with_path_count(
@@ -70,7 +70,7 @@ class TestCoupling:
         big = SimConfig(T=1.0, n_steps=16, n_paths=8192, seed=5)
         e1 = ss.simulate_coupled(small, pair, law15)
         e2 = ss.simulate_coupled(big, pair, law15)
-        assert np.array_equal(e1.x_final, e2.x_final[:4096])
+        assert np.array_equal(e1.final[0], e2.final[0][:4096])
 
 
 class TestEulerExactness:
@@ -80,7 +80,7 @@ class TestEulerExactness:
         pair = make_pair("identical", 1.5, {"b_amp": 0.0, "s0": 1.0, "s1": 0.0})
         cfg = SimConfig(T=1.0, n_steps=64, n_paths=20000, seed=77)
         ens = ss.simulate_coupled(cfg, pair, law15)
-        xs = np.sort(ens.x_final[ens.ok])
+        xs = np.sort(ens.final[0][ens.ok])
         idx = np.linspace(200, xs.size - 200, 400).astype(int)
         cdf = np.array([ss.stable_cdf(law15, x) for x in xs[idx]])
         emp = (idx + 1.0) / xs.size
@@ -152,7 +152,7 @@ class TestUniformLp:
     def test_identical_members_pass(self, law15, small_cfg):
         pair = make_pair("identical", 1.5, {})
         ens = ss.simulate_coupled(small_cfg, pair, law15)
-        sups = [ens.x_abs_max[ens.ok]] * 4
+        sups = [ens.abs_max[0][ens.ok]] * 4
         rep = ss.uniform_lp_check(sups, 1.25, 1.5)
         assert rep.passes
         assert rep.slope_ci_contains_zero
@@ -178,11 +178,11 @@ class TestGuards:
         pair = make_pair("initial_gap", 1.5, {"x0_gap": 0.1})
         cfg = SimConfig(T=1.0, n_steps=16, n_paths=50, seed=2, keep_paths=True)
         ens = ss.simulate_coupled(cfg, pair, law15)
-        assert ens.paths_x.shape == (17, 50)
-        assert np.all(ens.paths_x[0] == 0.0)
-        assert np.all(ens.paths_xt[0] == 0.1)
+        assert ens.paths[0].shape == (17, 50)
+        assert np.all(ens.paths[0][0] == 0.0)
+        assert np.all(ens.paths[1][0] == 0.1)
         # retained |Y| agrees with the full paths
-        diff = np.abs(ens.paths_x - ens.paths_xt)
+        diff = np.abs(ens.paths[0] - ens.paths[1])
         assert np.allclose(ens.abs_diff, diff[ens.retained_idx])
         assert np.allclose(ens.y_max, diff.max(axis=0))
 
