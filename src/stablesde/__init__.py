@@ -4,11 +4,10 @@ from .coefficients import (CoefficientPair, PerturbationFamily, make_family,
                            make_pair, pair_between, spot_check_regularity)
 from .errors import (AssumptionViolation, ConstructionError, DomainError,
                      NumericError)
-from .measures import (DensityModel, TimeGrid, comparability_band,
-                       default_time_grid, distance_B, distance_B_sup,
-                       distance_S, distance_S_sup, frozen_density,
-                       frozen_density_mass, weighted_measure_density,
-                       weighted_norm)
+from .measures import (DensityModel, comparability_band, distance_B,
+                       distance_B_sup, distance_S, distance_S_sup,
+                       frozen_density, frozen_density_mass,
+                       weighted_measure_density, weighted_norm)
 from .mollifier import (Mollifier, SmoothedDistance, build_mollifier,
                         certify_derivative_bound, certify_komatsu,
                         certify_mollifier_shape, certify_sandwich,
@@ -25,8 +24,7 @@ from .simulate import (LegEnsemble, MomentCurve, SimConfig, TailEstimate,
                        wilson_interval)
 from .stable import (StableLaw, density_envelope, density_grid,
                      density_total_mass, envelope_comparability_check,
-                     generator_apply, make_stable_law, sample_increment,
-                     sample_increments, stable_cdf, stable_density,
-                     stable_tail_mass)
+                     generator_apply, make_stable_law, sample_increments,
+                     stable_cdf, stable_density, stable_tail_mass)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

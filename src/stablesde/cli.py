@@ -33,8 +33,7 @@ from . import mollifier as moll
 from .coefficients import check_params, make_family, make_pair
 from .errors import (REQUIRED, AssumptionViolation, ConfigError, ConstructionError,
                      DomainError, NumericError, config_value)
-from .measures import (DensityModel, TimeGrid, distance_B, distance_B_sup, distance_S,
-                       distance_S_sup)
+from .measures import DensityModel, distance_B, distance_B_sup, distance_S, distance_S_sup
 from .rates import RateBoundSpec, convergence_experiment, run_sweep, tail_bound, theoretical_bound
 from .report import CheckRow, Report, fmt17, validate_report, write_plotdata, write_results_csv
 from .simulate import SimConfig, distance_moment_curve, simulate_coupled, tail_probability
@@ -202,7 +201,7 @@ def _cmd_certify_density(cfg, law, out: Path, dump_paths: bool) -> Report:
     rows = []
     for alpha in alphas:
         law = make_stable_law(float(alpha))
-        mass = density_total_mass(law, 100.0)
+        mass = density_total_mass(law)
         g0 = stable_density(law, 0.0)
         g0_ref = math.gamma(1.0 + 1.0 / law.alpha) / math.pi
         ratio = stable_density(law, tail_x) / (law.c_alpha * tail_x ** (-1 - law.alpha))
@@ -237,8 +236,6 @@ def _cmd_distances(cfg, law, out: Path, dump_paths: bool) -> Report:
     alpha = law.alpha
     pair = _catalog(cfg, "coefficients", alpha)
     T = _value(cfg, "distances", "T")
-    nodes = _value(cfg, "distances", "time_nodes")
-    grid = TimeGrid(gamma=alpha) if nodes is None else TimeGrid(nodes, alpha)
     mode = _value(cfg, "distances", "model")
     sim_config = _sim_config(cfg) if mode == "empirical" else None
     model = DensityModel(mode=mode, law=law, sigma_ref=pair.sigma, x0=pair.x0,
@@ -246,8 +243,9 @@ def _cmd_distances(cfg, law, out: Path, dump_paths: bool) -> Report:
     window = tuple(_value(cfg, "distances", "sup_window") or (pair.x0 - 10.0, pair.x0 + 10.0))
     n_pts = _value(cfg, "distances", "sup_points")
     variant = _value(cfg, "distances", "variant")
-    B = distance_B(pair, model, T, grid)
-    S = distance_S(pair, model, T, grid)
+    nodes = _given(cfg, "distances", "time_nodes")
+    B = distance_B(pair, model, T, **nodes)
+    S = distance_S(pair, model, T, **nodes)
     B_inf = distance_B_sup(pair, T, variant=variant, window=window, n_points=n_pts)
     S_inf = distance_S_sup(pair, alpha, T, variant=variant, window=window,
                            n_points=n_pts)
@@ -407,8 +405,9 @@ def run(config_path: str, overrides=(), out_dir: str | None = None,
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
     except NumericError as exc:
-        print(f"numeric failure: {exc} (estimate={exc.estimate}, "
-              f"error_bound={exc.error_bound})", file=sys.stderr)
+        suffix = ("" if exc.estimate is None and exc.error_bound is None else
+                  f" (estimate={exc.estimate}, error_bound={exc.error_bound})")
+        print(f"numeric failure: {exc}{suffix}", file=sys.stderr)
         return 4
     rep.to_json(out / "report.json")
     validate_report(json.loads((out / "report.json").read_text()))

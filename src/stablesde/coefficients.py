@@ -74,10 +74,10 @@ class CoefficientPair:
     """Baseline (b, sigma) and perturbed (b_tilde, sigma_tilde) coefficients
     with the regularity metadata the rate bounds need.
 
-    K bounds |b| and sigma above, k bounds sigma below, eta is the Holder
-    exponent of sigma^alpha, eta_tilde the spatial Holder exponent of
-    sigma_tilde. f_b_tilde / f_sigma_tilde are the time-dependent Lipschitz /
-    Holder envelopes.
+    K bounds |b| and sigma above and is a Lipschitz constant of sigma^alpha,
+    k bounds sigma below. lip_b_tilde is a Lipschitz constant of b_tilde and
+    hol_sigma_tilde an eta_tilde-Holder constant of sigma_tilde, uniform in
+    time.
     """
 
     b: callable
@@ -88,10 +88,9 @@ class CoefficientPair:
     x0_tilde: float
     K: float
     k: float
-    eta: float
     eta_tilde: float
-    f_b_tilde: callable
-    f_sigma_tilde: callable
+    lip_b_tilde: float
+    hol_sigma_tilde: float
     label: str = ""
 
     def drift_gap(self, t, y):
@@ -101,11 +100,10 @@ class CoefficientPair:
         return np.abs(self.sigma(y) - self.sigma_tilde(t, y))
 
 
-def spot_check_regularity(pair: CoefficientPair, alpha: float, rng,
-                          n_pairs: int = 128, window: float = 10.0,
-                          tol: float = 1e-9) -> None:
-    """Sample-based verification of the declared bounds; raises DomainError
-    on violation."""
+def spot_check_regularity(pair: CoefficientPair, alpha: float, rng) -> None:
+    """Sample-based verification of the declared bounds at 128 point pairs
+    within 10 of x0; raises DomainError on violation."""
+    n_pairs, window, tol = 128, 10.0, 1e-9
     if not (1.0 / alpha - 1e-12 <= pair.eta_tilde <= 1.0 + 1e-12):
         raise DomainError(
             f"eta_tilde must lie in [1/alpha, 1], got {pair.eta_tilde}")
@@ -118,14 +116,14 @@ def spot_check_regularity(pair: CoefficientPair, alpha: float, rng,
     if np.any(np.abs(pair.b(xs)) > pair.K * (1.0 + tol)):
         raise DomainError("|b| exceeds the declared bound K")
     sa = pair.sigma(xs) ** alpha - pair.sigma(ys) ** alpha
-    if np.any(np.abs(sa) > pair.K * np.abs(xs - ys) ** pair.eta * (1.0 + 1e-6) + tol):
+    if np.any(np.abs(sa) > pair.K * np.abs(xs - ys) * (1.0 + 1e-6) + tol):
         raise DomainError("sigma^alpha violates the declared Holder bound")
     for t in np.unique(ts[:8]):
         bd = np.abs(pair.b_tilde(t, xs) - pair.b_tilde(t, ys))
-        if np.any(bd > pair.f_b_tilde(t) * np.abs(xs - ys) * (1.0 + 1e-6) + tol):
+        if np.any(bd > pair.lip_b_tilde * np.abs(xs - ys) * (1.0 + 1e-6) + tol):
             raise DomainError("b_tilde violates its Lipschitz declaration")
         sd = np.abs(pair.sigma_tilde(t, xs) - pair.sigma_tilde(t, ys))
-        cap = pair.f_sigma_tilde(t) * np.abs(xs - ys) ** pair.eta_tilde
+        cap = pair.hol_sigma_tilde * np.abs(xs - ys) ** pair.eta_tilde
         if np.any(sd > cap * (1.0 + 1e-6) + tol):
             raise DomainError("sigma_tilde violates its Holder declaration")
 
@@ -223,12 +221,6 @@ def _kink_baseline(params):
     return b, sigma, max(amp, sig_hi, lip_sa, 1.0), k
 
 
-def _const_fns(value):
-    def f(_t):
-        return value
-    return f
-
-
 # ---------------------------------------------------------------------------
 # pair catalog
 # ---------------------------------------------------------------------------
@@ -283,8 +275,8 @@ def make_pair(name: str, alpha: float, params: dict | None = None) -> Coefficien
 
     return CoefficientPair(
         b=b, sigma=sigma, b_tilde=b_t, sigma_tilde=s_t,
-        x0=x0, x0_tilde=x0_tilde, K=K, k=k, eta=1.0, eta_tilde=eta_tilde,
-        f_b_tilde=_const_fns(lip_b), f_sigma_tilde=_const_fns(hol_s), label=name)
+        x0=x0, x0_tilde=x0_tilde, K=K, k=k, eta_tilde=eta_tilde,
+        lip_b_tilde=lip_b, hol_sigma_tilde=hol_s, label=name)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ which estimates the distance under the true (discretized) law; the two are
 expected to agree up to the bracketing constants, not exactly.
 
 Space integrals run over an explicit window around x0 with a power-law tail
-correction; time integrals use a grid graded like (j/J)^gamma toward 0,
+correction; time integrals use a grid graded like (j/J)^alpha toward 0,
 where the frozen density concentrates.
 """
 
@@ -30,27 +30,18 @@ from .quadrature import panel_nodes
 from .simulate import SimConfig, simulate_baseline_average
 from .stable import StableLaw, density_grid, stable_tail_mass
 
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Graded time nodes s_j = T (j/J)^gamma, j = 0..J."""
-
-    n_nodes: int = 24
-    gamma: float = 1.5
-
-    def __post_init__(self):
-        if self.n_nodes < 2:
-            raise DomainError("time grid needs at least 2 nodes")
-        if self.gamma <= 0:
-            raise DomainError("time grading exponent must be > 0")
-
-    def nodes(self, T: float) -> np.ndarray:
-        j = np.arange(self.n_nodes + 1, dtype=float)
-        return T * (j / self.n_nodes) ** self.gamma
+_NORM_REL_TOL = 1e-6    # weighted_norm: tail share at which the window stops growing
+_SPACE_REL_TOL = 1e-4   # the same for the space integrals of distance_B / distance_S
+_SUP_TIME_NODES = 65    # uniform time nodes of the sup distances
+_BAND_SLACK = 0.25      # comparability_band widening for Monte Carlo noise
 
 
-def default_time_grid(alpha: float, n_nodes: int = 24) -> TimeGrid:
-    return TimeGrid(n_nodes=n_nodes, gamma=alpha)
+def _time_grid(T: float, alpha: float, n: int) -> np.ndarray:
+    """Graded time nodes s_j = T (j/n)^alpha, j = 0..n."""
+    if n < 2:
+        raise DomainError("time grid needs at least 2 nodes")
+    j = np.arange(n + 1, dtype=float)
+    return T * (j / n) ** alpha
 
 
 @dataclass
@@ -134,7 +125,7 @@ def frozen_density_mass(model: DensityModel, t: float,
 # ---------------------------------------------------------------------------
 
 def weighted_norm(f, p: float, law: StableLaw, x0: float, sigma_x0: float,
-                  t: float, rel_tol: float = 1e-6) -> float:
+                  t: float) -> float:
     """L^p norm of f against the weighted measure, by quadrature in the
     rescaled variable plus a power-law tail estimate.
 
@@ -174,7 +165,7 @@ def weighted_norm(f, p: float, law: StableLaw, x0: float, sigma_x0: float,
         q_loc = max(q_growth, 0.0)
         tail = 2.0 * amp * law.c_alpha * R ** (q_loc - a) / (a - q_loc)
         total = body + tail
-        if tail <= rel_tol * max(total, 1e-300):
+        if tail <= _NORM_REL_TOL * max(total, 1e-300):
             break
         R *= 4.0
     return total ** (1.0 / p)
@@ -184,13 +175,13 @@ def weighted_norm(f, p: float, law: StableLaw, x0: float, sigma_x0: float,
 # coefficient distances
 # ---------------------------------------------------------------------------
 
-def _space_integral(model: DensityModel, t: float, gap_fn, rel_tol: float) -> float:
+def _space_integral(model: DensityModel, t: float, gap_fn) -> float:
     """int gap(y) p0_t(x0, y) dy over an expanding window + tail estimate."""
     a = model.law.alpha
     x0 = model.x0
     sig0 = float(np.asarray(model.sigma_ref(np.array([x0])))[0])
     scale = t ** (1.0 / a) * sig0 ** (1.0 / a)
-    Z = max(10.0, rel_tol ** (-1.0 / a))
+    Z = max(10.0, _SPACE_REL_TOL ** (-1.0 / a))
     for _ in range(3):
         R = Z * scale
         edges = np.concatenate([-np.geomspace(R, 1e-4 * scale, 140), [0.0],
@@ -200,7 +191,7 @@ def _space_integral(model: DensityModel, t: float, gap_fn, rel_tol: float) -> fl
         gap_far = max(float(gap_fn(np.array([x0 + R]))[0]),
                       float(gap_fn(np.array([x0 - R]))[0]))
         tail = 2.0 * model.M * gap_far * stable_tail_mass(model.law, Z * 0.8)
-        if tail <= rel_tol * max(body, 1e-300) or gap_far == 0.0:
+        if tail <= _SPACE_REL_TOL * max(body, 1e-300) or gap_far == 0.0:
             return body + tail
         Z *= 4.0
     return body + tail
@@ -227,53 +218,50 @@ def _empirical_averages(pair: CoefficientPair, model: DensityModel) -> list:
 
 
 def _distance_weighted(pair: CoefficientPair, model: DensityModel, T: float,
-                       grid: TimeGrid, which: int, rel_tol: float = 1e-4) -> float:
+                       time_nodes: int, which: int) -> float:
     """Time-space integral of entry `which` of _gap_powers against the model
-    density, or its baseline-path average in empirical mode."""
+    density on time_nodes intervals graded by alpha, or its baseline-path
+    average in empirical mode."""
     if T <= 0:
         raise DomainError("T must be > 0")
     if model.mode == "empirical":
         return _empirical_averages(pair, model)[which]
     gap, power = _gap_powers(pair, model.law.alpha)[which]
-    nodes = grid.nodes(T)
+    nodes = _time_grid(T, model.law.alpha, time_nodes)
     vals = np.empty_like(nodes)
     # s -> 0 limit: the frozen density concentrates mass (M in upper mode) at x0
     vals[0] = model.M * float(gap(0.0, np.array([pair.x0]))[0]) ** power
     for j, s in enumerate(nodes[1:], start=1):
-        vals[j] = _space_integral(model, s, lambda y, s_=s: gap(s_, y) ** power,
-                                  rel_tol)
+        vals[j] = _space_integral(model, s, lambda y, s_=s: gap(s_, y) ** power)
     return float(np.trapezoid(vals, nodes))
 
 
 def distance_B(pair: CoefficientPair, model: DensityModel, T: float,
-               grid: TimeGrid | None = None) -> float:
+               time_nodes: int = 24) -> float:
     """Time-space integral of the drift gap |b(y) - b_tilde(s, y)| against
     the model density (equivalently, in empirical mode, the Monte Carlo
     average of the gap along baseline paths)."""
-    grid = grid or default_time_grid(model.law.alpha)
-    return _distance_weighted(pair, model, T, grid, 0)
+    return _distance_weighted(pair, model, T, time_nodes, 0)
 
 
 def distance_S(pair: CoefficientPair, model: DensityModel, T: float,
-               grid: TimeGrid | None = None) -> float:
+               time_nodes: int = 24) -> float:
     """Jump-coefficient distance: the alpha-integral of
     |sigma(y) - sigma_tilde(s, y)| against the model density, to the power
     1/alpha."""
-    grid = grid or default_time_grid(model.law.alpha)
-    raw = _distance_weighted(pair, model, T, grid, 1)
+    raw = _distance_weighted(pair, model, T, time_nodes, 1)
     return raw ** (1.0 / model.law.alpha)
 
 
 def _sup_distance(pair: CoefficientPair, T: float, gap, power: float,
-                  variant: str, window: tuple, n_points: int,
-                  n_time: int) -> float:
+                  variant: str, window: tuple, n_points: int) -> float:
     if variant not in ("time_integral", "time_sup"):
         raise DomainError(f"unknown sup-distance variant {variant!r}")
     if len(window) != 2:
         raise DomainError(f"sup window must be (lo, hi), got {window}")
     lo, hi = window
     ys = np.linspace(lo, hi, n_points)
-    ts = np.linspace(0.0, T, n_time)
+    ts = np.linspace(0.0, T, _SUP_TIME_NODES)
     sup_t = np.array([float(np.max(gap(t, ys))) for t in ts])
     if variant == "time_sup":
         return float(np.max(sup_t))
@@ -284,22 +272,22 @@ def _sup_distance(pair: CoefficientPair, T: float, gap, power: float,
 
 def distance_B_sup(pair: CoefficientPair, T: float, *,
                    variant: str = "time_integral", window: tuple | None = None,
-                   n_points: int = 10001, n_time: int = 65) -> float:
+                   n_points: int = 10001) -> float:
     """Sup-norm drift distance: either int_0^T ||b - b_tilde(s,.)||_inf ds or
     sup_t ||..||_inf, the sup taken over a declared compact window."""
     window = window or (pair.x0 - 10.0, pair.x0 + 10.0)
     return _sup_distance(pair, T, pair.drift_gap, 1.0, variant, window,
-                         n_points, n_time)
+                         n_points)
 
 
 def distance_S_sup(pair: CoefficientPair, alpha: float, T: float, *,
                    variant: str = "time_integral", window: tuple | None = None,
-                   n_points: int = 10001, n_time: int = 65) -> float:
+                   n_points: int = 10001) -> float:
     """Sup-norm jump distance: (int_0^T ||.||_inf^alpha ds)^(1/alpha) or
     sup_t ||.||_inf."""
     window = window or (pair.x0 - 10.0, pair.x0 + 10.0)
     return _sup_distance(pair, T, pair.jump_gap, alpha, variant, window,
-                         n_points, n_time)
+                         n_points)
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +304,7 @@ class BandFit:
 
 
 def comparability_band(pairs_fit, pairs_check, law: StableLaw, T: float,
-                       sim_config: SimConfig, slack: float = 0.25,
-                       grid: TimeGrid | None = None) -> BandFit:
+                       sim_config: SimConfig) -> BandFit:
     """Fit the density-bracketing band from calibration members and verify
     held-out members fall inside it.
 
@@ -329,20 +316,20 @@ def comparability_band(pairs_fit, pairs_check, law: StableLaw, T: float,
     def ratio(pair, index):
         frozen = DensityModel(mode="frozen_plain", law=law,
                               sigma_ref=pair.sigma, x0=pair.x0)
-        b_frozen = distance_B(pair, frozen, T, grid)
+        b_frozen = distance_B(pair, frozen, T)
         cfg = replace(sim_config,
                       stream_label=f"{sim_config.stream_label}-{index}")
         emp = DensityModel(mode="empirical", law=law, sigma_ref=pair.sigma,
                            x0=pair.x0, sim_config=cfg)
-        b_emp = distance_B(pair, emp, T, grid)
+        b_emp = distance_B(pair, emp, T)
         if b_frozen <= 0:
             raise DomainError("frozen-mode distance vanished; cannot form ratio")
         return b_emp / b_frozen
 
     fit = [ratio(p, i) for i, p in enumerate(pairs_fit)]
     held = [ratio(p, i + len(pairs_fit)) for i, p in enumerate(pairs_check)]
-    m = min(fit) / (1.0 + slack)
-    M = max(fit) * (1.0 + slack)
+    m = min(fit) / (1.0 + _BAND_SLACK)
+    M = max(fit) * (1.0 + _BAND_SLACK)
     ok = (0.0 < m <= M < 10.0) and all(m <= r <= M for r in held)
     return BandFit(ratios_fit=fit, ratios_held_out=held, m=m, M=M,
                    passes=bool(ok))

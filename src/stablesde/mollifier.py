@@ -36,6 +36,10 @@ from .stable import StableLaw, generator_apply
 _N_FAR_TERMS = 22
 _NEAR_ORDER = 18    # Gauss-Legendre nodes per near-field panel
 _NEAR_BATCH = 4     # points per near-field batch: ~10k nodes, so each array stays in cache
+_SHAPE_POINTS = 2001        # grid of the psi cap and sign checks, endpoints dropped
+_BOUND_SLACK = 1e-3         # relative slack of the sandwich and u' cap checks
+_KOMATSU_REL_TOL = 1e-2     # generator identity where psi > 0
+_KOMATSU_ABS_TOL = 1e-4     # generator identity where psi = 0
 
 
 def _bump_exp(t):
@@ -127,10 +131,10 @@ class Mollifier:
             np.linspace(a + rl, b - rh, 25),
             np.linspace(b - rh, b, 13)]))
 
-    def moments(self, n_terms: int = _N_FAR_TERMS) -> np.ndarray:
+    def moments(self) -> np.ndarray:
         nodes, wts = panel_nodes(self.base_edges(), order=24)
         pv = self.psi(nodes)
-        return np.array([np.sum(pv * nodes ** k * wts) for k in range(n_terms)])
+        return np.array([np.sum(pv * nodes ** k * wts) for k in range(_N_FAR_TERMS)])
 
 
 def build_mollifier(alpha: float, eps: float, delta: float, *,
@@ -315,7 +319,6 @@ class SmoothedDistance:
             grid = self._master_grid()
             u, up, upp = self._near_values(grid)
             self._cache = {
-                "grid": grid,
                 "u": CubicSpline(grid, u),
                 "up": CubicSpline(grid, up),
                 "upp": CubicSpline(grid, upp),
@@ -342,7 +345,7 @@ class SmoothedDistance:
                 out[near] = vals[{"u": 0, "up": 1, "upp": 2}[which]]
             else:
                 cache = self._ensure_cache()
-                out[near] = cache[{"u": "u", "up": "up", "upp": "upp"}[which]](x[near])
+                out[near] = cache[which](x[near])
         return out
 
     def u_eval(self, x):
@@ -374,12 +377,12 @@ class SmoothedDistance:
 # certifications
 # ---------------------------------------------------------------------------
 
-def certify_mollifier_shape(m: Mollifier, n_grid: int = 2001) -> Report:
+def certify_mollifier_shape(m: Mollifier) -> Report:
     """Unit integral and the pointwise cap psi <= 2/(x log delta)."""
     nodes, wts = panel_nodes(m.base_edges(), order=24)
     mass = float(np.sum(m.psi(nodes) * wts))
     a, b = m.support
-    grid = np.linspace(a, b, n_grid)[1:-1]
+    grid = np.linspace(a, b, _SHAPE_POINTS)[1:-1]
     capped = m.psi(grid) * grid * math.log(m.delta)
     rows = [
         CheckRow("psi_unit_mass", "integral of psi over [eps/delta, eps] = 1",
@@ -394,10 +397,10 @@ def certify_mollifier_shape(m: Mollifier, n_grid: int = 2001) -> Report:
     return Report(name="mollifier_shape",
                   params={"alpha": m.alpha, "eps": m.eps, "delta": m.delta,
                           "rho": m.rho, "psi_normalizer": m.psi_normalizer},
-                  checks=rows, grid={"n_points": n_grid})
+                  checks=rows, grid={"n_points": _SHAPE_POINTS})
 
 
-def certify_sandwich(s: SmoothedDistance, grid, rel_slack: float = 1e-3) -> Report:
+def certify_sandwich(s: SmoothedDistance, grid) -> Report:
     """Two-sided bounds |x|^(a-1) <= eps^(a-1) + u(x) and
     u(x) <= |x|^(a-1) + eps^(a-1) on the grid."""
     grid = np.asarray(grid, dtype=float)
@@ -413,14 +416,14 @@ def certify_sandwich(s: SmoothedDistance, grid, rel_slack: float = 1e-3) -> Repo
     rows = [
         CheckRow("u_lower_sandwich",
                  "|x|^(a-1) <= eps^(a-1) + u(x)",
-                 float(lower_margin.min()), -rel_slack,
-                 float(lower_margin.min()) + rel_slack,
-                 bool(lower_margin.min() >= -rel_slack)),
+                 float(lower_margin.min()), -_BOUND_SLACK,
+                 float(lower_margin.min()) + _BOUND_SLACK,
+                 bool(lower_margin.min() >= -_BOUND_SLACK)),
         CheckRow("u_upper_sandwich",
                  "u(x) <= |x|^(a-1) + eps^(a-1)",
-                 float(upper_margin.min()), -rel_slack,
-                 float(upper_margin.min()) + rel_slack,
-                 bool(upper_margin.min() >= -rel_slack)),
+                 float(upper_margin.min()), -_BOUND_SLACK,
+                 float(upper_margin.min()) + _BOUND_SLACK,
+                 bool(upper_margin.min() >= -_BOUND_SLACK)),
     ]
     return Report(name="sandwich",
                   params={"alpha": a, "eps": s.mollifier.eps,
@@ -444,21 +447,20 @@ def derivative_bound_rhs(s: SmoothedDistance, x):
     return np.where(np.abs(x) <= 2.0 * eps, inside_cap, outside_cap)
 
 
-def certify_derivative_bound(s: SmoothedDistance, grid,
-                             rel_slack: float = 1e-3) -> Report:
+def certify_derivative_bound(s: SmoothedDistance, grid) -> Report:
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise DomainError("certification grid must be non-empty")
     up = np.abs(s.u_prime_exact(grid))
     rhs = derivative_bound_rhs(s, grid)
-    margin = (rhs * (1.0 + rel_slack) - up) / rhs
+    margin = (rhs * (1.0 + _BOUND_SLACK) - up) / rhs
     worst = float(margin.min())
     i_worst = int(np.argmin(margin))
     rows = [CheckRow(
         "u_prime_cap",
         "|u'(x)| <= 2^(2-a)(a-1)|x|^(a-2) outside [-2eps,2eps]; "
         "<= 2^(3-a) delta (1-1/delta)^(a-1) / (eps^(2-a) log delta) inside",
-        float(up[i_worst]), float(rhs[i_worst] * (1.0 + rel_slack)),
+        float(up[i_worst]), float(rhs[i_worst] * (1.0 + _BOUND_SLACK)),
         worst, bool(worst >= 0.0),
         context={"x_worst": float(grid[i_worst])})]
     return Report(name="derivative_bound",
@@ -491,8 +493,7 @@ def komatsu_identity_residual(s: SmoothedDistance, law: StableLaw,
     return abs(lhs - rhs)
 
 
-def certify_komatsu(s: SmoothedDistance, law: StableLaw, thetas,
-                    rel_tol: float = 1e-2, abs_tol: float = 1e-4) -> Report:
+def certify_komatsu(s: SmoothedDistance, law: StableLaw, thetas) -> Report:
     """Identity L_alpha u = C psi over a theta grid: relative tolerance where
     psi > 0, absolute tolerance where psi = 0."""
     rows = []
@@ -503,14 +504,15 @@ def certify_komatsu(s: SmoothedDistance, law: StableLaw, thetas,
             rows.append(CheckRow(
                 "generator_identity_on_support",
                 "relative |L u(theta) - C psi(theta)| / (C psi(theta)) <= rel_tol",
-                resid / rhs, rel_tol, rel_tol - resid / rhs,
-                bool(resid / rhs <= rel_tol),
+                resid / rhs, _KOMATSU_REL_TOL, _KOMATSU_REL_TOL - resid / rhs,
+                bool(resid / rhs <= _KOMATSU_REL_TOL),
                 context={"theta": float(theta)}))
         else:
             rows.append(CheckRow(
                 "generator_identity_off_support",
                 "|L u(theta)| <= abs_tol where psi(theta) = 0",
-                resid, abs_tol, abs_tol - resid, bool(resid <= abs_tol),
+                resid, _KOMATSU_ABS_TOL, _KOMATSU_ABS_TOL - resid,
+                bool(resid <= _KOMATSU_ABS_TOL),
                 context={"theta": float(theta)}))
     return Report(name="generator_identity",
                   params={"alpha": s.alpha, "eps": s.mollifier.eps,

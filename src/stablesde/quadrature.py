@@ -18,7 +18,7 @@ from .errors import DomainError
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and limits for the adaptive integrals of a law or mollifier.
+    """Tolerances and limits for the adaptive integrals of the stable law.
 
     oscillatory_cutoff is the |x| beyond which the stable density switches
     from cosine-transform quadrature to the power-law tail series.
@@ -28,14 +28,6 @@ class QuadratureSpec:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
     oscillatory_cutoff: float = 20.0
-
-    def __post_init__(self):
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be >= 1")
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise DomainError("abs_tol and rel_tol must be > 0")
-        if self.oscillatory_cutoff <= 0:
-            raise DomainError("oscillatory_cutoff must be > 0")
 
 
 @lru_cache(maxsize=16)
@@ -60,7 +52,7 @@ def panel_rule(lo, hi, order: int):
     return mid[:, None] + half[:, None] * gx[None, :], half[:, None] * gw[None, :]
 
 
-def panel_nodes(edges: np.ndarray, order: int = 16):
+def panel_nodes(edges: np.ndarray, order: int):
     """Gauss-Legendre nodes/weights for the kept panels between consecutive
     `edges`, flattened panel by panel."""
     edges = np.asarray(edges, dtype=float)
@@ -75,8 +67,8 @@ def graded_fracs(n_levels: int, ratio: float) -> np.ndarray:
     return np.concatenate([[0.0], ratio ** np.arange(n_levels, -1, -1.0)])
 
 
-def graded_edges(a: float, b: float, toward: float, n_levels: int = 24,
-                 ratio: float = 0.5) -> np.ndarray:
+def graded_edges(a: float, b: float, toward: float, n_levels: int,
+                 ratio: float) -> np.ndarray:
     """Panel edges on [a, b] geometrically graded toward the endpoint `toward`.
 
     Used to resolve endpoint singularities of |x - y|^(alpha-2) kernels; the

@@ -227,7 +227,9 @@ class TailEstimate:
     wilson_high: float
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.959963984540054):
+def wilson_interval(successes: int, n: int):
+    """95% Wilson score interval of a binomial proportion."""
+    z = 1.959963984540054
     if n == 0:
         return 0.0, 1.0
     phat = successes / n

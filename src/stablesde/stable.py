@@ -34,6 +34,7 @@ from .quadrature import QuadratureSpec, graded_edges, panel_nodes, refine_edges
 from .rng import RngStream
 
 _TAIL_KMAX = 80
+_MASS_WINDOW = 100.0    # density_total_mass integrates g over [-R, R] with this R
 
 
 @dataclass(frozen=True)
@@ -56,15 +57,14 @@ class StableLaw:
         return (18.0 * math.log(10.0)) ** (1.0 / self.alpha)
 
 
-def make_stable_law(alpha: float, quadrature: QuadratureSpec | None = None) -> StableLaw:
+def make_stable_law(alpha: float) -> StableLaw:
     """Build the law; rejects alpha outside the open interval (1, 2)."""
     alpha = float(alpha)
     if not (1.0 < alpha < 2.0):
         raise DomainError(f"alpha must lie strictly in (1, 2), got {alpha}")
     c_alpha = math.gamma(alpha + 1.0) * math.sin(alpha * math.pi / 2.0) / math.pi
     big_c = -2.0 * math.gamma(alpha) * math.cos(alpha * math.pi / 2.0)
-    return StableLaw(alpha=alpha, c_alpha=c_alpha, big_C_alpha=big_c,
-                     density_quadrature=quadrature or QuadratureSpec())
+    return StableLaw(alpha=alpha, c_alpha=c_alpha, big_C_alpha=big_c)
 
 
 # ---------------------------------------------------------------------------
@@ -198,16 +198,16 @@ def stable_cdf(law: StableLaw, x) -> float:
     return 0.5 + (i1 + i2) / math.pi
 
 
-def density_total_mass(law: StableLaw, window: float = 100.0) -> float:
+def density_total_mass(law: StableLaw) -> float:
     """int_{-R}^{R} g plus the first-order analytic tail 2 c_alpha R^(-alpha)/alpha."""
     spec = law.density_quadrature
     cut = spec.oscillatory_cutoff
     body, _ = integrate.quad(lambda y: stable_density(law, y), 0.0, cut,
                              epsabs=1e-11, epsrel=1e-11, limit=spec.max_subdivisions)
-    tail_body, _ = integrate.quad(lambda y: stable_density(law, y), cut, window,
+    tail_body, _ = integrate.quad(lambda y: stable_density(law, y), cut, _MASS_WINDOW,
                                   epsabs=1e-12, epsrel=1e-11,
                                   limit=spec.max_subdivisions)
-    analytic_tail = law.c_alpha * window ** (-law.alpha) / law.alpha
+    analytic_tail = law.c_alpha * _MASS_WINDOW ** (-law.alpha) / law.alpha
     return 2.0 * (body + tail_body + analytic_tail)
 
 
@@ -279,15 +279,11 @@ def sample_increments(law: StableLaw, dt: float, n: int, stream: RngStream) -> n
     return dt ** (1.0 / a) * xi
 
 
-def sample_increment(law: StableLaw, dt: float, stream: RngStream) -> float:
-    return float(sample_increments(law, dt, 1, stream)[0])
-
-
 # ---------------------------------------------------------------------------
 # generator
 # ---------------------------------------------------------------------------
 
-def _second_difference_route(law, f, x, f2, breakpoints, far_range):
+def _second_difference_route(law, f, x, f2, breakpoints):
     a = law.alpha
     spec = law.density_quadrature
     y0 = min(1e-4 * (1.0 + abs(x)), 0.5)
@@ -305,7 +301,7 @@ def _second_difference_route(law, f, x, f2, breakpoints, far_range):
         return (f(x + y) + f(x - y) - 2.0 * fx) * y ** (-1.0 - a)
 
     pts = sorted({abs(b - x) for b in breakpoints} | {abs(b + x) for b in breakpoints})
-    y1 = far_range or 50.0
+    y1 = 50.0
     y2 = 40.0 * y1
     mid_pts = [p for p in pts if y0 < p < 1.0]
     mid, e1 = integrate.quad(integrand, y0, 1.0, points=mid_pts or None,
@@ -340,7 +336,7 @@ def _second_difference_route(law, f, x, f2, breakpoints, far_range):
     return val
 
 
-def _second_derivative_route(law, f2, x, breakpoints, far_range):
+def _second_derivative_route(law, f2, x, breakpoints):
     """L f(x) = c_alpha/(alpha(alpha-1)) * int f''(x+t) |t|^(1-alpha) dt.
 
     Exact for C^2 f whose first derivative grows slower than |x|^(alpha-1)
@@ -353,7 +349,7 @@ def _second_derivative_route(law, f2, x, breakpoints, far_range):
     Gauss-Legendre panels resolve the features announced via breakpoints.
     """
     a = law.alpha
-    tf = far_range or 60.0 * (1.0 + abs(x))
+    tf = 60.0 * (1.0 + abs(x))
     brk = sorted({float(b) - x for b in breakpoints} | {0.0})
     seg = np.array([-tf] + [b for b in brk if -tf < b < tf] + [tf])
 
@@ -389,7 +385,7 @@ def _second_derivative_route(law, f2, x, breakpoints, far_range):
 
 
 def generator_apply(law: StableLaw, f, x: float, *, f2=None, breakpoints=(),
-                    method: str = "second_difference", far_range=None) -> float:
+                    method: str = "second_difference") -> float:
     """Numerical value of the generator L_alpha applied to f at x.
 
     f must be evaluable near x with at most linear growth. The default route
@@ -403,7 +399,7 @@ def generator_apply(law: StableLaw, f, x: float, *, f2=None, breakpoints=(),
     if method == "second_derivative":
         if f2 is None:
             raise DomainError("second_derivative route requires f2")
-        return _second_derivative_route(law, f2, float(x), breakpoints, far_range)
+        return _second_derivative_route(law, f2, float(x), breakpoints)
     if method != "second_difference":
         raise DomainError(f"unknown generator method {method!r}")
-    return _second_difference_route(law, f, float(x), f2, breakpoints, far_range)
+    return _second_difference_route(law, f, float(x), f2, breakpoints)

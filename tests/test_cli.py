@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stablesde.cli import _COMMANDS, _SCHEMA, load_config, main
+from stablesde.errors import NumericError
 from stablesde.report import validate_report
 
 
@@ -177,6 +178,9 @@ class TestConfigParsing:
          "cap violated"),
         (None, "--h 0", 3, "tail threshold h"),
         (None, "--h -1", 3, "tail threshold h"),
+        # the Euler guard's NumericError carries no estimate to print
+        ("simulate", "--set sim.x_clip=0.05 --set sim.n_paths=2000 --set sim.n_steps=64 "
+                     "--set sim.seed=9", 4, "x_clip=0.05"),
     ])
     def test_bad_input_exits_with_one_line(self, tmp_path, command, args, code,
                                            needle):
@@ -191,8 +195,20 @@ class TestConfigParsing:
         rc, err = run_quiet(argv + args.split())
         assert rc == code
         assert len(err) == 1
-        assert err[0].startswith("config error: " if code == 2 else "domain error: ")
+        assert err[0].startswith({2: "config error: ", 3: "domain error: ",
+                                  4: "numeric failure: "}[code])
         assert needle in err[0]
+        assert "estimate=None" not in err[0]
+
+    def test_numeric_failure_prints_its_estimate(self, tmp_path, monkeypatch):
+        def fail(cfg, law, out, dump_paths):
+            raise NumericError("x", estimate=0.5, error_bound=0.1)
+
+        monkeypatch.setitem(_COMMANDS, "simulate", fail)
+        cfg = write_cfg(tmp_path, {"command": "simulate", **TINY["simulate"]})
+        rc, err = run_quiet(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 4
+        assert err == ["numeric failure: x (estimate=0.5, error_bound=0.1)"]
 
     def test_number_list_entries_kept_as_written(self, tmp_path):
         """A checked list of numbers is not coerced: integer entries reach
@@ -336,15 +352,19 @@ class TestPinnedOutputs:
     ROOT = Path(__file__).resolve().parents[1]
     # step label -> (workload, its --set overrides in perfbench/workloads.py)
     STEPS = {"frozen": ("density", ""), "mollifier": ("density", ""),
+             "density": ("density", ""),
              "converge": ("euler", "sim.n_paths=8192 sim.n_steps=200"),
              "empirical": ("euler", "distances.model=empirical sim.T=1.0 "
-                                    "sim.n_steps=400 sim.n_paths=20000 sim.seed=2718")}
+                                    "sim.n_steps=400 sim.n_paths=20000 sim.seed=2718"),
+             "sweep": ("euler", "sweep.params.n_stop=2")}
 
     @pytest.mark.parametrize("label, config", [
         ("frozen", "configs/distances_drift_bump.json"),
         ("mollifier", "configs/certify_mollifier.json"),
+        ("density", "configs/certify_density.json"),
         ("converge", "configs/converge_mollified_drift.json"),
         ("empirical", "configs/distances_drift_bump.json"),
+        ("sweep", "configs/sweep_jump_bump.json"),
     ])
     def test_sha256_matches_pin(self, tmp_path, label, config):
         workload, overrides = self.STEPS[label]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import stablesde as ss
 from stablesde.coefficients import make_pair
 from stablesde import measures
-from stablesde.measures import DensityModel, TimeGrid, default_time_grid
+from stablesde.measures import DensityModel
 
 G0_15 = 0.28735275145216445
 
@@ -59,7 +59,7 @@ class TestFrozenDensity:
 
     def test_mass_near_one_on_time_grid(self, law15, gentle_model):
         _, model = gentle_model
-        for t in default_time_grid(1.5, n_nodes=8).nodes(1.0)[1:]:
+        for t in measures._time_grid(1.0, 1.5, 8)[1:]:
             mass = ss.frozen_density_mass(model, float(t), (0.95, 1.05))
             assert abs(mass - 1.0) < 1e-3
 
@@ -244,8 +244,7 @@ class TestSupDistances:
 
 class TestTimeGrid:
     def test_nodes_graded(self):
-        grid = TimeGrid(n_nodes=10, gamma=1.5)
-        nodes = grid.nodes(2.0)
+        nodes = measures._time_grid(2.0, 1.5, 10)
         assert nodes[0] == 0.0 and nodes[-1] == 2.0
         assert np.all(np.diff(nodes) > 0)
         # grading concentrates nodes near zero
@@ -253,9 +252,7 @@ class TestTimeGrid:
 
     def test_validation(self):
         with pytest.raises(ss.DomainError):
-            TimeGrid(n_nodes=1)
-        with pytest.raises(ss.DomainError):
-            TimeGrid(gamma=0.0)
+            measures._time_grid(1.0, 1.5, 1)
 
 
 class TestRegularity:

@@ -70,7 +70,7 @@ class TestConstruction:
     @settings(max_examples=15, deadline=None)
     def test_mass_and_cap_property(self, eps, delta, alpha):
         m = ss.build_mollifier(alpha, eps, delta)
-        rep = ss.certify_mollifier_shape(m, n_grid=501)
+        rep = ss.certify_mollifier_shape(m)
         assert rep.passed
 
 
