@@ -266,7 +266,7 @@ def _cmd_simulate(cfg, law, out: Path, dump_paths: bool) -> Report:
     alpha = law.alpha
     pair = _catalog(cfg, "coefficients", alpha)
     sim = _sim_config(cfg, keep_paths=dump_paths)
-    ens = simulate_coupled(sim, pair, law)
+    ens = simulate_coupled(sim, pair, law, digest=True)
     curve = distance_moment_curve(ens, alpha - 1.0)
     rows = [[t, mu, se] for t, mu, se in
             zip(curve.times, curve.mean, curve.stderr)]

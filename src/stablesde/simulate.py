@@ -12,8 +12,11 @@ path. A path is flagged as soon as any leg goes non-finite or leaves
 paths are left out of every statistic.
 
 Paths are simulated in fixed 4096-column blocks, each block owning a
-counter-based substream keyed by (seed, stream label, block index):
-results are independent of execution order and worker count.
+counter-based substream keyed by (seed, stream label, block index). The
+blocks of a run execute on a thread pool with one thread per CPU the process
+may use; each block samples its own increments and writes only its own
+columns of the outputs, so every output array is bitwise the same for any
+thread count and any schedule.
 
 Per-path state that the functionals need (running maxima, the distance
 between neighbouring legs at a retained time subgrid, final values) is
@@ -25,6 +28,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -84,15 +90,21 @@ class LegEnsemble:
         return ~self.flagged
 
 
-def _blocks(config: SimConfig, law: StableLaw):
-    """Yield (column slice, increments of shape (n_steps, block width)) per
-    path block; block j draws from the substream (seed, stream_label, j)."""
+def _blocks(config: SimConfig):
+    """Yield (block index j, column slice, substream (seed, stream_label, j))
+    per path block."""
     root = RngStream(config.seed)
-    dt = config.T / config.n_steps
-    for b0 in range(0, config.n_paths, _BLOCK_SIZE):
-        cols = slice(b0, min(b0 + _BLOCK_SIZE, config.n_paths))
-        stream = root.substream(config.stream_label, b0 // _BLOCK_SIZE)
-        yield cols, sample_increments(law, dt, (config.n_steps, cols.stop - b0), stream)
+    for j, b0 in enumerate(range(0, config.n_paths, _BLOCK_SIZE)):
+        yield (j, slice(b0, min(b0 + _BLOCK_SIZE, config.n_paths)),
+               root.substream(config.stream_label, j))
+
+
+def _workers() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def simulate_legs(config: SimConfig, law: StableLaw, legs, integrands=(),
@@ -102,8 +114,11 @@ def simulate_legs(config: SimConfig, law: StableLaw, legs, integrands=(),
 
     Each integrand f(t, x) is summed along leg 0 into its own row of
     `integral` (left-endpoint rule in time, matching the Euler grid); digest
-    hashes the increments.
-    Deterministic for fixed (seed, config, legs).
+    hashes the increments of every block in block order. Blocks run on
+    _workers() threads, so legs and integrands must be safe to call
+    concurrently. If a block raises, the first such exception in block order
+    is raised and blocks not yet started are cancelled.
+    Deterministic for fixed (seed, config, legs), whatever the thread count.
     """
     n, npth, nl = config.n_steps, config.n_paths, len(legs)
     dt = config.T / n
@@ -119,11 +134,11 @@ def simulate_legs(config: SimConfig, law: StableLaw, legs, integrands=(),
         final=np.empty((nl, npth)), flagged=np.zeros(npth, dtype=bool),
         integral=np.zeros((len(integrands), npth)),
         paths=np.empty((nl, n + 1, npth)) if config.keep_paths else None)
-    hasher = hashlib.blake2b(digest_size=16) if digest else None
 
-    for cols, dz in _blocks(config, law):
-        if hasher is not None:
-            hasher.update(np.ascontiguousarray(dz).tobytes())
+    def euler_block(cols: slice, stream: RngStream):
+        """Simulate one block into its columns of run; return its increments
+        when they are to be hashed."""
+        dz = sample_increments(law, dt, (n, cols.stop - cols.start), stream)
         x = np.repeat(x0, dz.shape[1], axis=1)   # leg states, stepped in place
         # views into the outputs, updated in place
         flagged, tot = run.flagged[cols], run.integral[:, cols]
@@ -148,8 +163,22 @@ def simulate_legs(config: SimConfig, law: StableLaw, legs, integrands=(),
                 xj[...] = xj + drift(t_k, xj) * dt + jump(t_k, xj) * dz[k]
                 flagged |= ~np.isfinite(xj) | (np.abs(xj) > config.x_clip)
             np.copyto(x, np.nan, where=flagged)
-
         run.final[:, cols] = x
+        return dz if digest else None
+
+    hasher = hashlib.blake2b(digest_size=16) if digest else None
+    with ThreadPoolExecutor(max_workers=_workers()) as pool:
+        pending = deque(pool.submit(euler_block, cols, stream)
+                        for _, cols, stream in _blocks(config))
+        try:
+            # in block order; popleft drops each block's increments once hashed
+            while pending:
+                dz = pending.popleft().result()
+                if hasher is not None:
+                    hasher.update(dz)
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
     if run.n_flagged > 0.01 * npth:
         raise NumericError(
@@ -161,13 +190,13 @@ def simulate_legs(config: SimConfig, law: StableLaw, legs, integrands=(),
 
 
 def simulate_coupled(config: SimConfig, pair: CoefficientPair,
-                     law: StableLaw) -> LegEnsemble:
+                     law: StableLaw, digest: bool = False) -> LegEnsemble:
     """The baseline leg (x0, b, sigma) and the perturbed leg (x0_tilde,
     b_tilde, sigma_tilde) on the shared increments, with the increments
-    digest; deterministic for fixed (seed, config, pair)."""
+    digest if asked; deterministic for fixed (seed, config, pair)."""
     legs = [(pair.x0, lambda t, x: pair.b(x), lambda t, x: pair.sigma(x)),
             (pair.x0_tilde, pair.b_tilde, pair.sigma_tilde)]
-    return simulate_legs(config, law, legs, digest=True)
+    return simulate_legs(config, law, legs, digest=digest)
 
 
 def simulate_baseline_average(config: SimConfig, law: StableLaw, b, sigma,
@@ -301,7 +330,10 @@ def self_similarity_slope(law: StableLaw, horizons, config: SimConfig) -> tuple:
     medians = []
     for i, T in enumerate(horizons):
         cfg = replace(config, T=float(T), stream_label=f"selfsim-{i}")
-        sums = [np.abs(dz.sum(axis=0)) for _, dz in _blocks(cfg, law)]
+        dt = cfg.T / cfg.n_steps
+        sums = [np.abs(sample_increments(
+                    law, dt, (cfg.n_steps, cols.stop - cols.start), stream).sum(axis=0))
+                for _, cols, stream in _blocks(cfg)]
         medians.append(float(np.median(np.concatenate(sums))))
     slope, _, se = ols_loglog(np.asarray(horizons, dtype=float), np.asarray(medians))
     return slope, se, medians

@@ -271,12 +271,26 @@ def sample_increments(law: StableLaw, dt: float, n: int, stream: RngStream) -> n
     if dt <= 0:
         raise DomainError("dt must be > 0")
     a = law.alpha
-    u = stream.uniform(n)
+    # Chambers-Mallows-Stuck,
+    #   xi = sin(a theta) / cos(theta)^(1/a) * (cos((a-1) theta) / w)^((1-a)/a),
+    # in three buffers: every operation takes the operands and order of the
+    # expression as written, so the bits are those of evaluating it directly
+    theta = stream.uniform(n)
     w = stream.exponential(n)
-    theta = np.pi * (u - 0.5)
-    xi = (np.sin(a * theta) / np.cos(theta) ** (1.0 / a)
-          * (np.cos((a - 1.0) * theta) / w) ** ((1.0 - a) / a))
-    return dt ** (1.0 / a) * xi
+    np.subtract(theta, 0.5, out=theta)
+    np.multiply(np.pi, theta, out=theta)
+    xi = np.multiply(a - 1.0, theta)
+    np.cos(xi, out=xi)
+    np.divide(xi, w, out=w)
+    w **= (1.0 - a) / a
+    np.multiply(a, theta, out=xi)
+    np.sin(xi, out=xi)
+    np.cos(theta, out=theta)
+    theta **= 1.0 / a
+    np.divide(xi, theta, out=xi)
+    np.multiply(xi, w, out=xi)
+    np.multiply(dt ** (1.0 / a), xi, out=xi)
+    return xi
 
 
 # ---------------------------------------------------------------------------

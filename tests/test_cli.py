@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stablesde import simulate
 from stablesde.cli import _COMMANDS, _SCHEMA, load_config, main
-from stablesde.errors import NumericError
+from stablesde.errors import DomainError, NumericError
 from stablesde.report import validate_report
 
 
@@ -199,6 +200,37 @@ class TestConfigParsing:
                                   4: "numeric failure: "}[code])
         assert needle in err[0]
         assert "estimate=None" not in err[0]
+
+    @pytest.mark.parametrize("error, code", [(DomainError, 3), (NumericError, 4)])
+    def test_block_failure_exits_with_one_line(self, tmp_path, monkeypatch,
+                                               error, code):
+        """An error raised by one path block on a worker thread reaches the
+        exit-code handlers like one raised on the main thread."""
+        real = simulate.sample_increments
+
+        def fail_last_block(law, dt, n, stream):
+            if n[1] == 123:
+                raise error("block sampler failed")
+            return real(law, dt, n, stream)
+
+        monkeypatch.setattr(simulate, "sample_increments", fail_last_block)
+        cfg = write_cfg(tmp_path, {"command": "simulate", **TINY["simulate"]})
+        rc, err = run_quiet(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                             "--set", "sim.n_paths=4219"])
+        assert rc == code
+        assert len(err) == 1 and "block sampler failed" in err[0]
+
+    def test_simulate_digest_pinned(self, tmp_path):
+        """The increments digest in simulate's report.json, hashed over two
+        blocks in block order (value pinned before the blocks ran on
+        threads)."""
+        cfg = write_cfg(tmp_path, {
+            "command": "simulate", "law": {"alpha": 1.5},
+            "coefficients": {"name": "jump_bump", "params": {"amp": 0.3}},
+            "sim": {"T": 1.0, "n_steps": 16, "n_paths": 4219, "seed": 2024}})
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        params = json.loads((tmp_path / "o" / "report.json").read_text())["params"]
+        assert params["digest"] == "0a5809dedf870aeb549840e17960521e"
 
     def test_numeric_failure_prints_its_estimate(self, tmp_path, monkeypatch):
         def fail(cfg, law, out, dump_paths):

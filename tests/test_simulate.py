@@ -1,5 +1,7 @@
 """Coupled simulation: determinism, coupling exactness, functionals."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 import stablesde as ss
 from stablesde.coefficients import make_pair
+from stablesde import simulate
 from stablesde.simulate import SimConfig, wilson_interval
 
 
@@ -56,11 +59,16 @@ class TestCoupling:
 
     def test_bit_reproducible(self, law15, small_cfg):
         pair = make_pair("jump_bump", 1.5, {"amp": 0.3})
-        a = ss.simulate_coupled(small_cfg, pair, law15)
-        b = ss.simulate_coupled(small_cfg, pair, law15)
+        a = ss.simulate_coupled(small_cfg, pair, law15, digest=True)
+        b = ss.simulate_coupled(small_cfg, pair, law15, digest=True)
         assert np.array_equal(a.abs_diff, b.abs_diff)
         assert np.array_equal(a.final[0], b.final[0])
+        assert a.increments_digest is not None
         assert a.increments_digest == b.increments_digest
+
+    def test_digest_only_on_request(self, law15, small_cfg):
+        pair = make_pair("jump_bump", 1.5, {"amp": 0.3})
+        assert ss.simulate_coupled(small_cfg, pair, law15).increments_digest is None
 
     def test_block_structure_does_not_change_results_with_path_count(
             self, law15):
@@ -193,3 +201,62 @@ class TestGuards:
         cfg = SimConfig(T=0.5, n_steps=8, n_paths=64, seed=seed)
         ens = ss.simulate_coupled(cfg, make_pair("identical", 1.5, {}), law)
         assert ens.y_max.max() == 0.0
+
+
+class TestThreadedBlocks:
+    """Blocks run on a thread pool; outputs must not depend on its size."""
+
+    RAGGED = 3 * 4096 + 123
+
+    def _run(self, monkeypatch, n_threads, **cfg):
+        monkeypatch.setattr(simulate, "_workers", lambda: n_threads)
+        law = ss.make_stable_law(1.5)
+        pair = make_pair("jump_bump", 1.5, {"amp": 0.3})
+        legs = [(pair.x0, lambda t, x: pair.b(x), lambda t, x: pair.sigma(x)),
+                (pair.x0_tilde, pair.b_tilde, pair.sigma_tilde),
+                (pair.x0 + 0.1, pair.b_tilde, pair.sigma_tilde)]
+        config = SimConfig(T=1.0, n_steps=24, n_paths=self.RAGGED, seed=8080,
+                           **cfg)
+        return simulate.simulate_legs(config, law, legs,
+                                      integrands=[lambda t, x: np.abs(x) ** 0.5],
+                                      digest=True)
+
+    @pytest.mark.parametrize("cfg", [{"keep_paths": True}, {"x_clip": 25.0}],
+                             ids=["keep_paths", "clipped"])
+    def test_one_and_two_threads_bitwise_equal(self, monkeypatch, cfg):
+        one = self._run(monkeypatch, 1, **cfg)
+        two = self._run(monkeypatch, 2, **cfg)
+        if "x_clip" in cfg:
+            assert 0 < one.n_flagged <= 0.01 * self.RAGGED
+        for name in ("abs_diff", "y_max", "abs_max", "final", "flagged",
+                     "integral", "paths"):
+            a, b = getattr(one, name), getattr(two, name)
+            if a is None:
+                assert b is None
+                continue
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+        assert one.increments_digest == two.increments_digest
+
+    def test_block_error_is_raised_and_pending_blocks_cancelled(self, monkeypatch):
+        """The exception a block raises reaches the caller as the same
+        object; blocks that had not started never run."""
+        monkeypatch.setattr(simulate, "_workers", lambda: 1)
+        err = RuntimeError("drift failed")
+        starts = []
+
+        def drift(t, x):
+            if t == 0.0:
+                starts.append(x.size)
+                if len(starts) == 1:
+                    raise err
+                time.sleep(0.2)     # lets the caller cancel the queued blocks
+            return np.zeros_like(x)
+
+        law = ss.make_stable_law(1.5)
+        config = SimConfig(T=1.0, n_steps=2, n_paths=8 * 4096, seed=1)
+        with pytest.raises(RuntimeError) as info:
+            simulate.simulate_legs(config, law, [(0.0, drift, lambda t, x: 1.0)])
+        assert info.value is err
+        # block 0 raised; at most the block already taken by the worker ran
+        assert 1 <= len(starts) <= 2

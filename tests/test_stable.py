@@ -156,6 +156,24 @@ class TestSampler:
         b = ss.sample_increments(law15, 1.0, 64, ss.RngStream(7).substream("b"))
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("alpha", [1.01, 1.2, 1.5, 1.8, 1.99])
+    @pytest.mark.parametrize("shape", [1001, (7, 13), (500, 4096)])
+    def test_matches_cms_expression(self, alpha, shape):
+        """The in-place sampler is bitwise the Chambers-Mallows-Stuck
+        expression evaluated directly."""
+        law = ss.make_stable_law(alpha)
+        dt = 0.37
+        stream = ss.RngStream(31).substream("cms", alpha)
+        u = stream.uniform(shape)
+        w = stream.exponential(shape)
+        theta = np.pi * (u - 0.5)
+        xi = (np.sin(alpha * theta) / np.cos(theta) ** (1.0 / alpha)
+              * (np.cos((alpha - 1.0) * theta) / w) ** ((1.0 - alpha) / alpha))
+        want = dt ** (1.0 / alpha) * xi
+        got = ss.sample_increments(law, dt, shape, ss.RngStream(31).substream("cms", alpha))
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
     def test_dt_domain(self, law15):
         with pytest.raises(ss.DomainError):
             ss.sample_increments(law15, 0.0, 1, ss.RngStream(1))
