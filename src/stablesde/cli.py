@@ -67,13 +67,17 @@ _SCHEMA = {
 }
 
 
+def _reject_constant(name: str):  # json.loads meets NaN, Infinity or -Infinity
+    raise ConfigError(f"{name} is not strict JSON")
+
+
 def load_config(path: str, overrides) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -94,7 +98,7 @@ def _apply_override(cfg: dict, dotted: str, raw: str) -> None:
         if not isinstance(node, dict):
             raise ConfigError(f"override path {dotted!r} crosses a non-object")
     try:
-        value = json.loads(raw)
+        value = json.loads(raw, parse_constant=_reject_constant)
     except json.JSONDecodeError:
         value = raw
     node[parts[-1]] = value
@@ -237,9 +241,8 @@ def _cmd_distances(cfg, law, out: Path, dump_paths: bool) -> Report:
     pair = _catalog(cfg, "coefficients", alpha)
     T = _value(cfg, "distances", "T")
     mode = _value(cfg, "distances", "model")
-    sim_config = _sim_config(cfg) if mode == "empirical" else None
-    model = DensityModel(mode=mode, law=law, sigma_ref=pair.sigma, x0=pair.x0,
-                         sim_config=sim_config, **_given(cfg, "distances", "M"))
+    model = DensityModel(mode=mode, law=law, **_given(cfg, "distances", "M"),
+                         sim_config=_sim_config(cfg) if mode == "empirical" else None)
     window = tuple(_value(cfg, "distances", "sup_window") or (pair.x0 - 10.0, pair.x0 + 10.0))
     n_pts = _value(cfg, "distances", "sup_points")
     variant = _value(cfg, "distances", "variant")
@@ -317,12 +320,11 @@ def _cmd_sweep(cfg, law, out: Path, dump_paths: bool) -> Report:
     if all(r.S > 0 for r in res.rows):
         write_plotdata(out / "plotdata" / "S_vs_scale.tsv", "scale", "S",
                        [r.scale for r in res.rows], [r.S for r in res.rows])
+    failures = float(res.out_of_sample_failures)
     checks = [CheckRow("bound_out_of_sample",
                        "D_n <= C_fit * bound_n on non-calibration rows",
-                       float(sum(not r.satisfied for i, r in enumerate(res.rows)
-                                 if i != res.calibration_index
-                                 and not r.assumption_flag)),
-                       0.0, 0.0, res.bound_satisfied_out_of_sample)]
+                       failures, 0.0, 0.0 - failures,
+                       res.bound_satisfied_out_of_sample)]
     for r in res.rows:
         for te in r.tails:
             checks.append(CheckRow(

@@ -5,12 +5,13 @@ The distance functionals weight the pointwise coefficient gaps by where the
 baseline process actually lives. The true transition density is not
 available; the default model is the frozen-coefficient density
 
-    p0_t(x0, y) = g((y - x0) / (t sigma(y)^alpha... )^(1/alpha)) / (t^(1/alpha) sigma(y)^(1/alpha)),
+    p0_t(x0, y) = g((y - x0) / s) / s,   s = t^(1/alpha) sigma(y)^(1/alpha),
 
-which brackets the true density within constant factors [m, M]. The
-empirical mode instead averages the gap along simulated baseline paths,
-which estimates the distance under the true (discretized) law; the two are
-expected to agree up to the bracketing constants, not exactly.
+with g the stable density, and sigma and x0 those of the pair's baseline. It
+brackets the true density within constant factors [m, M]. The empirical mode
+instead averages the gap along simulated baseline paths, which estimates the
+distance under the true (discretized) law; the two are expected to agree up
+to the bracketing constants, not exactly.
 
 Space integrals run over an explicit window around x0 with a power-law tail
 correction; time integrals use a grid graded like (j/J)^alpha toward 0,
@@ -46,20 +47,18 @@ def _time_grid(T: float, alpha: float, n: int) -> np.ndarray:
 
 @dataclass
 class DensityModel:
-    """Density stand-in for the law of the baseline solution.
+    """How to approximate the law of the baseline of the pair it is used with.
 
     frozen_plain: p0;  frozen_upper: M * p0 (upper comparability envelope,
-    M >= 1); empirical: Monte Carlo average along simulated baseline paths.
-    M is 1 outside frozen_upper.
+    M >= 1); empirical: Monte Carlo average along baseline paths simulated
+    with sim_config. M is 1 outside frozen_upper.
     """
 
     mode: str
     law: StableLaw
-    sigma_ref: object
-    x0: float
     M: float = 1.0
     sim_config: SimConfig | None = None
-    # (pair, law, sim_config, averages) of the last empirical run
+    # (pair, averages) of the last empirical run
     _empirical: tuple | None = field(default=None, init=False, repr=False,
                                      compare=False)
 
@@ -89,32 +88,32 @@ def weighted_measure_density(law: StableLaw, x0: float, sigma_x0: float,
     return float(out[0]) if np.ndim(y) == 0 else out
 
 
-def frozen_density(model: DensityModel, t: float, y):
-    """Frozen-coefficient transition density; sigma is evaluated at the
-    target point y, unlike the weighted measure which freezes at x0."""
+def frozen_density(model: DensityModel, pair: CoefficientPair, t: float, y):
+    """Frozen-coefficient density of the pair's baseline; sigma is evaluated at
+    the target point y, unlike the weighted measure which freezes at x0."""
     if model.mode == "empirical":
         raise DomainError("the empirical model has no closed-form density")
     if t <= 0:
         raise DomainError("t must be > 0")
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-    sig = np.asarray(model.sigma_ref(y_arr), dtype=float)
+    sig = np.asarray(pair.sigma(y_arr), dtype=float)
     scale = t ** (1.0 / model.law.alpha) * sig ** (1.0 / model.law.alpha)
-    vals = model.M * (density_grid(model.law, (y_arr - model.x0) / scale) / scale)
+    vals = model.M * (density_grid(model.law, (y_arr - pair.x0) / scale) / scale)
     return float(vals[0]) if np.ndim(y) == 0 else vals
 
 
-def frozen_density_mass(model: DensityModel, t: float,
+def frozen_density_mass(model: DensityModel, pair: CoefficientPair, t: float,
                         sigma_bounds: tuple) -> float:
     """Numerical mass of the frozen density at time t (window + tail bound).
     Exactly 1 for constant sigma; approximately 1 when sigma varies."""
     k_lo, k_hi = sigma_bounds
     scale_hi = t ** (1.0 / model.law.alpha) * k_hi ** (1.0 / model.law.alpha)
     R = 200.0 * scale_hi
-    edges = model.x0 + np.concatenate([
+    edges = pair.x0 + np.concatenate([
         -np.geomspace(R, 1e-3 * scale_hi, 120), [0.0],
         np.geomspace(1e-3 * scale_hi, R, 120)])
     nodes, wts = panel_nodes(np.sort(edges), order=12)
-    body = float(np.sum(frozen_density(model, t, nodes) * wts))
+    body = float(np.sum(frozen_density(model, pair, t, nodes) * wts))
     z = R / scale_hi * (k_lo / k_hi) ** (1.0 / model.law.alpha)
     tail = 2.0 * stable_tail_mass(model.law, z)
     return body + model.M * tail
@@ -175,11 +174,11 @@ def weighted_norm(f, p: float, law: StableLaw, x0: float, sigma_x0: float,
 # coefficient distances
 # ---------------------------------------------------------------------------
 
-def _space_integral(model: DensityModel, t: float, gap_fn) -> float:
+def _space_integral(model: DensityModel, pair: CoefficientPair, t: float, gap_fn) -> float:
     """int gap(y) p0_t(x0, y) dy over an expanding window + tail estimate."""
     a = model.law.alpha
-    x0 = model.x0
-    sig0 = float(np.asarray(model.sigma_ref(np.array([x0])))[0])
+    x0 = pair.x0
+    sig0 = float(np.asarray(pair.sigma(np.array([x0])))[0])
     scale = t ** (1.0 / a) * sig0 ** (1.0 / a)
     Z = max(10.0, _SPACE_REL_TOL ** (-1.0 / a))
     for _ in range(3):
@@ -187,7 +186,7 @@ def _space_integral(model: DensityModel, t: float, gap_fn) -> float:
         edges = np.concatenate([-np.geomspace(R, 1e-4 * scale, 140), [0.0],
                                 np.geomspace(1e-4 * scale, R, 140)]) + x0
         nodes, wts = panel_nodes(np.sort(edges), order=12)
-        body = float(np.sum(gap_fn(nodes) * frozen_density(model, t, nodes) * wts))
+        body = float(np.sum(gap_fn(nodes) * frozen_density(model, pair, t, nodes) * wts))
         gap_far = max(float(gap_fn(np.array([x0 + R]))[0]),
                       float(gap_fn(np.array([x0 - R]))[0]))
         tail = 2.0 * model.M * gap_far * stable_tail_mass(model.law, Z * 0.8)
@@ -204,17 +203,16 @@ def _gap_powers(pair: CoefficientPair, alpha: float) -> tuple:
 
 def _empirical_averages(pair: CoefficientPair, model: DensityModel) -> list:
     """The baseline-path averages of both entries of _gap_powers, from one
-    single-leg run: the first empirical distance of a (pair, model)
+    single-leg run: the first empirical distance of a pair on a model
     simulates once for both, and the second reuses the run."""
-    key = (pair, model.law, model.sim_config)
     memo = model._empirical
-    if memo is None or any(k is not m for k, m in zip(key, memo)):
+    if memo is None or memo[0] is not pair:
         runs = simulate_baseline_average(
-            model.sim_config, model.law, pair.b, pair.sigma, pair.x0,
+            model.sim_config, pair, model.law,
             [lambda t, x, g=g, p=p: g(t, x) ** p
              for g, p in _gap_powers(pair, model.law.alpha)])
-        memo = model._empirical = key + ([mean for mean, _ in runs],)
-    return memo[-1]
+        memo = model._empirical = (pair, [mean for mean, _ in runs])
+    return memo[1]
 
 
 def _distance_weighted(pair: CoefficientPair, model: DensityModel, T: float,
@@ -232,7 +230,7 @@ def _distance_weighted(pair: CoefficientPair, model: DensityModel, T: float,
     # s -> 0 limit: the frozen density concentrates mass (M in upper mode) at x0
     vals[0] = model.M * float(gap(0.0, np.array([pair.x0]))[0]) ** power
     for j, s in enumerate(nodes[1:], start=1):
-        vals[j] = _space_integral(model, s, lambda y, s_=s: gap(s_, y) ** power)
+        vals[j] = _space_integral(model, pair, s, lambda y, s_=s: gap(s_, y) ** power)
     return float(np.trapezoid(vals, nodes))
 
 
@@ -313,14 +311,13 @@ def comparability_band(pairs_fit, pairs_check, law: StableLaw, T: float,
     per coefficient pair (spread of the calibration ratios, slack-widened
     for Monte Carlo noise) and must satisfy 0 < m <= M < 10.
     """
+    frozen = DensityModel(mode="frozen_plain", law=law)
+
     def ratio(pair, index):
-        frozen = DensityModel(mode="frozen_plain", law=law,
-                              sigma_ref=pair.sigma, x0=pair.x0)
         b_frozen = distance_B(pair, frozen, T)
         cfg = replace(sim_config,
                       stream_label=f"{sim_config.stream_label}-{index}")
-        emp = DensityModel(mode="empirical", law=law, sigma_ref=pair.sigma,
-                           x0=pair.x0, sim_config=cfg)
+        emp = DensityModel(mode="empirical", law=law, sim_config=cfg)
         b_emp = distance_B(pair, emp, T)
         if b_frozen <= 0:
             raise DomainError("frozen-mode distance vanished; cannot form ratio")

@@ -199,22 +199,19 @@ def simulate_coupled(config: SimConfig, pair: CoefficientPair,
     return simulate_legs(config, law, legs, digest=digest)
 
 
-def simulate_baseline_average(config: SimConfig, law: StableLaw, b, sigma,
-                              x0: float, integrands) -> list:
-    """Single-leg Euler simulation accumulating time-averaged integrands: for
-    each f, the mean over paths of sum_k f(t_k, X_k) dt with its standard
-    error, as a (mean, stderr) tuple.
+def simulate_baseline_average(config: SimConfig, pair: CoefficientPair,
+                              law: StableLaw, integrands) -> list:
+    """Euler simulation of the pair's baseline leg alone accumulating time
+    averages: for each f, the mean over paths of sum_k f(t_k, X_k) dt with
+    its standard error, as a (mean, stderr) tuple.
 
     This is the Monte Carlo estimator behind the empirical coefficient
     distances (left-endpoint rule in time, matching the Euler grid).
     """
-    run = simulate_legs(config, law, [(x0, lambda t, x: b(x), lambda t, x: sigma(x))],
-                        integrands=integrands)
-    out = []
-    for row in run.integral:
-        vals = row[run.ok]
-        out.append((float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(vals.size))))
-    return out
+    leg = (pair.x0, lambda t, x: pair.b(x), lambda t, x: pair.sigma(x))
+    run = simulate_legs(config, law, [leg], integrands=integrands)
+    return [(float(v.mean()), float(v.std(ddof=1) / math.sqrt(v.size)))
+            for v in run.integral[:, run.ok]]
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +269,7 @@ def tail_probability(ens: LegEnsemble, h: float) -> TailEstimate:
     """Fraction of paths with sup_k |X - X_tilde|^(alpha-1) > h for the legs
     of neighbour pair 0 (a sup over the simulation grid, which underestimates
     the continuous sup)."""
-    if h <= 0:
+    if not h > 0:
         raise DomainError("tail threshold h must be > 0")
     y = ens.y_max[0][ens.ok]
     n = y.size

@@ -5,6 +5,7 @@ import copy
 import hashlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -12,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablesde import simulate
+from stablesde import cli, simulate
 from stablesde.cli import _COMMANDS, _SCHEMA, load_config, main
 from stablesde.errors import DomainError, NumericError
+from stablesde.rates import RateBoundSpec, SweepResult, SweepRow
 from stablesde.report import validate_report
 
 
@@ -79,6 +81,16 @@ class TestPrintBound:
                    "--B", "1.0", "--S", "0.01", "--x0-gap", "0"])
         assert rc == 3
         assert "assumption" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--eta-tilde", "nan"), ("--B", "nan"), ("--S", "nan"), ("--x0-gap", "nan"),
+        ("--x0-gap", "inf"), ("--h", "nan")])
+    def test_non_numbers_exit_with_one_line(self, flag, value):
+        rc, err = run_quiet(["print-bound", "--alpha", "1.5", "--eta-tilde", "1.0",
+                             "--B", "0.01", "--S", "0.01", "--x0-gap", "0",
+                             flag, value])
+        assert rc == 3
+        assert len(err) == 1 and err[0].startswith("domain error: ")
 
     def test_tail_variant(self, capsys):
         rc = main(["print-bound", "--alpha", "1.5", "--eta-tilde", "1.0",
@@ -179,6 +191,10 @@ class TestConfigParsing:
          "cap violated"),
         (None, "--h 0", 3, "tail threshold h"),
         (None, "--h -1", 3, "tail threshold h"),
+        # the config is strict JSON: no NaN or Infinity, in the file or in --set
+        ("sweep", "--set sweep.h_values=[NaN]", 2, "NaN"),
+        ("simulate", "--set sim.x_clip=Infinity", 2, "Infinity"),
+        ("simulate", "--config {nan}", 2, "NaN"),
         # the Euler guard's NumericError carries no estimate to print
         ("simulate", "--set sim.x_clip=0.05 --set sim.n_paths=2000 --set sim.n_steps=64 "
                      "--set sim.seed=9", 4, "x_clip=0.05"),
@@ -193,6 +209,11 @@ class TestConfigParsing:
             cfg = write_cfg(tmp_path, {"command": command, **TINY[command]})
             argv = ["run", "--config", cfg, "--out", str(tmp_path / "o")]
             args = args.replace("{cfg}", cfg)
+            if "{nan}" in args:
+                nan_cfg = write_cfg(tmp_path, {"command": command, **TINY[command],
+                                               "sim": {**TINY_SIM, "x_clip": math.nan}},
+                                    name="nan.json")
+                args = args.replace("{nan}", nan_cfg)
         rc, err = run_quiet(argv + args.split())
         assert rc == code
         assert len(err) == 1
@@ -365,6 +386,26 @@ class TestRunCommands:
         assert params["eta_tilde"] == 0.7
         assert params["branch"] == "holder"
 
+    def test_failed_sweep_rows_give_a_negative_margin(self, tmp_path, monkeypatch):
+        """bound_out_of_sample reports margin = bound - value, the bound being
+        0 failed rows, also when rows fail."""
+        def row(satisfied):
+            return SweepRow(label="n", scale=1.0, x0_gap=0.0, B=0.1, S=0.1, D=0.2,
+                            D_se=0.0, bound_raw=0.1, bound_value=0.1,
+                            satisfied=satisfied, assumption_flag=False)
+
+        result = SweepResult(spec=RateBoundSpec(alpha=1.5, eta_tilde=1.0),
+                             rows=[row(True), row(False), row(False)],
+                             calibration_index=0)
+        monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: result)
+        cfg = write_cfg(tmp_path, {"command": "sweep", **TINY["sweep"]})
+        rc, err = run_quiet(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 1 and err == []
+        checks = json.loads((tmp_path / "o" / "report.json").read_text())["checks"]
+        check, = [c for c in checks if c["check_id"] == "bound_out_of_sample"]
+        assert check["value"] == 2.0 and not check["passed"]
+        assert check["margin"] == -check["value"] < 0
+
     def test_dump_paths(self, tmp_path):
         out = tmp_path / "dp"
         cfg = write_cfg(tmp_path, {
@@ -425,8 +466,7 @@ def _out_of_range(kind, low):
         return st.lists(st.floats(1.1, 1.9), max_size=low - 1)
     if kind is int:
         return st.integers(low - 10 ** 6, low - 1)
-    return st.one_of(st.just(low), st.just(float("nan")),
-                     st.floats(max_value=low, allow_nan=False))
+    return st.one_of(st.just(low), st.floats(max_value=low, allow_nan=False))
 
 
 def _in_range(kind, low):
@@ -451,20 +491,22 @@ _KEYS = [(section, key) for section in _SCHEMA for key in _SCHEMA[section]]
 @st.composite
 def mutated_configs(draw):
     """(command, config, mutation): one key of a TINY config is replaced by
-    an unknown key, a wrong-typed value, a value below its bound or a value
-    in range."""
+    an unknown key, a wrong-typed value, NaN or an infinity (which strict
+    JSON does not have), a value below its bound or a value in range."""
     command = draw(st.sampled_from(sorted(TINY)))
     cfg = copy.deepcopy({"command": command, **TINY[command]})
     section, key = draw(st.sampled_from(_KEYS))
     kind, _, low = _SCHEMA[section][key]
-    kinds = ["unknown", "wrong_type", "in_range"] + (["out_of_range"] if low is not None
-                                                     else [])
+    kinds = ["unknown", "wrong_type", "non_json", "in_range"] + (
+        ["out_of_range"] if low is not None else [])
     mutation = draw(st.sampled_from(kinds))
     node = cfg.setdefault(section, {})
     if mutation == "unknown":
         node[key + "_typo"] = 1.0
     elif mutation == "wrong_type":
         node[key] = draw(st.sampled_from(_WRONG_TYPE[kind]))
+    elif mutation == "non_json":
+        node[key] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
     elif mutation == "out_of_range":
         node[key] = draw(_out_of_range(kind, low))
     else:
@@ -482,6 +524,6 @@ class TestMutatedConfigs:
             path.write_text(json.dumps(cfg))
             rc, err = run_quiet(["run", "--config", str(path), "--out", tmp + "/o"])
         assert rc in (0, 1) or (rc in (2, 3, 4) and len(err) == 1), (rc, err)
-        expected = {"unknown": 2, "wrong_type": 2, "out_of_range": 3}
+        expected = {"unknown": 2, "wrong_type": 2, "non_json": 2, "out_of_range": 3}
         if mutation in expected:
             assert rc == expected[mutation], (rc, err)

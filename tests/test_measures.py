@@ -21,8 +21,7 @@ def law15():
 @pytest.fixture(scope="module")
 def gentle_model(law15):
     pair = make_pair("identical", 1.5, {"s1": 0.05})
-    return pair, DensityModel(mode="frozen_plain", law=law15,
-                              sigma_ref=pair.sigma, x0=pair.x0)
+    return pair, DensityModel(mode="frozen_plain", law=law15)
 
 
 class TestWeightedMeasure:
@@ -50,58 +49,52 @@ class TestWeightedMeasure:
 
 class TestFrozenDensity:
     def test_constant_sigma_matches_weighted_measure(self, law15):
-        model = DensityModel(mode="frozen_plain", law=law15,
-                             sigma_ref=lambda y: np.full_like(np.asarray(y, float), 1.3),
-                             x0=0.5)
+        pair = make_pair("identical", 1.5, {"s0": 1.3, "s1": 0.0, "x0": 0.5})
+        model = DensityModel(mode="frozen_plain", law=law15)
         for y in (-1.0, 0.5, 2.0):
-            assert ss.frozen_density(model, 0.7, y) == pytest.approx(
+            assert ss.frozen_density(model, pair, 0.7, y) == pytest.approx(
                 ss.weighted_measure_density(law15, 0.5, 1.3, 0.7, y), rel=1e-12)
 
     def test_mass_near_one_on_time_grid(self, law15, gentle_model):
-        _, model = gentle_model
+        pair, model = gentle_model
         for t in measures._time_grid(1.0, 1.5, 8)[1:]:
-            mass = ss.frozen_density_mass(model, float(t), (0.95, 1.05))
+            mass = ss.frozen_density_mass(model, pair, float(t), (0.95, 1.05))
             assert abs(mass - 1.0) < 1e-3
 
     def test_upper_mode_scales_by_M(self, law15, gentle_model):
-        pair, _ = gentle_model
-        upper = DensityModel(mode="frozen_upper", law=law15,
-                             sigma_ref=pair.sigma, x0=0.0, M=2.5)
-        plain = DensityModel(mode="frozen_plain", law=law15,
-                             sigma_ref=pair.sigma, x0=0.0)
+        pair, plain = gentle_model
+        upper = DensityModel(mode="frozen_upper", law=law15, M=2.5)
         y = np.linspace(-3, 3, 11)
-        assert np.allclose(ss.frozen_density(upper, 0.5, y),
-                           2.5 * ss.frozen_density(plain, 0.5, y), rtol=1e-13)
+        assert np.allclose(ss.frozen_density(upper, pair, 0.5, y),
+                           2.5 * ss.frozen_density(plain, pair, 0.5, y), rtol=1e-13)
 
     def test_tail_envelope_band(self, law15, gentle_model):
-        _, model = gentle_model
+        pair, model = gentle_model
         ys = np.array([20.0, 35.0, -25.0])
-        dens = ss.frozen_density(model, 1.0, ys)
+        dens = ss.frozen_density(model, pair, 1.0, ys)
         env = ss.density_envelope(law15, ys)
         ratio = dens / env
         assert np.all(ratio > 0.01) and np.all(ratio < 10.0)
 
     def test_short_time_localizes(self, law15, gentle_model):
-        _, model = gentle_model
-        assert ss.frozen_density(model, 1e-6, 1.0) < 1e-6
+        pair, model = gentle_model
+        assert ss.frozen_density(model, pair, 1e-6, 1.0) < 1e-6
 
     def test_empirical_mode_has_no_density(self, law15, gentle_model):
         pair, _ = gentle_model
-        emp = DensityModel(mode="empirical", law=law15, sigma_ref=pair.sigma,
-                           x0=0.0, sim_config=ss.SimConfig(T=1.0, n_steps=10,
-                                                           n_paths=10, seed=1))
+        emp = DensityModel(mode="empirical", law=law15,
+                           sim_config=ss.SimConfig(T=1.0, n_steps=10, n_paths=10,
+                                                   seed=1))
         with pytest.raises(ss.DomainError):
-            ss.frozen_density(emp, 0.5, 0.0)
+            ss.frozen_density(emp, pair, 0.5, 0.0)
 
-    def test_model_validation(self, law15, gentle_model):
-        pair, _ = gentle_model
+    def test_model_validation(self, law15):
         with pytest.raises(ss.DomainError):
-            DensityModel(mode="nonsense", law=law15, sigma_ref=pair.sigma, x0=0.0)
+            DensityModel(mode="nonsense", law=law15)
         with pytest.raises(ss.DomainError):
-            DensityModel(mode="frozen_upper", law=law15, sigma_ref=pair.sigma,
-                         x0=0.0, M=0.5)
+            DensityModel(mode="frozen_upper", law=law15, M=0.5)
         with pytest.raises(ss.DomainError):
-            DensityModel(mode="empirical", law=law15, sigma_ref=pair.sigma, x0=0.0)
+            DensityModel(mode="empirical", law=law15)
 
 
 class TestWeightedNorm:
@@ -131,25 +124,21 @@ class TestDistances:
 
     def test_constant_drift_shift(self, law15):
         pair = make_pair("drift_shift", 1.5, {"shift": 0.3, "s1": 0.0})
-        model = DensityModel(mode="frozen_plain", law=law15,
-                             sigma_ref=pair.sigma, x0=0.0)
+        model = DensityModel(mode="frozen_plain", law=law15)
         assert ss.distance_B(pair, model, 1.0) == pytest.approx(0.3, rel=1e-3)
         assert ss.distance_B(pair, model, 2.0) == pytest.approx(0.6, rel=1e-3)
 
     def test_constant_jump_shift(self, law15):
         pair = make_pair("jump_shift", 1.5, {"shift": 0.2, "s1": 0.0})
-        model = DensityModel(mode="frozen_plain", law=law15,
-                             sigma_ref=pair.sigma, x0=0.0)
+        model = DensityModel(mode="frozen_plain", law=law15)
         assert ss.distance_S(pair, model, 1.0) == pytest.approx(0.2, rel=1e-3)
         assert ss.distance_S(pair, model, 2.0) == pytest.approx(
             0.2 * 2.0 ** (1 / 1.5), rel=1e-3)
 
     def test_upper_mode_ratio_exactly_M(self, law15):
         pair = make_pair("drift_bump", 1.5, {"amp": 0.25})
-        plain = DensityModel(mode="frozen_plain", law=law15,
-                             sigma_ref=pair.sigma, x0=0.0)
-        upper = DensityModel(mode="frozen_upper", law=law15,
-                             sigma_ref=pair.sigma, x0=0.0, M=3.0)
+        plain = DensityModel(mode="frozen_plain", law=law15)
+        upper = DensityModel(mode="frozen_upper", law=law15, M=3.0)
         b_plain = ss.distance_B(pair, plain, 1.0)
         b_upper = ss.distance_B(pair, upper, 1.0)
         assert b_upper == pytest.approx(3.0 * b_plain, rel=1e-9)
@@ -159,11 +148,10 @@ class TestDistances:
         from stablesde.quadrature import ols_loglog
         amps = np.array([1.0, 0.5, 0.25, 0.125])
         vals_B, vals_S = [], []
+        model = DensityModel(mode="frozen_plain", law=law15)
         for amp in amps:
             pb = make_pair("drift_bump", 1.5, {"amp": amp})
             js = make_pair("jump_bump", 1.5, {"amp": amp * 0.3})
-            model = DensityModel(mode="frozen_plain", law=law15,
-                                 sigma_ref=pb.sigma, x0=0.0)
             vals_B.append(ss.distance_B(pb, model, 1.0))
             vals_S.append(ss.distance_S(js, model, 1.0))
         slope_B, _, _ = ols_loglog(1.0 / amps, np.array(vals_B))
@@ -172,14 +160,22 @@ class TestDistances:
         assert slope_S == pytest.approx(-1.0, abs=0.05)
 
     def test_monotone_in_perturbation(self, law15):
-        model = None
+        model = DensityModel(mode="frozen_plain", law=law15)
         vals = []
         for amp in (0.1, 0.2, 0.4):
             pair = make_pair("drift_bump", 1.5, {"amp": amp})
-            model = DensityModel(mode="frozen_plain", law=law15,
-                                 sigma_ref=pair.sigma, x0=0.0)
             vals.append(ss.distance_B(pair, model, 1.0))
         assert vals[0] < vals[1] < vals[2]
+
+    @pytest.mark.parametrize("name, distance", [("drift_bump", ss.distance_B),
+                                                ("jump_bump", ss.distance_S)])
+    def test_frozen_distance_follows_the_start(self, law15, name, distance):
+        """With constant sigma and the bump centred on x0, the frozen density
+        and the gap both move with the pair's start, so the distance does not."""
+        model = DensityModel(mode="frozen_plain", law=law15)
+        at = [distance(make_pair(name, 1.5, {"amp": 0.25, "s1": 0.0, "x0": x0}),
+                       model, 1.0) for x0 in (0.0, 2.0)]
+        assert at[0] > 0 and at[1] == pytest.approx(at[0], rel=1e-9)
 
     def test_T_domain(self, law15, gentle_model):
         pair, model = gentle_model
@@ -188,11 +184,9 @@ class TestDistances:
 
     def test_empirical_mode_close_to_frozen(self, law15):
         pair = make_pair("drift_bump", 1.5, {"amp": 0.4, "s1": 0.05})
-        frozen = DensityModel(mode="frozen_plain", law=law15,
-                              sigma_ref=pair.sigma, x0=0.0)
+        frozen = DensityModel(mode="frozen_plain", law=law15)
         b_frozen = ss.distance_B(pair, frozen, 1.0)
-        emp = DensityModel(mode="empirical", law=law15, sigma_ref=pair.sigma,
-                           x0=0.0,
+        emp = DensityModel(mode="empirical", law=law15,
                            sim_config=ss.SimConfig(T=1.0, n_steps=200,
                                                    n_paths=20000, seed=31))
         b_emp = ss.distance_B(pair, emp, 1.0)
@@ -202,8 +196,7 @@ class TestDistances:
     def test_empirical_B_and_S_share_one_run(self, law15, monkeypatch):
         pair = make_pair("jump_bump", 1.5, {"amp": 0.3, "s1": 0.05})
         cfg = ss.SimConfig(T=1.0, n_steps=32, n_paths=512, seed=7)
-        emp = DensityModel(mode="empirical", law=law15, sigma_ref=pair.sigma,
-                           x0=pair.x0, sim_config=cfg)
+        emp = DensityModel(mode="empirical", law=law15, sim_config=cfg)
         calls = []
         real = measures.simulate_baseline_average
         monkeypatch.setattr(measures, "simulate_baseline_average",
@@ -211,9 +204,9 @@ class TestDistances:
         B, S = ss.distance_B(pair, emp, 1.0), ss.distance_S(pair, emp, 1.0)
         assert len(calls) == 1
         # each average is bitwise what a run of that integrand alone gives
-        (b_alone, _), = real(cfg, law15, pair.b, pair.sigma, pair.x0,
+        (b_alone, _), = real(cfg, pair, law15,
                              [lambda t, x: pair.drift_gap(t, x) ** 1.0])
-        (s_alone, _), = real(cfg, law15, pair.b, pair.sigma, pair.x0,
+        (s_alone, _), = real(cfg, pair, law15,
                              [lambda t, x: pair.jump_gap(t, x) ** 1.5])
         assert B == b_alone and S == s_alone ** (1 / 1.5) and S > 0
         # another pair on the same model simulates again
