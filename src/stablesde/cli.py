@@ -71,13 +71,21 @@ def _reject_constant(name: str):  # json.loads meets NaN, Infinity or -Infinity
     raise ConfigError(f"{name} is not strict JSON")
 
 
+def _finite_float(text: str) -> float:  # json.loads meets a number with . or e
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"{text} overflows a double")
+    return value
+
+
 def load_config(path: str, overrides) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
-        cfg = json.loads(text, parse_constant=_reject_constant)
+        cfg = json.loads(text, parse_constant=_reject_constant,
+                         parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -98,7 +106,8 @@ def _apply_override(cfg: dict, dotted: str, raw: str) -> None:
         if not isinstance(node, dict):
             raise ConfigError(f"override path {dotted!r} crosses a non-object")
     try:
-        value = json.loads(raw, parse_constant=_reject_constant)
+        value = json.loads(raw, parse_constant=_reject_constant,
+                           parse_float=_finite_float)
     except json.JSONDecodeError:
         value = raw
     node[parts[-1]] = value

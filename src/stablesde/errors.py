@@ -39,12 +39,16 @@ REQUIRED = object()
 
 def as_number(value, label: str, kind=float):
     """value as kind (float or int). A bool, a non-number or, for int, a
-    non-integer raises ConfigError instead of being coerced."""
+    non-integer raises ConfigError instead of being coerced; so does an
+    integer too large for a float."""
     what = "an integer" if kind is int else "a number"
     if isinstance(value, bool) or not isinstance(
             value, numbers.Integral if kind is int else numbers.Real):
         raise ConfigError(f"{label} must be {what}, got {value!r}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ConfigError(f"{label} overflows a double") from None
 
 
 _KINDS = {str: "a string", dict: "an object", list: "a list of numbers"}

@@ -163,6 +163,7 @@ def run_sweep(family: PerturbationFamily, sim_config: SimConfig,
             raw = float("nan")
             flag = True
         tails = [tail_probability(ens, h) for h in h_values]
+        del ens     # so that the next member does not simulate beside it
         rows.append(SweepRow(label=pair.label, scale=float(family.scales[i]),
                              x0_gap=gap, B=B, S=S, D=curve.sup,
                              D_se=curve.sup_stderr, bound_raw=raw,

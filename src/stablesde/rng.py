@@ -36,6 +36,21 @@ class RngStream:
             h.update(b"\x1f")
         return RngStream(None, _key_bytes=h.digest())
 
+    def after_uniforms(self, m: int) -> "RngStream":
+        """A copy of this stream positioned where this one will be after m
+        more uniform draws; this stream does not move. Philox yields its
+        64-bit words four per counter step, a uniform takes one word, and
+        advance() drops the words left of the current step."""
+        twin = RngStream(None, _key_bytes=self._key_bytes)
+        bits = twin.generator.bit_generator
+        bits.state = self.generator.bit_generator.state
+        buffered = min(m, 4 - bits.state["buffer_pos"])
+        bits.random_raw(buffered)
+        if m > buffered:
+            bits.advance((m - buffered) // 4)
+            bits.random_raw((m - buffered) % 4)
+        return twin
+
     def uniform(self, size=None):
         return self.generator.random(size)
 

@@ -16,7 +16,9 @@ counter-based substream keyed by (seed, stream label, block index). The
 blocks of a run execute on a thread pool with one thread per CPU the process
 may use; each block samples its own increments and writes only its own
 columns of the outputs, so every output array is bitwise the same for any
-thread count and any schedule.
+thread count and any schedule. A block streams its increments in chunks of
+16 steps, which draw the same numbers as sampling all its steps at once, so
+a block's transient memory does not grow with the step count.
 
 Per-path state that the functionals need (running maxima, the distance
 between neighbouring legs at a retained time subgrid, final values) is
@@ -32,6 +34,7 @@ import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -42,6 +45,7 @@ from .rng import RngStream
 from .stable import StableLaw, sample_increments
 
 _BLOCK_SIZE = 4096        # paths per substream block
+_CHUNK_ROWS = 16          # steps of increments a block samples at a time
 _RETAIN_GRID_MAX = 129    # retained times of the per-path differences
 
 
@@ -114,7 +118,8 @@ def simulate_legs(config: SimConfig, law: StableLaw, legs, integrands=(),
 
     Each integrand f(t, x) is summed along leg 0 into its own row of
     `integral` (left-endpoint rule in time, matching the Euler grid); digest
-    hashes the increments of every block in block order. Blocks run on
+    hashes the increments of every block in block order, so a block then
+    keeps its increment chunks until they are hashed. Blocks run on
     _workers() threads, so legs and integrands must be safe to call
     concurrently. If a block raises, the first such exception in block order
     is raised and blocks not yet started are cancelled.
@@ -136,10 +141,17 @@ def simulate_legs(config: SimConfig, law: StableLaw, legs, integrands=(),
         paths=np.empty((nl, n + 1, npth)) if config.keep_paths else None)
 
     def euler_block(cols: slice, stream: RngStream):
-        """Simulate one block into its columns of run; return its increments
-        when they are to be hashed."""
-        dz = sample_increments(law, dt, (n, cols.stop - cols.start), stream)
-        x = np.repeat(x0, dz.shape[1], axis=1)   # leg states, stepped in place
+        """Simulate one block into its columns of run; return its increment
+        chunks, in step order, when they are to be hashed."""
+        width = cols.stop - cols.start
+        # the (n, width) increments of the block draw n * width uniforms,
+        # then n * width exponentials; a second stream that starts at the
+        # exponentials lets chunks of rows draw the same numbers
+        chunk_stream = SimpleNamespace(
+            uniform=stream.uniform,
+            exponential=stream.after_uniforms(n * width).exponential)
+        chunks = []
+        x = np.repeat(x0, width, axis=1)   # leg states, stepped in place
         # views into the outputs, updated in place
         flagged, tot = run.flagged[cols], run.integral[:, cols]
         y_max, x_max = run.y_max[:, cols], run.abs_max[:, cols]
@@ -155,16 +167,22 @@ def simulate_legs(config: SimConfig, law: StableLaw, legs, integrands=(),
                 run.paths[:, k, cols] = x
             if k == n:
                 break
+            if k % _CHUNK_ROWS == 0:
+                dz = sample_increments(
+                    law, dt, (min(_CHUNK_ROWS, n - k), width), chunk_stream)
+                if digest:
+                    chunks.append(dz)
             t_k = times[k]
             np.copyto(x, 0.0, where=flagged)    # flagged paths step from 0
             for tot_i, f in zip(tot, integrands):
                 tot_i += f(t_k, x[0]) * dt
+            dz_k = dz[k % _CHUNK_ROWS]
             for xj, (_, drift, jump) in zip(x, legs):
-                xj[...] = xj + drift(t_k, xj) * dt + jump(t_k, xj) * dz[k]
+                xj[...] = xj + drift(t_k, xj) * dt + jump(t_k, xj) * dz_k
                 flagged |= ~np.isfinite(xj) | (np.abs(xj) > config.x_clip)
             np.copyto(x, np.nan, where=flagged)
         run.final[:, cols] = x
-        return dz if digest else None
+        return chunks
 
     hasher = hashlib.blake2b(digest_size=16) if digest else None
     with ThreadPoolExecutor(max_workers=_workers()) as pool:
@@ -173,8 +191,7 @@ def simulate_legs(config: SimConfig, law: StableLaw, legs, integrands=(),
         try:
             # in block order; popleft drops each block's increments once hashed
             while pending:
-                dz = pending.popleft().result()
-                if hasher is not None:
+                for dz in pending.popleft().result():
                     hasher.update(dz)
         except BaseException:
             pool.shutdown(cancel_futures=True)
@@ -236,10 +253,18 @@ def distance_moment_curve(ens: LegEnsemble, q: float, i: int = 0) -> MomentCurve
     """
     if not (0.0 < q < ens.alpha):
         raise DomainError(f"moment order q must lie in (0, alpha), got {q}")
-    vals = ens.abs_diff[i][:, ens.ok] ** q
-    n = vals.shape[1]
-    mean = vals.mean(axis=1)
-    stderr = vals.std(axis=1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
+    ok, n = ens.ok, ens.abs_diff.shape[2] - ens.n_flagged
+    mean, stderr = np.empty(ens.retained_idx.size), np.zeros(ens.retained_idx.size)
+    # one retained time at a time, with no copy of the whole selection.
+    # abs_diff[i][:, ok] is Fortran-ordered, so mean and std(ddof=1) along
+    # its axis 1 sum each row left to right; cumsum does the same on one row
+    # (v.sum() would sum it pairwise), which keeps their bits
+    for r, row in enumerate(ens.abs_diff[i]):
+        v = row[ok] ** q
+        mean[r] = np.cumsum(v)[-1] / n
+        if n > 1:
+            var = np.cumsum((v - mean[r]) ** 2)[-1] / (n - 1)
+            stderr[r] = math.sqrt(var) / math.sqrt(n)
     i_sup = int(np.argmax(mean))
     return MomentCurve(times=ens.retained_times, mean=mean, stderr=stderr,
                        sup=float(mean[i_sup]), sup_stderr=float(stderr[i_sup]))

@@ -267,7 +267,13 @@ def density_grid(law: StableLaw, x) -> np.ndarray:
 
 def sample_increments(law: StableLaw, dt: float, n: int, stream: RngStream) -> np.ndarray:
     """n i.i.d. increments of Z over a step of length dt: dt^(1/alpha) * xi,
-    xi standard symmetric alpha-stable."""
+    xi standard symmetric alpha-stable; n is a count or a shape.
+
+    Draws stream.uniform(n), then stream.exponential(n). The Euler engine
+    calls it once per chunk of rows of a block, with the uniforms and the
+    exponentials taken from two copies of the block's stream, the second
+    starting where the block's uniforms end (RngStream.after_uniforms): the
+    chunks then hold the numbers of one call over the whole block."""
     if dt <= 0:
         raise DomainError("dt must be > 0")
     a = law.alpha

@@ -195,6 +195,12 @@ class TestConfigParsing:
         ("sweep", "--set sweep.h_values=[NaN]", 2, "NaN"),
         ("simulate", "--set sim.x_clip=Infinity", 2, "Infinity"),
         ("simulate", "--config {nan}", 2, "NaN"),
+        # nor a number that overflows a double, written with or without e
+        ("simulate", "--set sim.x_clip=1e999", 2, "1e999 overflows"),
+        ("distances", "--set distances.T=-1e999", 2, "-1e999 overflows"),
+        ("simulate", "--config {big}", 2, "1e999 overflows"),
+        pytest.param("distances", "--set distances.T=1" + "0" * 400, 2,
+                     "distances.T overflows", id="huge-integer"),
         # the Euler guard's NumericError carries no estimate to print
         ("simulate", "--set sim.x_clip=0.05 --set sim.n_paths=2000 --set sim.n_steps=64 "
                      "--set sim.seed=9", 4, "x_clip=0.05"),
@@ -214,6 +220,13 @@ class TestConfigParsing:
                                                "sim": {**TINY_SIM, "x_clip": math.nan}},
                                     name="nan.json")
                 args = args.replace("{nan}", nan_cfg)
+            if "{big}" in args:
+                big_cfg = write_cfg(tmp_path, {"command": command, **TINY[command],
+                                               "sim": {**TINY_SIM, "x_clip": 1e308}},
+                                    name="big.json")
+                Path(big_cfg).write_text(Path(big_cfg).read_text().replace(
+                    "1e+308", "1e999"))
+                args = args.replace("{big}", big_cfg)
         rc, err = run_quiet(argv + args.split())
         assert rc == code
         assert len(err) == 1

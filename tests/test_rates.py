@@ -1,6 +1,7 @@
 """Rate bound arithmetic, sweeps, and the convergence experiment."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stablesde as ss
+from stablesde import rates
 from stablesde.coefficients import make_family, pair_between
 from stablesde.rates import RateBoundSpec
 from stablesde.simulate import SimConfig
@@ -151,6 +153,22 @@ class TestRunSweep:
         r2 = ss.run_sweep(family, cfg, law15)
         assert [r.D for r in r1.rows] == [r.D for r in r2.rows]
         assert [r.B for r in r1.rows] == [r.B for r in r2.rows]
+
+    def test_one_ensemble_at_a_time(self, law15, monkeypatch):
+        """A member's ensemble is released before the next member runs."""
+        live = []
+        real = rates.simulate_coupled
+
+        def tracked(*args, **kwargs):
+            assert all(ref() is None for ref in live)
+            ens = real(*args, **kwargs)
+            live.append(weakref.ref(ens))
+            return ens
+
+        monkeypatch.setattr(rates, "simulate_coupled", tracked)
+        family = make_family("jump_bump", 1.5, {"n_start": 1, "n_stop": 2})
+        ss.run_sweep(family, SimConfig(T=1.0, n_steps=8, n_paths=512, seed=4), law15)
+        assert len(live) == 2
 
     def test_no_slopes_under_four_members(self, law15):
         family = make_family("jump_bump", 1.5, {"n_start": 1, "n_stop": 3})

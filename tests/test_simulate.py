@@ -1,6 +1,9 @@
 """Coupled simulation: determinism, coupling exactness, functionals."""
 
+import hashlib
+import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from hypothesis import strategies as st
 import stablesde as ss
 from stablesde.coefficients import make_pair
 from stablesde import simulate
-from stablesde.simulate import SimConfig, wilson_interval
+from stablesde.simulate import LegEnsemble, SimConfig, wilson_interval
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +126,30 @@ class TestMomentCurve:
         slope, _, _ = ols_loglog(np.array(gaps), np.array(sups))
         assert slope == pytest.approx(0.5, abs=0.15)
 
+    @pytest.mark.parametrize("n_paths, n_flagged", [(3, 2), (4, 2), (5000, 40)],
+                             ids=["one_ok", "two_ok", "many_ok"])
+    def test_bits_of_the_array_formula(self, n_paths, n_flagged):
+        """Mean and stderr are bitwise those of mean/std over the whole
+        selection abs_diff[i][:, ok] ** q."""
+        rng = np.random.default_rng(n_paths)
+        flagged = np.zeros(n_paths, dtype=bool)
+        flagged[rng.choice(n_paths, n_flagged, replace=False)] = True
+        ens = LegEnsemble(
+            alpha=1.5, retained_idx=np.arange(129),
+            retained_times=np.linspace(0.0, 1.0, 129),
+            abs_diff=np.abs(rng.standard_cauchy((2, 129, n_paths))),
+            y_max=None, abs_max=None, final=None, flagged=flagged,
+            integral=None, paths=None)
+        for i in (0, 1):
+            vals = ens.abs_diff[i][:, ens.ok] ** 0.5
+            n = vals.shape[1]
+            mean = vals.mean(axis=1)
+            stderr = (vals.std(axis=1, ddof=1) / math.sqrt(n) if n > 1
+                      else np.zeros_like(mean))
+            curve = ss.distance_moment_curve(ens, 0.5, i)
+            assert curve.mean.tobytes() == mean.tobytes()
+            assert curve.stderr.tobytes() == stderr.tobytes()
+
 
 class TestTailProbability:
     def test_h_domain(self, law15, small_cfg):
@@ -215,8 +242,8 @@ class TestThreadedBlocks:
         legs = [(pair.x0, lambda t, x: pair.b(x), lambda t, x: pair.sigma(x)),
                 (pair.x0_tilde, pair.b_tilde, pair.sigma_tilde),
                 (pair.x0 + 0.1, pair.b_tilde, pair.sigma_tilde)]
-        config = SimConfig(T=1.0, n_steps=24, n_paths=self.RAGGED, seed=8080,
-                           **cfg)
+        config = SimConfig(**{"T": 1.0, "n_steps": 24, "n_paths": self.RAGGED,
+                              "seed": 8080, **cfg})
         return simulate.simulate_legs(config, law, legs,
                                       integrands=[lambda t, x: np.abs(x) ** 0.5],
                                       digest=True)
@@ -237,6 +264,29 @@ class TestThreadedBlocks:
             assert a.dtype == b.dtype and a.shape == b.shape, name
             assert a.tobytes() == b.tobytes(), name
         assert one.increments_digest == two.increments_digest
+
+    @pytest.mark.parametrize("rows", [1, 7, 25, 40])
+    def test_chunk_rows_bitwise_neutral(self, monkeypatch, rows):
+        """Increments streamed in chunks of any number of rows give the
+        outputs and digest of one sampler call per block. 25 steps x 123
+        columns is 3075 uniforms, 3 past a Philox counter step."""
+        cfg = {"n_steps": 25, "n_paths": 4096 + 123, "keep_paths": True}
+        monkeypatch.setattr(simulate, "_CHUNK_ROWS", 25)
+        whole = self._run(monkeypatch, 2, **cfg)
+        monkeypatch.setattr(simulate, "_CHUNK_ROWS", rows)
+        chunked = self._run(monkeypatch, 2, **cfg)
+        for name in ("abs_diff", "y_max", "abs_max", "final", "flagged",
+                     "integral", "paths"):
+            a, b = getattr(whole, name), getattr(chunked, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        # the digest hashes what one call over a whole block draws
+        law, config = ss.make_stable_law(1.5), SimConfig(T=1.0, seed=8080, **cfg)
+        hasher = hashlib.blake2b(digest_size=16)
+        for _, cols, stream in simulate._blocks(config):
+            hasher.update(simulate.sample_increments(
+                law, 1.0 / 25, (25, cols.stop - cols.start), stream))
+        assert chunked.increments_digest == whole.increments_digest
+        assert chunked.increments_digest == hasher.hexdigest()
 
     def test_block_error_is_raised_and_pending_blocks_cancelled(self, monkeypatch):
         """The exception a block raises reaches the caller as the same
@@ -260,3 +310,27 @@ class TestThreadedBlocks:
         assert info.value is err
         # block 0 raised; at most the block already taken by the worker ran
         assert 1 <= len(starts) <= 2
+
+
+class TestMemory:
+    """Transient memory does not grow with the step or path count; numpy's
+    array buffers are traced by tracemalloc."""
+
+    def test_coupled_run_and_moment_curve_peak(self, monkeypatch, law15):
+        monkeypatch.setattr(simulate, "_workers", lambda: 2)
+        pair = make_pair("jump_bump", 1.5, {"amp": 0.3})
+        cfg = SimConfig(T=1.0, n_steps=400, n_paths=8192, seed=3)
+        tracemalloc.start()
+        try:
+            ens = ss.simulate_coupled(cfg, pair, law15)
+            _, run_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            held, _ = tracemalloc.get_traced_memory()
+            ss.distance_moment_curve(ens, 0.5)
+            _, curve_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # outputs besides abs_diff are a few (n_paths,) rows
+        assert run_peak < ens.abs_diff.nbytes + 16 * 2 ** 20
+        # a few rows of abs_diff, not copies of it
+        assert curve_peak - held < 8 * ens.abs_diff[0, 0].nbytes

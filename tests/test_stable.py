@@ -178,6 +178,22 @@ class TestSampler:
         with pytest.raises(ss.DomainError):
             ss.sample_increments(law15, 0.0, 1, ss.RngStream(1))
 
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 5, 6, 7, 3075, 102400])
+    @pytest.mark.parametrize("drawn", [0, 1, 3])
+    def test_after_uniforms(self, drawn, m):
+        """After `drawn` uniforms, the copy after_uniforms(m) draws the
+        exponentials that follow m more uniforms, for every m % 4, and the
+        stream itself does not move."""
+        ref = ss.RngStream(5).substream("after", m)
+        ref.uniform(drawn + m)
+        want = ref.exponential(64).tobytes()
+        stream = ss.RngStream(5).substream("after", m)
+        stream.uniform(drawn)
+        twin = stream.after_uniforms(m)
+        assert twin.exponential(64).tobytes() == want
+        stream.uniform(m)
+        assert stream.exponential(64).tobytes() == want
+
     def test_self_similarity_exponent(self, law15):
         # dt^(1/alpha) scaling of the sample scale, via medians
         stream = ss.RngStream(11)
