@@ -1,13 +1,12 @@
 """Numerical laboratory for stability of alpha-stable-driven SDEs."""
 
 from .coefficients import (CoefficientPair, PerturbationFamily, make_family,
-                           make_pair, pair_between, spot_check_regularity)
+                           make_pair, pair_between)
 from .errors import (AssumptionViolation, ConstructionError, DomainError,
                      NumericError)
 from .measures import (DensityModel, comparability_band, distance_B,
                        distance_B_sup, distance_S, distance_S_sup,
-                       frozen_density, frozen_density_mass,
-                       weighted_measure_density, weighted_norm)
+                       frozen_density)
 from .mollifier import (Mollifier, SmoothedDistance, build_mollifier,
                         certify_derivative_bound, certify_komatsu,
                         certify_mollifier_shape, certify_sandwich,
@@ -19,9 +18,8 @@ from .rates import (ConvergenceReport, RateBoundSpec, SweepResult,
 from .report import CheckRow, Report, validate_report
 from .rng import RngStream
 from .simulate import (LegEnsemble, MomentCurve, SimConfig, TailEstimate,
-                       distance_moment_curve, self_similarity_slope,
-                       simulate_coupled, tail_probability, uniform_lp_check,
-                       wilson_interval)
+                       distance_moment_curve, simulate_coupled,
+                       tail_probability, uniform_lp_check, wilson_interval)
 from .stable import (StableLaw, density_envelope, density_grid,
                      density_total_mass, envelope_comparability_check,
                      generator_apply, make_stable_law, sample_increments,

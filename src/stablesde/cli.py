@@ -46,8 +46,7 @@ from .stable import (density_total_mass, envelope_comparability_check,
 # a list's length must be at least its lower bound, a float must exceed it.
 _SCHEMA = {
     "law": {"alpha": (float, REQUIRED, None)},
-    "mollifier": {"eps": (float, REQUIRED, 0.0), "delta": (float, REQUIRED, 1.0),
-                  "rho": (float, None, None)},
+    "mollifier": {"eps": (float, REQUIRED, 0.0), "delta": (float, REQUIRED, 1.0)},
     "coefficients": {"name": (str, REQUIRED, None), "params": (dict, {}, None)},
     "sim": {"T": (float, REQUIRED, 0.0), "n_steps": (int, REQUIRED, 1),
             "n_paths": (int, REQUIRED, 1), "seed": (int, REQUIRED, None),
@@ -57,9 +56,8 @@ _SCHEMA = {
                   "sup_points": (int, 10001, 1),
                   "variant": (str, "time_integral", None), "T": (float, REQUIRED, 0.0)},
     "sweep": {"family": (str, REQUIRED, None), "params": (dict, {}, None),
-              "calibration_index": (int, 0, 0), "h_values": (list, [], None)},
-    "converge": {"family": (str, REQUIRED, None), "params": (dict, {}, None),
-                 "p_exponent": (float, None, None)},
+              "h_values": (list, [], None)},
+    "converge": {"family": (str, REQUIRED, None), "params": (dict, {}, None)},
     "certify": {"grid_lo": (float, -5.0, None), "grid_hi": (float, 5.0, None),
                 "grid_points": (int, 2001, 1), "komatsu_points": (int, 40, 0),
                 "alphas": (list, None, 1)},
@@ -175,8 +173,7 @@ def _catalog(cfg, section, alpha):
 def _cmd_certify_mollifier(cfg, law, out: Path, dump_paths: bool) -> Report:
     alpha = law.alpha
     m = moll.build_mollifier(alpha, _value(cfg, "mollifier", "eps"),
-                             _value(cfg, "mollifier", "delta"),
-                             rho=_value(cfg, "mollifier", "rho"))
+                             _value(cfg, "mollifier", "delta"))
     s = moll.SmoothedDistance(m)
     lo = _value(cfg, "certify", "grid_lo")
     hi = _value(cfg, "certify", "grid_hi")
@@ -314,8 +311,7 @@ def _cmd_sweep(cfg, law, out: Path, dump_paths: bool) -> Report:
     family = _catalog(cfg, "sweep", alpha)
     sim = _sim_config(cfg)
     res = run_sweep(family, sim, law,
-                    h_values=tuple(map(float, _value(cfg, "sweep", "h_values"))),
-                    calibration_index=_value(cfg, "sweep", "calibration_index"))
+                    h_values=tuple(map(float, _value(cfg, "sweep", "h_values"))))
     rows = [[str(r.label), r.scale, r.x0_gap, r.B, r.S, r.D, r.D_se,
              r.bound_raw, r.bound_value, str(r.satisfied),
              str(r.assumption_flag)] for r in res.rows]
@@ -355,8 +351,7 @@ def _cmd_converge(cfg, law, out: Path, dump_paths: bool) -> Report:
     alpha = law.alpha
     family = _catalog(cfg, "converge", alpha)
     sim = _sim_config(cfg)
-    rep0 = convergence_experiment(family, sim, law,
-                                  p=_value(cfg, "converge", "p_exponent"))
+    rep0 = convergence_experiment(family, sim, law)
     rows = [[f"{a}-{b}", d, se] for (a, b), d, se in
             zip(zip(range(1, len(rep0.pairwise_D) + 1),
                     range(2, len(rep0.pairwise_D) + 2)),

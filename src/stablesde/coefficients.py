@@ -72,13 +72,8 @@ def check_params(name: str, params: dict, family: bool, where: str) -> None:
 @dataclass
 class CoefficientPair:
     """Baseline (b, sigma) and perturbed (b_tilde, sigma_tilde) coefficients
-    with the regularity metadata the rate bounds need.
-
-    K bounds |b| and sigma above and is a Lipschitz constant of sigma^alpha,
-    k bounds sigma below. lip_b_tilde is a Lipschitz constant of b_tilde and
-    hol_sigma_tilde an eta_tilde-Holder constant of sigma_tilde, uniform in
-    time.
-    """
+    with their starts x0, x0_tilde. eta_tilde is the spatial Holder exponent
+    of sigma_tilde, which selects the branch of the rate bound."""
 
     b: callable
     sigma: callable
@@ -86,11 +81,7 @@ class CoefficientPair:
     sigma_tilde: callable
     x0: float
     x0_tilde: float
-    K: float
-    k: float
     eta_tilde: float
-    lip_b_tilde: float
-    hol_sigma_tilde: float
     label: str = ""
 
     def drift_gap(self, t, y):
@@ -98,34 +89,6 @@ class CoefficientPair:
 
     def jump_gap(self, t, y):
         return np.abs(self.sigma(y) - self.sigma_tilde(t, y))
-
-
-def spot_check_regularity(pair: CoefficientPair, alpha: float, rng) -> None:
-    """Sample-based verification of the declared bounds at 128 point pairs
-    within 10 of x0; raises DomainError on violation."""
-    n_pairs, window, tol = 128, 10.0, 1e-9
-    if not (1.0 / alpha - 1e-12 <= pair.eta_tilde <= 1.0 + 1e-12):
-        raise DomainError(
-            f"eta_tilde must lie in [1/alpha, 1], got {pair.eta_tilde}")
-    xs = pair.x0 + window * (2.0 * rng.uniform(n_pairs) - 1.0)
-    ys = pair.x0 + window * (2.0 * rng.uniform(n_pairs) - 1.0)
-    ts = rng.uniform(n_pairs)
-    sig = pair.sigma(xs)
-    if np.any(sig < pair.k * (1.0 - tol)) or np.any(sig > pair.K * (1.0 + tol)):
-        raise DomainError("sigma leaves the declared band [k, K]")
-    if np.any(np.abs(pair.b(xs)) > pair.K * (1.0 + tol)):
-        raise DomainError("|b| exceeds the declared bound K")
-    sa = pair.sigma(xs) ** alpha - pair.sigma(ys) ** alpha
-    if np.any(np.abs(sa) > pair.K * np.abs(xs - ys) * (1.0 + 1e-6) + tol):
-        raise DomainError("sigma^alpha violates the declared Holder bound")
-    for t in np.unique(ts[:8]):
-        bd = np.abs(pair.b_tilde(t, xs) - pair.b_tilde(t, ys))
-        if np.any(bd > pair.lip_b_tilde * np.abs(xs - ys) * (1.0 + 1e-6) + tol):
-            raise DomainError("b_tilde violates its Lipschitz declaration")
-        sd = np.abs(pair.sigma_tilde(t, xs) - pair.sigma_tilde(t, ys))
-        cap = pair.hol_sigma_tilde * np.abs(xs - ys) ** pair.eta_tilde
-        if np.any(sd > cap * (1.0 + 1e-6) + tol):
-            raise DomainError("sigma_tilde violates its Holder declaration")
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +140,7 @@ def mollified_kink_hat(x, center, amp, h):
 # ---------------------------------------------------------------------------
 
 def _sigma(params):
-    """sigma = s0 + s1 sin(freq_s x), with its upper bound, a Lipschitz
-    constant of sigma^alpha and its lower bound."""
+    """sigma = s0 + s1 sin(freq_s x)."""
     s0 = _param(params, "sigma", "s0")
     s1 = _param(params, "sigma", "s1")
     freq_s = _param(params, "sigma", "freq_s")
@@ -188,9 +150,7 @@ def _sigma(params):
     def sigma(x):
         return s0 + s1 * np.sin(freq_s * np.asarray(x, dtype=float))
 
-    # |d/dx sigma^alpha| <= 2 * sig_hi^(2-1) * s1 * freq_s is a crude cap;
-    # use alpha<2 so sigma^alpha has Lipschitz constant <= 2 sig_hi s1 freq_s
-    return sigma, s0 + s1, 2.0 * (s0 + s1) * s1 * freq_s, s0 - s1
+    return sigma
 
 
 def _baseline(params):
@@ -201,24 +161,22 @@ def _baseline(params):
     b_amp = _param(params, "trig", "b_amp")
     freq = _param(params, "trig", "freq")
     b_phase = _param(params, "trig", "b_phase")
-    sigma, sig_hi, lip_sa, k = _sigma(params)
 
     def b(x):
         return b_amp * np.cos(freq * np.asarray(x, dtype=float) - b_phase)
 
-    return b, sigma, max(b_amp, sig_hi, b_amp * freq, lip_sa, 1.0), k
+    return b, _sigma(params)
 
 
 def _kink_baseline(params):
     """Kinked-hat drift baseline for the mollification experiments."""
     amp = _param(params, "kink", "kink_amp")
     center = _param(params, "kink", "kink_center")
-    sigma, sig_hi, lip_sa, k = _sigma(params)
 
     def b(x):
         return kink_hat(x, center, amp)
 
-    return b, sigma, max(amp, sig_hi, lip_sa, 1.0), k
+    return b, _sigma(params)
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +192,9 @@ def make_pair(name: str, alpha: float, params: dict | None = None) -> Coefficien
         raise DomainError(f"unknown coefficient pair {name!r}")
     params = dict(params or {})
     x0 = _param(params, "start", "x0")
-    b, sigma, K, k = (_baseline if "trig" in groups else _kink_baseline)(params)
+    b, sigma = (_baseline if "trig" in groups else _kink_baseline)(params)
     x0_tilde = x0 + _param(params, "start", "x0_gap")
     eta_tilde = _param(params, "holder", "eta_tilde") if "holder" in groups else 1.0
-    lip_b = K
-    hol_s = 2.0 * K
     b_t = lambda t, x: b(x)
     s_t = lambda t, x: sigma(x)
     if "shift" in groups:
@@ -257,14 +213,11 @@ def make_pair(name: str, alpha: float, params: dict | None = None) -> Coefficien
         s_t = lambda t, x: sigma(x) + c
     elif name == "drift_bump":
         b_t = lambda t, x: b(x) + amp * smooth_bump((np.asarray(x) - center) / width)
-        lip_b = K + 2.0 * abs(amp) / width
     elif name == "jump_bump":
         s_t = lambda t, x: sigma(x) + amp * smooth_bump((np.asarray(x) - center) / width)
-        hol_s = 2.0 * K + 2.0 * abs(amp) / width
     elif name == "jump_kink":
         s_t = lambda t, x: (sigma(x) + amp
                             * holder_kink((np.asarray(x) - center) / width, eta_tilde))
-        hol_s = 2.0 * K + abs(amp) / width ** eta_tilde
     elif name == "mollified_kink":
         amp = _param(params, "kink", "kink_amp")
         center = _param(params, "kink", "kink_center")
@@ -275,8 +228,7 @@ def make_pair(name: str, alpha: float, params: dict | None = None) -> Coefficien
 
     return CoefficientPair(
         b=b, sigma=sigma, b_tilde=b_t, sigma_tilde=s_t,
-        x0=x0, x0_tilde=x0_tilde, K=K, k=k, eta_tilde=eta_tilde,
-        lip_b_tilde=lip_b, hol_sigma_tilde=hol_s, label=name)
+        x0=x0, x0_tilde=x0_tilde, eta_tilde=eta_tilde, label=name)
 
 
 # ---------------------------------------------------------------------------

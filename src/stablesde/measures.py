@@ -1,9 +1,9 @@
-"""Weighted measures, frozen transition density, and the coefficient-distance
-functionals.
+"""Frozen transition density and the coefficient-distance functionals.
 
-The distance functionals weight the pointwise coefficient gaps by where the
-baseline process actually lives. The true transition density is not
-available; the default model is the frozen-coefficient density
+The distance functionals are the paper's density-weighted norms: they weight
+the pointwise coefficient gaps by where the baseline process actually lives.
+The true transition density is not available; the default model is the
+frozen-coefficient density
 
     p0_t(x0, y) = g((y - x0) / s) / s,   s = t^(1/alpha) sigma(y)^(1/alpha),
 
@@ -20,7 +20,6 @@ where the frozen density concentrates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -31,8 +30,7 @@ from .quadrature import panel_nodes
 from .simulate import SimConfig, simulate_baseline_average
 from .stable import StableLaw, density_grid, stable_tail_mass
 
-_NORM_REL_TOL = 1e-6    # weighted_norm: tail share at which the window stops growing
-_SPACE_REL_TOL = 1e-4   # the same for the space integrals of distance_B / distance_S
+_SPACE_REL_TOL = 1e-4   # tail share at which a space integral's window stops growing
 _SUP_TIME_NODES = 65    # uniform time nodes of the sup distances
 _BAND_SLACK = 0.25      # comparability_band widening for Monte Carlo noise
 
@@ -74,23 +72,9 @@ class DensityModel:
             raise DomainError("empirical mode needs a SimConfig")
 
 
-def weighted_measure_density(law: StableLaw, x0: float, sigma_x0: float,
-                             t: float, y):
-    """Density of the weighted measure: the stable density rescaled by
-    t^(1/alpha) sigma(x0)^(1/alpha) and centered at x0 (sigma frozen at the
-    start point)."""
-    if t <= 0:
-        raise DomainError("t must be > 0")
-    if sigma_x0 <= 0:
-        raise DomainError("sigma(x0) must be > 0")
-    scale = t ** (1.0 / law.alpha) * sigma_x0 ** (1.0 / law.alpha)
-    out = density_grid(law, (np.asarray(y, dtype=float) - x0) / scale) / scale
-    return float(out[0]) if np.ndim(y) == 0 else out
-
-
 def frozen_density(model: DensityModel, pair: CoefficientPair, t: float, y):
-    """Frozen-coefficient density of the pair's baseline; sigma is evaluated at
-    the target point y, unlike the weighted measure which freezes at x0."""
+    """Frozen-coefficient density p0_t(x0, y) of the pair's baseline, times M;
+    sigma is evaluated at the target point y."""
     if model.mode == "empirical":
         raise DomainError("the empirical model has no closed-form density")
     if t <= 0:
@@ -100,74 +84,6 @@ def frozen_density(model: DensityModel, pair: CoefficientPair, t: float, y):
     scale = t ** (1.0 / model.law.alpha) * sig ** (1.0 / model.law.alpha)
     vals = model.M * (density_grid(model.law, (y_arr - pair.x0) / scale) / scale)
     return float(vals[0]) if np.ndim(y) == 0 else vals
-
-
-def frozen_density_mass(model: DensityModel, pair: CoefficientPair, t: float,
-                        sigma_bounds: tuple) -> float:
-    """Numerical mass of the frozen density at time t (window + tail bound).
-    Exactly 1 for constant sigma; approximately 1 when sigma varies."""
-    k_lo, k_hi = sigma_bounds
-    scale_hi = t ** (1.0 / model.law.alpha) * k_hi ** (1.0 / model.law.alpha)
-    R = 200.0 * scale_hi
-    edges = pair.x0 + np.concatenate([
-        -np.geomspace(R, 1e-3 * scale_hi, 120), [0.0],
-        np.geomspace(1e-3 * scale_hi, R, 120)])
-    nodes, wts = panel_nodes(np.sort(edges), order=12)
-    body = float(np.sum(frozen_density(model, pair, t, nodes) * wts))
-    z = R / scale_hi * (k_lo / k_hi) ** (1.0 / model.law.alpha)
-    tail = 2.0 * stable_tail_mass(model.law, z)
-    return body + model.M * tail
-
-
-# ---------------------------------------------------------------------------
-# weighted norm
-# ---------------------------------------------------------------------------
-
-def weighted_norm(f, p: float, law: StableLaw, x0: float, sigma_x0: float,
-                  t: float) -> float:
-    """L^p norm of f against the weighted measure, by quadrature in the
-    rescaled variable plus a power-law tail estimate.
-
-    Functions growing at order >= alpha/p are not integrable against the
-    (|z| v 1)^(-1-alpha) envelope and raise DomainError.
-    """
-    if p <= 0:
-        raise DomainError("p must be > 0")
-    if t <= 0 or sigma_x0 <= 0:
-        raise DomainError("t and sigma(x0) must be > 0")
-    a = law.alpha
-    scale = t ** (1.0 / a) * sigma_x0 ** (1.0 / a)
-
-    def fp(z):
-        return np.abs(np.asarray(f(x0 + scale * z), dtype=float)) ** p
-
-    # growth probe: |f|^p ~ A z^q at large z decides integrability
-    zp = np.array([64.0, 128.0, 256.0, 512.0])
-    probe = 0.5 * (fp(zp) + fp(-zp))
-    if probe[-1] > 1e-300 and probe[-2] > 1e-300:
-        q_growth = math.log(probe[-1] / probe[-2]) / math.log(zp[-1] / zp[-2])
-    else:
-        q_growth = -math.inf
-    if q_growth >= a * 0.999:
-        raise DomainError(
-            f"|f|^p grows at order {q_growth:.3f} >= alpha = {a}; the weighted "
-            "norm diverges against the power-law tail")
-
-    R = 64.0
-    total = None
-    for _ in range(4):
-        edges = np.concatenate([-np.geomspace(R, 1e-4, 160), [0.0],
-                                np.geomspace(1e-4, R, 160)])
-        nodes, wts = panel_nodes(np.sort(edges), order=12)
-        body = float(np.sum(fp(nodes) * density_grid(law, nodes) * wts))
-        amp = 0.5 * (fp(np.array([R]))[0] + fp(np.array([-R]))[0])
-        q_loc = max(q_growth, 0.0)
-        tail = 2.0 * amp * law.c_alpha * R ** (q_loc - a) / (a - q_loc)
-        total = body + tail
-        if tail <= _NORM_REL_TOL * max(total, 1e-300):
-            break
-        R *= 4.0
-    return total ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------

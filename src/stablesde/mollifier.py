@@ -137,8 +137,7 @@ class Mollifier:
         return np.array([np.sum(pv * nodes ** k * wts) for k in range(_N_FAR_TERMS)])
 
 
-def build_mollifier(alpha: float, eps: float, delta: float, *,
-                    rho: float | None = None) -> Mollifier:
+def build_mollifier(alpha: float, eps: float, delta: float) -> Mollifier:
     """Construct psi with unit integral and the 2/(x log delta) cap.
 
     The window half-width fraction rho is searched over [1e-4, 0.2]; the
@@ -154,12 +153,8 @@ def build_mollifier(alpha: float, eps: float, delta: float, *,
         raise DomainError("delta must be > 1")
     if not (1.0 < alpha < 2.0):
         raise DomainError("alpha must lie strictly in (1, 2)")
-    candidates = [rho] if rho is not None else [0.05, 0.02, 0.1, 0.01, 0.005,
-                                                0.15, 0.2, 1e-3, 1e-4]
     worst = None
-    for r in candidates:
-        if not (1e-4 <= r <= 0.2):
-            raise DomainError("rho must lie in [1e-4, 0.2]")
+    for r in (0.05, 0.02, 0.1, 0.01, 0.005, 0.15, 0.2, 1e-3, 1e-4):
         trial = Mollifier(alpha=alpha, eps=eps, delta=delta, rho=r,
                           psi_normalizer=1.0)
         nodes, wts = panel_nodes(trial.base_edges(), order=24)

@@ -13,7 +13,7 @@ eta_tilde of the perturbed jump coefficient:
 
 valid under B < 1, S < 1. The multiplicative constant depends on quantities
 no experiment can print, so every bound check is one-point calibrated:
-C_fit is fitted on a single designated row and all remaining rows are
+C_fit is fitted on the first member's row and all remaining rows are
 out-of-sample. The tail version divides the same bracket by h. Sweeps and
 convergence runs take eta_tilde, start and sigma from their family's members.
 """
@@ -118,15 +118,14 @@ class SweepRow:
 class SweepResult:
     spec: RateBoundSpec
     rows: list
-    calibration_index: int
     slope_D_vs_scale: float | None = None          # log D against log scale
     slope_S_vs_inverse_scale: float | None = None  # log S against log(1/scale)
 
     @property
     def out_of_sample_failures(self) -> int:
-        """Non-calibration rows without an assumption flag that exceed their bound."""
-        return sum(not r.satisfied for i, r in enumerate(self.rows)
-                   if i != self.calibration_index and not r.assumption_flag)
+        """Rows after the first (the calibration row) without an assumption
+        flag that exceed their bound."""
+        return sum(not r.satisfied for r in self.rows[1:] if not r.assumption_flag)
 
     @property
     def bound_satisfied_out_of_sample(self) -> bool:
@@ -134,17 +133,15 @@ class SweepResult:
 
 
 def run_sweep(family: PerturbationFamily, sim_config: SimConfig,
-              law: StableLaw, *, h_values=(), calibration_index: int = 0) -> SweepResult:
+              law: StableLaw, *, h_values=()) -> SweepResult:
     """For each family member: frozen_plain distances B_n, S_n on the
     default time grid, a coupled simulation, the sup moment
     D_n = sup_t mean|X - X~|^(alpha-1), tail rows, and the
-    one-point-calibrated check of the members' eta_tilde bound. Assumption
-    violations flag rows instead of failing the sweep."""
+    one-point-calibrated check of the members' eta_tilde bound, with C_fit
+    fitted on the first member. Assumption violations flag rows instead of
+    failing the sweep."""
     if not family.pairs:
         raise DomainError("perturbation family has no members")
-    if not 0 <= calibration_index < len(family.pairs):
-        raise DomainError(f"calibration_index must lie in [0, {len(family.pairs)}) "
-                          f"for this family, got {calibration_index}")
     spec = RateBoundSpec(alpha=law.alpha, eta_tilde=family.pairs[0].eta_tilde)
     q = law.alpha - 1.0
     model = DensityModel(mode="frozen_plain", law=law)
@@ -170,7 +167,7 @@ def run_sweep(family: PerturbationFamily, sim_config: SimConfig,
                              bound_value=float("nan"), satisfied=False,
                              assumption_flag=flag, tails=tails))
 
-    calib = rows[calibration_index]
+    calib = rows[0]
     if not calib.assumption_flag and calib.bound_raw > 0:
         c_fit = calib.D / calib.bound_raw
     else:
@@ -181,7 +178,7 @@ def run_sweep(family: PerturbationFamily, sim_config: SimConfig,
             r.bound_value = c_fit * r.bound_raw
             r.satisfied = bool(r.D <= r.bound_value * (1.0 + 1e-12))
 
-    result = SweepResult(spec=spec, rows=rows, calibration_index=calibration_index)
+    result = SweepResult(spec=spec, rows=rows)
     good = [r for r in rows if not r.assumption_flag and r.D > 0 and r.bound_raw > 0]
     if len(good) >= 4:
         result.slope_D_vs_scale = ols_loglog([r.scale for r in good],
@@ -211,11 +208,12 @@ class ConvergenceReport:
 
 
 def convergence_experiment(family: PerturbationFamily, sim_config: SimConfig,
-                           law: StableLaw, p: float | None = None) -> ConvergenceReport:
-    """Successive coupled distances D_{n,n+1} for a coefficient sequence
-    sharing one driving path (all members and the limit run as the legs of
-    one simulation), the identification residual against the limiting
-    coefficients, and the uniform L^p boundedness check.
+                           law: StableLaw) -> ConvergenceReport:
+    """Successive coupled distances D_{n,n+1} for a coefficient sequence of
+    at least 2 members sharing one driving path (all members and the limit
+    run as the legs of one simulation), the identification residual against
+    the limiting coefficients, and the uniform L^p boundedness check at
+    p = (1 + alpha)/2.
 
     Cauchy behaviour = D_{n,n+1} decreasing up to twice the combined
     standard error.
@@ -224,8 +222,10 @@ def convergence_experiment(family: PerturbationFamily, sim_config: SimConfig,
     base = family.pairs[0]
     if base.x0_tilde != base.x0:
         raise DomainError("convergence members share one start: x0_gap must be 0")
-    p = p if p is not None else (1.0 + law.alpha) / 2.0
     K = len(family.pairs)
+    if K < 2:
+        raise DomainError(f"convergence experiment needs at least 2 family "
+                          f"members, got {K}")
     legs = [(base.x0, b, lambda t, x: base.sigma(x)) for b in drifts]
     run = simulate_legs(sim_config, law, legs)
     curves = [distance_moment_curve(run, law.alpha - 1.0, i) for i in range(K)]
@@ -233,7 +233,8 @@ def convergence_experiment(family: PerturbationFamily, sim_config: SimConfig,
     ses = np.array([c.sup_stderr for c in curves[:-1]])
     mono = bool(np.all(ds[1:] <= ds[:-1]
                        + 2.0 * np.sqrt(ses[1:] ** 2 + ses[:-1] ** 2)))
-    lp = uniform_lp_check(run.abs_max[:K, run.ok], p, law.alpha)
+    lp = uniform_lp_check(run.abs_max[:K, run.ok], (1.0 + law.alpha) / 2.0,
+                          law.alpha)
     return ConvergenceReport(pairwise_D=ds, pairwise_se=ses,
                              monotone_within_2se=mono,
                              limit_residual=curves[-1].sup,

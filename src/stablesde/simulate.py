@@ -33,14 +33,13 @@ import math
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
 from .coefficients import CoefficientPair
 from .errors import DomainError, NumericError
-from .quadrature import ols_loglog
 from .rng import RngStream
 from .stable import StableLaw, sample_increments
 
@@ -345,17 +344,3 @@ def uniform_lp_check(sup_abs_values, p: float, alpha: float) -> UniformLpReport:
         passes=bool(np.all(dev <= 3.0)),
         slope_ci_contains_zero=bool(abs(slope) <= 1.959963984540054 * slope_se))
 
-
-def self_similarity_slope(law: StableLaw, horizons, config: SimConfig) -> tuple:
-    """Median |X_T - x0| for b=0, sigma=1 across horizons, regressed log-log
-    against T; the scaling exponent of the driving law is 1/alpha."""
-    medians = []
-    for i, T in enumerate(horizons):
-        cfg = replace(config, T=float(T), stream_label=f"selfsim-{i}")
-        dt = cfg.T / cfg.n_steps
-        sums = [np.abs(sample_increments(
-                    law, dt, (cfg.n_steps, cols.stop - cols.start), stream).sum(axis=0))
-                for _, cols, stream in _blocks(cfg)]
-        medians.append(float(np.median(np.concatenate(sums))))
-    slope, _, se = ols_loglog(np.asarray(horizons, dtype=float), np.asarray(medians))
-    return slope, se, medians

@@ -94,23 +94,17 @@ def _density_quad(law: StableLaw, x: float) -> float:
     return val / math.pi
 
 
-def _tail_series_terms(alpha: float, k: np.ndarray) -> np.ndarray:
-    """log|coefficient| and sign of the k-th tail-series coefficient.
-
-    g(x) = (1/pi) sum_k (-1)^(k+1) Gamma(k alpha + 1)/k! sin(k alpha pi/2) x^(-k alpha - 1)
-    """
-    logmag = gammaln(k * alpha + 1.0) - gammaln(k + 1.0)
-    s = np.sin(k * alpha * np.pi / 2.0)
-    sign = np.where(k % 2 == 1, 1.0, -1.0) * np.sign(s)
-    return logmag + np.log(np.abs(s) + 1e-300), sign
-
-
 @lru_cache(maxsize=8)
 def _tail_rows(alpha: float):
     """(k alpha + 1, log|coefficient|, sign) of the tail-series terms
-    k = 1.._TAIL_KMAX, read-only."""
+    k = 1.._TAIL_KMAX, read-only:
+
+    g(x) = (1/pi) sum_k (-1)^(k+1) Gamma(k alpha + 1)/k! sin(k alpha pi/2) x^(-k alpha - 1)
+    """
     k = np.arange(1, _TAIL_KMAX + 1, dtype=float)
-    logmag, sign = _tail_series_terms(alpha, k)
+    s = np.sin(k * alpha * np.pi / 2.0)
+    logmag = gammaln(k * alpha + 1.0) - gammaln(k + 1.0) + np.log(np.abs(s) + 1e-300)
+    sign = np.where(k % 2 == 1, 1.0, -1.0) * np.sign(s)
     rows = (k * alpha + 1.0, logmag, sign)
     for r in rows:
         r.flags.writeable = False
@@ -159,13 +153,15 @@ def stable_density(law: StableLaw, x):
 
 
 def stable_tail_mass(law: StableLaw, x: float) -> float:
-    """P(Z_1 > x) for x above the oscillatory cutoff, by the tail series."""
+    """P(Z_1 > x) for x above the oscillatory cutoff: the density's tail
+    series integrated term by term (power -k alpha, a 1/(k alpha) factor),
+    truncated at its smallest term."""
     a = law.alpha
     if x <= 0:
         raise DomainError("tail mass defined for x > 0")
-    k = np.arange(1, _TAIL_KMAX + 1, dtype=float)
-    logmag, sign = _tail_series_terms(a, k)
-    logterm = logmag - (k * a) * math.log(x) - np.log(k * a)
+    _, logmag, sign = _tail_rows(a)
+    ka = np.arange(1, _TAIL_KMAX + 1, dtype=float) * a
+    logterm = logmag - ka * math.log(x) - np.log(ka)
     terms = sign * np.exp(logterm)
     mags = np.abs(terms)
     stop = int(np.argmin(mags)) + 1

@@ -45,8 +45,7 @@ def jump_sweep(law):
     family = make_family("jump_bump", ALPHA,
                          {"amp0": -0.1, "width": 0.6, "n_start": 1, "n_stop": 6})
     cfg = SimConfig(T=1.0, n_steps=500, n_paths=150000, seed=31415)
-    return ss.run_sweep(family, cfg, law,
-                        h_values=(0.05, 0.1, 0.2, 0.4), calibration_index=0)
+    return ss.run_sweep(family, cfg, law, h_values=(0.05, 0.1, 0.2, 0.4))
 
 
 def test_criterion_1_density_oracles():

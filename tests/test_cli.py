@@ -172,12 +172,15 @@ class TestConfigParsing:
         # paths are kept by --dump-paths alone, and only simulate writes them
         ("simulate", "--set sim.keep_paths=true", 2, "keep_paths"),
         ("sweep", "--dump-paths", 2, "--dump-paths"),
+        # keys that only ever took one value: the first sweep member calibrates,
+        # p is (1 + alpha)/2, and the mollifier searches its own window
+        ("certify-mollifier", "--set mollifier.rho=0.05", 2, "rho"),
+        ("converge", "--set converge.p_exponent=1.25", 2, "p_exponent"),
+        ("sweep", "--set sweep.calibration_index=0", 2, "calibration_index"),
         ("certify-mollifier", "--set certify.grid_points=-1", 3, "certify.grid_points"),
         ("certify-mollifier", "--set certify.komatsu_points=-1", 3,
          "certify.komatsu_points"),
         ("distances", "--set distances.sup_points=0", 3, "distances.sup_points"),
-        ("sweep", "--set sweep.calibration_index=9", 3, "calibration_index"),
-        ("sweep", "--set sweep.calibration_index=-1", 3, "sweep.calibration_index"),
         ("certify-density", "--set certify.alphas=[]", 3, "certify.alphas"),
         ("simulate", "--set sim.seed=" + "9" * 45, 3, "seed"),
         ("distances", "--set coefficients.params.width=0", 3, "width"),
@@ -187,6 +190,7 @@ class TestConfigParsing:
                       '--set sim={"T":1.0,"n_steps":4,"n_paths":16,"seed":5}', 3,
          "frozen_upper"),
         ("converge", "--set converge.params.h0=0", 3, "scale h"),
+        ("converge", "--set converge.params.n_stop=1", 3, "at least 2 family members"),
         ("certify-mollifier", "--set mollifier.eps=1e-5 --set mollifier.delta=1.0001", 3,
          "cap violated"),
         (None, "--h 0", 3, "tail threshold h"),
@@ -408,8 +412,7 @@ class TestRunCommands:
                             satisfied=satisfied, assumption_flag=False)
 
         result = SweepResult(spec=RateBoundSpec(alpha=1.5, eta_tilde=1.0),
-                             rows=[row(True), row(False), row(False)],
-                             calibration_index=0)
+                             rows=[row(True), row(False), row(False)])
         monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: result)
         cfg = write_cfg(tmp_path, {"command": "sweep", **TINY["sweep"]})
         rc, err = run_quiet(["run", "--config", cfg, "--out", str(tmp_path / "o")])

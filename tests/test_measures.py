@@ -1,14 +1,13 @@
-"""Weighted measure, frozen density, weighted norms, coefficient distances."""
+"""Frozen density and coefficient distances."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import stablesde as ss
 from stablesde.coefficients import make_pair
 from stablesde import measures
 from stablesde.measures import DensityModel
+from stablesde.quadrature import panel_nodes
 
 G0_15 = 0.28735275145216445
 
@@ -24,42 +23,32 @@ def gentle_model(law15):
     return pair, DensityModel(mode="frozen_plain", law=law15)
 
 
-class TestWeightedMeasure:
-    def test_center_value(self, law15):
-        val = ss.weighted_measure_density(law15, 0.0, 1.0, 1.0, 0.0)
-        assert val == pytest.approx(G0_15, abs=1e-8)
-
-    def test_center_by_substitution(self, law15):
-        # y = x0 gives g(0) / (t^(1/a) sigma^(1/a))
-        val = ss.weighted_measure_density(law15, 2.0, 1.3, 0.7, 2.0)
-        scale = 0.7 ** (1 / 1.5) * 1.3 ** (1 / 1.5)
-        assert val == pytest.approx(G0_15 / scale, rel=1e-8)
-
-    def test_total_mass_one(self, law15):
-        norm = ss.weighted_norm(lambda y: np.ones_like(np.asarray(y, float)),
-                                1.0, law15, 0.5, 1.2, 0.8)
-        assert norm == pytest.approx(1.0, abs=1e-4)
-
-    def test_preconditions(self, law15):
-        with pytest.raises(ss.DomainError):
-            ss.weighted_measure_density(law15, 0.0, 1.0, 0.0, 1.0)
-        with pytest.raises(ss.DomainError):
-            ss.weighted_measure_density(law15, 0.0, -1.0, 1.0, 1.0)
-
-
 class TestFrozenDensity:
     def test_constant_sigma_matches_weighted_measure(self, law15):
+        """With sigma constant, p0_t(x0, y) = g((y - x0) / s) / s with
+        s = t^(1/alpha) sigma^(1/alpha), the stable law rescaled around x0."""
         pair = make_pair("identical", 1.5, {"s0": 1.3, "s1": 0.0, "x0": 0.5})
         model = DensityModel(mode="frozen_plain", law=law15)
+        scale = 0.7 ** (1 / 1.5) * 1.3 ** (1 / 1.5)
+        assert ss.frozen_density(model, pair, 0.7, 0.5) == pytest.approx(
+            G0_15 / scale, rel=1e-8)
         for y in (-1.0, 0.5, 2.0):
+            g = ss.density_grid(law15, np.array([(y - 0.5) / scale]))[0]
             assert ss.frozen_density(model, pair, 0.7, y) == pytest.approx(
-                ss.weighted_measure_density(law15, 0.5, 1.3, 0.7, y), rel=1e-12)
+                g / scale, rel=1e-12)
 
     def test_mass_near_one_on_time_grid(self, law15, gentle_model):
+        """Quadrature of p0 over a window of 200 largest scales around x0,
+        plus the stable tail mass beyond it, with sigma in [0.95, 1.05]."""
         pair, model = gentle_model
         for t in measures._time_grid(1.0, 1.5, 8)[1:]:
-            mass = ss.frozen_density_mass(model, pair, float(t), (0.95, 1.05))
-            assert abs(mass - 1.0) < 1e-3
+            scale_hi = float(t) ** (1 / 1.5) * 1.05 ** (1 / 1.5)
+            half = np.geomspace(1e-3 * scale_hi, 200.0 * scale_hi, 120)
+            nodes, wts = panel_nodes(
+                pair.x0 + np.concatenate([-half[::-1], [0.0], half]), order=12)
+            body = np.sum(ss.frozen_density(model, pair, float(t), nodes) * wts)
+            tail = 2.0 * ss.stable_tail_mass(law15, 200.0 * (0.95 / 1.05) ** (1 / 1.5))
+            assert abs(body + tail - 1.0) < 1e-3
 
     def test_upper_mode_scales_by_M(self, law15, gentle_model):
         pair, plain = gentle_model
@@ -95,25 +84,6 @@ class TestFrozenDensity:
             DensityModel(mode="frozen_upper", law=law15, M=0.5)
         with pytest.raises(ss.DomainError):
             DensityModel(mode="empirical", law=law15)
-
-
-class TestWeightedNorm:
-    def test_constant(self, law15):
-        f = lambda y: -2.0 * np.ones_like(np.asarray(y, float))
-        assert ss.weighted_norm(f, 1.3, law15, 0.0, 1.0, 1.0) == pytest.approx(
-            2.0, rel=1e-6)
-
-    def test_far_indicator_below_tail_bound(self, law15):
-        f = lambda y: (np.abs(np.asarray(y, float)) > 30.0).astype(float)
-        val = ss.weighted_norm(f, 1.0, law15, 0.0, 1.0, 1.0)
-        # mass beyond 30 is at most the envelope integral
-        bound = 2.0 * law15.c_alpha * 30.0 ** -1.5 / 1.5 * 2.0
-        assert val < bound
-
-    def test_fast_growth_rejected(self, law15):
-        f = lambda y: np.abs(np.asarray(y, float)) ** 2.6
-        with pytest.raises(ss.DomainError):
-            ss.weighted_norm(f, 1.0, law15, 0.0, 1.0, 1.0)
 
 
 class TestDistances:
@@ -247,19 +217,3 @@ class TestTimeGrid:
         with pytest.raises(ss.DomainError):
             measures._time_grid(1.0, 1.5, 1)
 
-
-class TestRegularity:
-    def test_spot_check_accepts_catalog(self):
-        pair = make_pair("jump_bump", 1.5, {"amp": 0.2})
-        ss.spot_check_regularity(pair, 1.5, ss.RngStream(3))
-
-    def test_eta_tilde_domain(self):
-        pair = make_pair("jump_kink", 1.5, {"amp": 0.2, "eta_tilde": 0.5})
-        with pytest.raises(ss.DomainError):
-            ss.spot_check_regularity(pair, 1.5, ss.RngStream(3))
-
-    @given(amp=st.floats(0.01, 0.5), width=st.floats(0.5, 3.0))
-    @settings(max_examples=10, deadline=None)
-    def test_bump_pairs_pass_spot_checks(self, amp, width):
-        pair = make_pair("drift_bump", 1.5, {"amp": amp, "width": width})
-        ss.spot_check_regularity(pair, 1.5, ss.RngStream(11))

@@ -53,10 +53,6 @@ class TestConstruction:
         with pytest.raises(ss.DomainError):
             ss.build_mollifier(1.5, eps, delta)
 
-    def test_rejects_rho_outside_search_range(self):
-        with pytest.raises(ss.DomainError):
-            ss.build_mollifier(1.5, 0.1, 4.0, rho=0.5)
-
     def test_psi_prime_matches_finite_difference(self):
         m = ss.build_mollifier(1.5, 0.1, 4.0)
         xs = np.linspace(0.026, 0.099, 37)

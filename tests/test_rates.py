@@ -143,7 +143,7 @@ class TestRunSweep:
         # B = S = 0 for the pure initial-value family
         assert all(r.B == 0.0 and r.S == 0.0 for r in res.rows)
         assert res.spec.C_fit > 0.0
-        assert res.rows[res.calibration_index].satisfied
+        assert res.rows[0].satisfied
 
     def test_sweep_reproducible(self, law15):
         family = make_family("jump_bump", 1.5,

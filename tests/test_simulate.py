@@ -97,11 +97,6 @@ class TestEulerExactness:
         emp = (idx + 1.0) / xs.size
         assert np.max(np.abs(cdf - emp)) < 0.015
 
-    def test_self_similarity(self, law15):
-        cfg = SimConfig(T=1.0, n_steps=32, n_paths=20000, seed=13)
-        slope, se, _ = ss.self_similarity_slope(law15, [0.25, 1.0, 4.0], cfg)
-        assert slope == pytest.approx(1.0 / 1.5, abs=0.05)
-
 
 class TestMomentCurve:
     @pytest.mark.parametrize("q", [0.0, -0.5, 1.5, 2.0])
