@@ -191,6 +191,8 @@ class TestConfigParsing:
          "frozen_upper"),
         ("converge", "--set converge.params.h0=0", 3, "scale h"),
         ("converge", "--set converge.params.n_stop=1", 3, "at least 2 family members"),
+        ("converge", "--set converge.params.n_start=4 --set converge.params.n_stop=4", 3,
+         "at least 2 family members"),
         ("certify-mollifier", "--set mollifier.eps=1e-5 --set mollifier.delta=1.0001", 3,
          "cap violated"),
         (None, "--h 0", 3, "tail threshold h"),

@@ -1,0 +1,54 @@
+"""The coefficient-pair catalog: positivity, boundedness and the regularity
+each pair declares."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stablesde.coefficients import _PAIRS, make_pair
+
+# the required parameter of each pair that has one
+_REQUIRED = {"drift_shift": {"shift": 0.2}, "jump_shift": {"shift": 0.2},
+             "drift_bump": {"amp": 0.2}, "jump_bump": {"amp": 0.2},
+             "jump_kink": {"amp": 0.2, "eta_tilde": 0.8},
+             "mollified_kink": {"h": 0.1}}
+
+
+@pytest.mark.parametrize("name", sorted(_PAIRS))
+def test_catalog_pairs_are_bounded_with_positive_sigma(name):
+    pair = make_pair(name, 1.5, _REQUIRED.get(name, {}))
+    ys = np.linspace(-50.0, 50.0, 20001)
+    for t in (0.0, 0.7):
+        for f in (pair.b(ys), pair.sigma(ys), pair.b_tilde(t, ys),
+                  pair.sigma_tilde(t, ys)):
+            assert np.all(np.isfinite(f))
+        # defaults s0 = 1, s1 = 0.1 keep sigma in [0.9, 1.1]
+        assert np.min(pair.sigma(ys)) >= 0.9 - 1e-12
+        assert np.min(pair.sigma_tilde(t, ys)) >= 0.9 - 1e-12
+        assert np.max(pair.drift_gap(t, ys)) <= 0.2 + 1e-12
+        assert np.max(pair.jump_gap(t, ys)) <= 0.2 + 1e-12
+
+
+def test_jump_kink_is_exactly_eta_tilde_holder():
+    pair = make_pair("jump_kink", 1.5, {"amp": 0.2, "eta_tilde": 0.8})
+    assert pair.eta_tilde == 0.8
+    assert make_pair("jump_bump", 1.5, {"amp": 0.2}).eta_tilde == 1.0
+    d = np.geomspace(1e-8, 1e-2, 13)
+    rise = np.abs(pair.sigma_tilde(0.0, pair.x0 + d) - pair.sigma_tilde(0.0, pair.x0))
+    # amp |d / width|^eta_tilde at the kink, plus the Lipschitz baseline sigma
+    assert np.all(rise / d ** 0.8 <= 0.2 + 0.1 * d ** 0.2 + 1e-9)
+    # not Lipschitz: the difference quotient grows like d^(eta_tilde - 1)
+    assert rise[0] / d[0] > 0.9 * 0.2 * d[0] ** -0.2
+
+
+@given(amp=st.floats(0.01, 0.5), width=st.floats(0.5, 3.0))
+@settings(max_examples=10, deadline=None)
+def test_drift_bump_gap_is_the_bump(amp, width):
+    pair = make_pair("drift_bump", 1.5, {"amp": amp, "width": width})
+    ys = pair.x0 + np.linspace(-5.0, 5.0, 2001)
+    gap = pair.drift_gap(0.3, ys)
+    assert pair.drift_gap(0.3, np.array([pair.x0]))[0] == pytest.approx(amp, rel=1e-12)
+    assert np.max(gap) <= amp * (1.0 + 1e-12)
+    assert np.all(gap[np.abs(ys - pair.x0) >= width] == 0.0)
+    assert np.all(pair.jump_gap(0.3, ys) == 0.0)

@@ -30,12 +30,32 @@ class TestFrozenDensity:
         pair = make_pair("identical", 1.5, {"s0": 1.3, "s1": 0.0, "x0": 0.5})
         model = DensityModel(mode="frozen_plain", law=law15)
         scale = 0.7 ** (1 / 1.5) * 1.3 ** (1 / 1.5)
-        assert ss.frozen_density(model, pair, 0.7, 0.5) == pytest.approx(
-            G0_15 / scale, rel=1e-8)
         for y in (-1.0, 0.5, 2.0):
             g = ss.density_grid(law15, np.array([(y - 0.5) / scale]))[0]
             assert ss.frozen_density(model, pair, 0.7, y) == pytest.approx(
                 g / scale, rel=1e-12)
+
+    def test_center_value(self, law15):
+        pair = make_pair("identical", 1.5, {"s0": 1.0, "s1": 0.0})
+        model = DensityModel(mode="frozen_plain", law=law15)
+        assert ss.frozen_density(model, pair, 1.0, 0.0) == pytest.approx(G0_15, abs=1e-8)
+
+    def test_center_by_substitution(self, law15):
+        # y = x0 gives g(0) / (t^(1/a) sigma^(1/a))
+        pair = make_pair("identical", 1.5, {"s0": 1.3, "s1": 0.0, "x0": 2.0})
+        model = DensityModel(mode="frozen_plain", law=law15)
+        scale = 0.7 ** (1 / 1.5) * 1.3 ** (1 / 1.5)
+        assert ss.frozen_density(model, pair, 0.7, 2.0) == pytest.approx(
+            G0_15 / scale, rel=1e-8)
+
+    def test_preconditions(self, law15, gentle_model):
+        pair, model = gentle_model
+        for t in (0.0, -1.0):
+            with pytest.raises(ss.DomainError):
+                ss.frozen_density(model, pair, t, 1.0)
+        # the baseline sigma must stay strictly positive
+        with pytest.raises(ss.DomainError):
+            make_pair("identical", 1.5, {"s0": 0.5, "s1": 0.5})
 
     def test_mass_near_one_on_time_grid(self, law15, gentle_model):
         """Quadrature of p0 over a window of 200 largest scales around x0,
@@ -84,6 +104,37 @@ class TestFrozenDensity:
             DensityModel(mode="frozen_upper", law=law15, M=0.5)
         with pytest.raises(ss.DomainError):
             DensityModel(mode="empirical", law=law15)
+
+
+class TestSpaceIntegral:
+    """The space integral behind B and S: int gap(y) p0_t(x0, y) dy."""
+
+    @pytest.fixture(scope="class")
+    def constant_sigma(self, law15):
+        pair = make_pair("identical", 1.5, {"s0": 1.2, "s1": 0.0, "x0": 0.5})
+        return pair, DensityModel(mode="frozen_plain", law=law15)
+
+    def test_total_mass_one(self, constant_sigma):
+        pair, model = constant_sigma
+        for t in (0.05, 0.8, 2.0):
+            mass = measures._space_integral(model, pair, t,
+                                            lambda y: np.ones_like(y))
+            assert mass == pytest.approx(1.0, abs=1e-4)
+
+    def test_constant(self, constant_sigma):
+        pair, model = constant_sigma
+        val = measures._space_integral(model, pair, 1.3,
+                                       lambda y: 2.0 * np.ones_like(y))
+        assert val == pytest.approx(2.0, rel=1e-4)
+
+    def test_far_indicator_below_tail_bound(self, law15):
+        pair = make_pair("identical", 1.5, {"s0": 1.0, "s1": 0.0})
+        model = DensityModel(mode="frozen_plain", law=law15)
+        val = measures._space_integral(
+            model, pair, 1.0, lambda y: (np.abs(y) > 30.0).astype(float))
+        # the mass beyond 30 is the two stable tails, at most the envelope integral
+        bound = 2.0 * law15.c_alpha * 30.0 ** -1.5 / 1.5 * 2.0
+        assert 0.9 * 2.0 * ss.stable_tail_mass(law15, 30.0) < val < bound
 
 
 class TestDistances:

@@ -53,6 +53,15 @@ class TestConstruction:
         with pytest.raises(ss.DomainError):
             ss.build_mollifier(1.5, eps, delta)
 
+    @pytest.mark.parametrize("alpha,eps,delta", [(1.5, 0.1, 4.0), (1.1, 0.02, 1.5),
+                                                 (1.9, 0.5, 20.0)])
+    def test_window_fraction_in_search_range(self, alpha, eps, delta):
+        # the window never exceeds 1, so the renormalizer is at least 1, and
+        # the cap holds iff it stays <= 2
+        m = ss.build_mollifier(alpha, eps, delta)
+        assert 1e-4 <= m.rho <= 0.2
+        assert 1.0 <= m.psi_normalizer <= 2.0
+
     def test_psi_prime_matches_finite_difference(self):
         m = ss.build_mollifier(1.5, 0.1, 4.0)
         xs = np.linspace(0.026, 0.099, 37)

@@ -222,6 +222,13 @@ class TestConvergenceExperiment:
         with pytest.raises(ss.DomainError):
             ss.convergence_experiment(family, cfg, law15)
 
+    def test_one_member_family_rejected(self, law15):
+        family = make_family("drift_mollification", 1.5,
+                             {"n_start": 3, "n_stop": 3})
+        cfg = SimConfig(T=1.0, n_steps=8, n_paths=64, seed=1)
+        with pytest.raises(ss.DomainError, match="at least 2 family members"):
+            ss.convergence_experiment(family, cfg, law15)
+
     def test_requires_mollification_family(self, law15):
         family = make_family("jump_bump", 1.5, {"n_start": 1, "n_stop": 4})
         cfg = SimConfig(T=1.0, n_steps=16, n_paths=100, seed=1)

@@ -97,6 +97,20 @@ class TestEulerExactness:
         emp = (idx + 1.0) / xs.size
         assert np.max(np.abs(cdf - emp)) < 0.015
 
+    def test_self_similarity(self, law15):
+        # X_T - x0 has scale T^(1/alpha) for b = 0, sigma = 1: the slope of
+        # log median |X_T - x0| against log T is 1/alpha
+        from stablesde.quadrature import ols_loglog
+        pair = make_pair("identical", 1.5, {"b_amp": 0.0, "s0": 1.0, "s1": 0.0})
+        Ts = [0.25, 1.0, 4.0]
+        meds = []
+        for T in Ts:
+            cfg = SimConfig(T=T, n_steps=32, n_paths=20000, seed=13)
+            ens = ss.simulate_coupled(cfg, pair, law15)
+            meds.append(np.median(np.abs(ens.final[0][ens.ok] - pair.x0)))
+        slope, _, _ = ols_loglog(np.array(Ts), np.array(meds))
+        assert slope == pytest.approx(1.0 / 1.5, abs=0.05)
+
 
 class TestMomentCurve:
     @pytest.mark.parametrize("q", [0.0, -0.5, 1.5, 2.0])
