@@ -11,7 +11,8 @@ The smoothed distance u = |.|^(alpha-1) * psi and its derivatives are
 evaluated by graded-panel Gauss-Legendre quadrature near the support and by
 a binomial moment expansion in the far field (|x| > 3 eps); the near-field
 quadrature runs on batches of points and evaluates psi and psi' once per
-distinct panel (see SmoothedDistance._near_values). In the far field
+distinct panel, both from one pass over the window ramps per node
+(Mollifier.psi_and_prime; see SmoothedDistance._near_values). In the far field
 
     E|x - Y|^p = |x|^p * sum_k C(p, k) (-sgn x)^k E[Y^k] |x|^{-k},  Y ~ psi.
 
@@ -47,24 +48,16 @@ def _bump_exp(t):
         return np.where(t > 0.0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
 
 
-def smoothstep(t):
-    """C-infinity monotone 0->1 transition on [0, 1]."""
-    t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
-    fu = _bump_exp(t)
-    fv = _bump_exp(1.0 - t)
-    return fu / (fu + fv)
-
-
-def smoothstep_prime(t):
-    t = np.asarray(t, dtype=float)
-    inside = (t > 0.0) & (t < 1.0)
-    tc = np.where(inside, t, 0.5)
+def _smoothstep_pair(t):
+    """C-infinity monotone 0->1 transition on [0, 1] and its derivative (0
+    off (0, 1)), from one pair of exponentials."""
+    tc = np.clip(t, 0.0, 1.0)
     fu = _bump_exp(tc)
     fv = _bump_exp(1.0 - tc)
-    fup = fu / tc ** 2
-    fvp = fv / (1.0 - tc) ** 2
-    val = (fup * fv + fu * fvp) / (fu + fv) ** 2
-    return np.where(inside, val, 0.0)
+    # at the clipped ends fu or fv is 0 and the quotient 0/0 is masked
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = (fu / tc ** 2 * fv + fu * (fv / (1.0 - tc) ** 2)) / (fu + fv) ** 2
+    return fu / (fu + fv), np.where((t > 0.0) & (t < 1.0), slope, 0.0)
 
 
 @dataclass(frozen=True)
@@ -86,40 +79,29 @@ class Mollifier:
         a, b = self.support
         return a * self.rho, b * self.rho
 
-    def _window(self, x):
+    def psi_and_prime(self, x):
+        """psi(x) and psi'(x) as arrays, from one evaluation of the window
+        ramps per point."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
         a, b = self.support
         rl, rh = self.ramp_widths
-        return smoothstep((x - a) / rl) * smoothstep((b - x) / rh)
-
-    def _window_prime(self, x):
-        a, b = self.support
-        rl, rh = self.ramp_widths
-        sl = smoothstep((x - a) / rl)
-        sh = smoothstep((b - x) / rh)
-        return (smoothstep_prime((x - a) / rl) / rl * sh
-                - sl * smoothstep_prime((b - x) / rh) / rh)
+        inside = (x > a) & (x < b)
+        xm = np.where(inside, x, 0.5 * (a + b))
+        sl, dl = _smoothstep_pair((xm - a) / rl)
+        sh, dh = _smoothstep_pair((b - xm) / rh)
+        window = sl * sh
+        logd = math.log(self.delta)
+        pv = np.where(inside, self.psi_normalizer * window / (xm * logd), 0.0)
+        ppv = np.where(inside, self.psi_normalizer / logd
+                       * ((dl / rl * sh - sl * dh / rh) / xm - window / xm ** 2), 0.0)
+        return pv, ppv
 
     def psi(self, x):
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        a, b = self.support
-        inside = (x_arr > a) & (x_arr < b)
-        xm = np.where(inside, x_arr, 0.5 * (a + b))
-        logd = math.log(self.delta)
-        vals = np.where(inside,
-                        self.psi_normalizer * self._window(xm) / (xm * logd), 0.0)
+        vals = self.psi_and_prime(x)[0]
         return float(vals[0]) if np.ndim(x) == 0 else vals
 
     def psi_prime(self, x):
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        a, b = self.support
-        inside = (x_arr > a) & (x_arr < b)
-        xm = np.where(inside, x_arr, 0.5 * (a + b))
-        logd = math.log(self.delta)
-        vals = np.where(
-            inside,
-            self.psi_normalizer / logd
-            * (self._window_prime(xm) / xm - self._window(xm) / xm ** 2),
-            0.0)
+        vals = self.psi_and_prime(x)[1]
         return float(vals[0]) if np.ndim(x) == 0 else vals
 
     def base_edges(self) -> np.ndarray:
@@ -183,6 +165,7 @@ class SmoothedDistance:
         self.alpha = mollifier.alpha
         self.far_switch = 3.0 * mollifier.eps
         self._moments = mollifier.moments()
+        self._base_edges = mollifier.base_edges()
         self._cache = None
 
     # -- far field ---------------------------------------------------------
@@ -204,8 +187,9 @@ class SmoothedDistance:
     # A point outside the support thus uses one of three fixed panel sets;
     # a point inside shares with the base mesh every base panel that its
     # graded edges do not split. psi and psi' are evaluated once per distinct
-    # panel, and each point's sums run over its own nodes in mesh order, so
-    # the values are those of a panel-by-panel quadrature per point.
+    # panel, together in one pass per node, and each point's sums run over
+    # its own nodes in mesh order, so the values are those of a
+    # panel-by-panel quadrature per point.
 
     @cached_property
     def _fixed_meshes(self):
@@ -217,12 +201,12 @@ class SmoothedDistance:
         meshes = []
         for extra in ((), (graded_edges(a, b, toward=a, n_levels=30, ratio=0.5),),
                       (graded_edges(a, b, toward=b, n_levels=30, ratio=0.5),)):
-            edges = np.unique(np.concatenate((m.base_edges(),) + extra))
+            edges = np.unique(np.concatenate((self._base_edges,) + extra))
             keep = kept_panels(edges[:-1], edges[1:])
             lo, hi = edges[:-1][keep], edges[1:][keep]
             nodes, wts = panel_rule(lo, hi, _NEAR_ORDER)
-            meshes.append((lo, hi, nodes.ravel(), wts.ravel(),
-                           m.psi(nodes).ravel(), m.psi_prime(nodes).ravel()))
+            meshes.append((lo, hi, nodes.ravel(), wts.ravel())
+                          + m.psi_and_prime(nodes.ravel()))
         return tuple(meshes)
 
     def _kernel_terms(self, w, pv, ppv, wts):
@@ -241,12 +225,11 @@ class SmoothedDistance:
     def _inside_values(self, xs):
         a, b = self.mollifier.support
         base_lo, base_hi, _, _, base_pv, base_ppv = self._fixed_meshes[0]
-        base = self.mollifier.base_edges()
         fracs = graded_fracs(40, 0.4)
         x = xs[:, None]
         # graded_edges(a, x, toward=x) and graded_edges(x, b, toward=x), row-wise
         edges = np.sort(np.concatenate([
-            np.broadcast_to(base, (xs.size, base.size)),
+            np.broadcast_to(self._base_edges, (xs.size, self._base_edges.size)),
             x - (x - a) * fracs, x + (b - x) * fracs], axis=1), axis=1)
         # a duplicated edge makes a zero-width panel, which is dropped here
         # exactly as np.unique would have removed it
@@ -259,14 +242,20 @@ class SmoothedDistance:
         ppv = np.empty_like(nodes)
         pv[shared] = base_pv.reshape(-1, _NEAR_ORDER)[j[shared]]
         ppv[shared] = base_ppv.reshape(-1, _NEAR_ORDER)[j[shared]]
-        pv[~shared] = self.mollifier.psi(nodes[~shared])
-        ppv[~shared] = self.mollifier.psi_prime(nodes[~shared])
+        pv[~shared], ppv[~shared] = self.mollifier.psi_and_prime(nodes[~shared])
         sizes = _NEAR_ORDER * keep.sum(axis=1)
         w = np.repeat(xs, sizes) - nodes.ravel()
         terms = self._kernel_terms(w, pv.ravel(), ppv.ravel(), wts.ravel())
-        ends = np.cumsum(sizes)
-        return [np.array([np.sum(t[e - n:e]) for n, e in zip(sizes, ends)])
-                for t in terms]
+        starts = np.cumsum(sizes) - sizes
+        out = np.empty((3, xs.size))
+        # one np.sum per node count over gathered contiguous rows keeps each
+        # point's summation order that of a 1-D sum of its own terms
+        for n in np.unique(sizes):
+            rows = np.nonzero(sizes == n)[0]
+            gather = starts[rows, None] + np.arange(n)
+            for k, t in enumerate(terms):
+                out[k, rows] = np.sum(t[gather], axis=1)
+        return out
 
     def _near_values(self, xs: np.ndarray):
         """(u, u', u'') at each x by quadrature over the mollifier support."""

@@ -131,6 +131,14 @@ def _density_series(law: StableLaw, x):
         sums[rows] = np.sum(terms[rows, :s], axis=1)
     val = sums / math.pi
     err = mags[np.arange(ax.size), np.minimum(stop, _TAIL_KMAX - 1)] / math.pi
+    _require_converged(law, xs, val, err)
+    return float(val[0]) if np.ndim(x) == 0 else val
+
+
+def _require_converged(law: StableLaw, xs, val, err):
+    """Raise NumericError at the first point whose truncation error (the
+    first omitted term) exceeds max(1e-8 |value|, abs_tol)."""
+    xs, val, err = np.atleast_1d(xs, val, err)
     scaled = 1e-8 * np.abs(val)
     bad = np.nonzero(err > np.where(scaled > law.density_quadrature.abs_tol,
                                     scaled, law.density_quadrature.abs_tol))[0]
@@ -138,7 +146,6 @@ def _density_series(law: StableLaw, x):
         i = bad[0]
         raise NumericError(f"tail series not converged at x={xs[i]}",
                            estimate=float(val[i]), error_bound=float(err[i]))
-    return float(val[0]) if np.ndim(x) == 0 else val
 
 
 def stable_density(law: StableLaw, x):
@@ -155,7 +162,8 @@ def stable_density(law: StableLaw, x):
 def stable_tail_mass(law: StableLaw, x: float) -> float:
     """P(Z_1 > x) for x above the oscillatory cutoff: the density's tail
     series integrated term by term (power -k alpha, a 1/(k alpha) factor),
-    truncated at its smallest term."""
+    truncated at its smallest term. Raises NumericError when the truncation
+    error exceeds the tolerance of the density's tail series."""
     a = law.alpha
     if x <= 0:
         raise DomainError("tail mass defined for x > 0")
@@ -165,7 +173,9 @@ def stable_tail_mass(law: StableLaw, x: float) -> float:
     terms = sign * np.exp(logterm)
     mags = np.abs(terms)
     stop = int(np.argmin(mags)) + 1
-    return float(np.sum(terms[:stop])) / math.pi
+    val = float(np.sum(terms[:stop])) / math.pi
+    _require_converged(law, x, val, mags[min(stop, _TAIL_KMAX - 1)] / math.pi)
+    return val
 
 
 def stable_cdf(law: StableLaw, x) -> float:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import stablesde as ss
+from stablesde import mollifier
 from stablesde.quadrature import graded_edges, panel_nodes
 from stablesde.report import validate_report
 
@@ -265,3 +266,95 @@ class TestNearFieldBatched:
         ref = _scalar_near_values(s, xs)
         for g, r in zip(got, ref):
             assert np.array_equal(g, r)
+
+
+def test_near_batch_size_does_not_change_bits(monkeypatch):
+    # each batch sums its points grouped by node count; the grouping must not
+    # reach the bits
+    s = ss.SmoothedDistance(ss.build_mollifier(1.5, 0.1, 4.0))
+    grid = s._master_grid()
+    got = []
+    for batch in (1, 4, 64):
+        monkeypatch.setattr(mollifier, "_NEAR_BATCH", batch)
+        got.append(np.stack(s._near_values(grid)).tobytes())
+    assert got[0] == got[1] == got[2]
+
+
+def _oracle_smoothstep(t):
+    t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
+    fu = mollifier._bump_exp(t)
+    fv = mollifier._bump_exp(1.0 - t)
+    return fu / (fu + fv)
+
+
+def _oracle_smoothstep_prime(t):
+    t = np.asarray(t, dtype=float)
+    inside = (t > 0.0) & (t < 1.0)
+    tc = np.where(inside, t, 0.5)
+    fu = mollifier._bump_exp(tc)
+    fv = mollifier._bump_exp(1.0 - tc)
+    with np.errstate(invalid="ignore"):     # 0/0 at the smallest subnormal t
+        fup = fu / tc ** 2
+    fvp = fv / (1.0 - tc) ** 2
+    val = (fup * fv + fu * fvp) / (fu + fv) ** 2
+    return np.where(inside, val, 0.0)
+
+
+def _oracle_psi_and_prime(m, x):
+    """psi and psi' as two separate formulas, each window factor and its
+    derivative from its own smoothstep call: the oracle of the one-pass
+    evaluator."""
+    a, b = m.support
+    rl, rh = m.ramp_widths
+    inside = (x > a) & (x < b)
+    xm = np.where(inside, x, 0.5 * (a + b))
+    logd = math.log(m.delta)
+    window = _oracle_smoothstep((xm - a) / rl) * _oracle_smoothstep((b - xm) / rh)
+    window_prime = (
+        _oracle_smoothstep_prime((xm - a) / rl) / rl * _oracle_smoothstep((b - xm) / rh)
+        - _oracle_smoothstep((xm - a) / rl) * _oracle_smoothstep_prime((b - xm) / rh) / rh)
+    psi = np.where(inside, m.psi_normalizer * window / (xm * logd), 0.0)
+    psi_prime = np.where(inside, m.psi_normalizer / logd
+                         * (window_prime / xm - window / xm ** 2), 0.0)
+    return psi, psi_prime
+
+
+class TestOnePassPsi:
+    """psi and psi' from one pass are bitwise the two-formula oracle."""
+
+    def test_smoothstep_pair_at_ramp_ends(self):
+        t = np.array([-1.0, 0.0, 1.0, 2.0, 0.5, 1e-3, 0.999])
+        t = np.concatenate([t, np.nextafter([0.0, 0.0, 1.0, 1.0], [-1.0, 1.0, 0.0, 2.0])])
+        value, slope = mollifier._smoothstep_pair(t)
+        assert value.tobytes() == _oracle_smoothstep(t).tobytes()
+        assert slope.tobytes() == _oracle_smoothstep_prime(t).tobytes()
+
+    @pytest.mark.parametrize("alpha, eps, delta", [(1.5, 0.1, 4.0), (1.2, 0.05, 10.0),
+                                                   (1.8, 0.02, 16.0)])
+    def test_bitwise_two_formula_oracle(self, alpha, eps, delta):
+        m = ss.build_mollifier(alpha, eps, delta)
+        a, b = m.support
+        rl, rh = m.ramp_widths
+        ends = np.array([a, a + rl, b - rh, b])
+        steps = [ends]
+        for direction in (np.inf, -np.inf):
+            x = ends
+            for _ in range(3):
+                x = np.nextafter(x, direction)
+                steps.append(x)
+        xs = np.concatenate(steps + [np.linspace(-eps, 2 * eps, 3001)])
+        # each ramp argument hits 0 exactly and falls next to 1 on both sides:
+        # adjacent floats x move it by ~(1 + 1/rho) ulp, so no x makes it 1
+        for t in ((xs - a) / rl, (b - xs) / rh):
+            assert np.any(t == 0.0) and np.any(t < 0.0)
+            assert np.any((1.0 - 1e-13 < t) & (t < 1.0))
+            assert np.any((1.0 < t) & (t < 1.0 + 1e-13))
+        ref_psi, ref_prime = _oracle_psi_and_prime(m, xs)
+        psi, psi_prime = m.psi_and_prime(xs)
+        for got in (psi, m.psi(xs)):
+            assert got.tobytes() == ref_psi.tobytes()
+        for got in (psi_prime, m.psi_prime(xs)):
+            assert got.tobytes() == ref_prime.tobytes()
+        mid = 0.5 * (a + b)
+        for f, ref in zip((m.psi, m.psi_prime), _oracle_psi_and_prime(m, np.array([mid]))):
+            assert type(f(mid)) is float and f(mid) == ref[0]

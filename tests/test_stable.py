@@ -318,3 +318,23 @@ class TestTailSeriesArray:
             0.020473569448, rel=1e-10)
         assert info.value.error_bound == ref.value.error_bound == pytest.approx(
             1.3726e-4, rel=1e-4)
+
+
+class TestTailMassTruncation:
+    """The tail mass keeps the tail series' truncation-error rule."""
+
+    def test_unconverged_series_raises(self):
+        law = ss.make_stable_law(1.95)
+        with pytest.raises(ss.NumericError) as info:
+            ss.stable_tail_mass(law, 2.0)
+        assert str(info.value) == "tail series not converged at x=2.0"
+        # the first omitted term is about 1.4 times the truncated sum
+        assert info.value.estimate == pytest.approx(0.0063337, rel=1e-4)
+        assert info.value.error_bound / info.value.estimate == pytest.approx(1.395, rel=1e-3)
+
+    @pytest.mark.parametrize("alpha", [1.01, 1.5, 1.999])
+    def test_shipped_range_converges(self, alpha):
+        # stable_cdf calls it above x = 20, the space integral above x = 80
+        law = ss.make_stable_law(alpha)
+        for x in (np.nextafter(20.0, 21.0), 80.0, 1e4):
+            assert 0.0 < ss.stable_tail_mass(law, x) < 0.5
