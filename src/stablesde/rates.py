@@ -40,7 +40,6 @@ _LOG_BRANCH_TOL = 1e-12
 class RateBoundSpec:
     alpha: float
     eta_tilde: float
-    C_fit: float = 1.0
 
     def __post_init__(self):
         if not (1.0 < self.alpha < 2.0):
@@ -69,8 +68,9 @@ class RateBoundSpec:
 
 
 def theoretical_bound(spec: RateBoundSpec, x0_gap: float, B: float, S: float) -> float:
-    """The bracketed bound times C_fit. B = S = 0 collapses to the pure
-    initial-value term (in the log branch by continuity, documented)."""
+    """The bracket of the bound, its constant C taken as 1. B = S = 0
+    collapses to the pure initial-value term (in the log branch by
+    continuity)."""
     if not (B >= 0 and S >= 0 and math.isfinite(x0_gap)):
         raise DomainError(f"need B, S >= 0 and a finite x0_gap, got {B:g}, {S:g}, {x0_gap:g}")
     gap_term = abs(x0_gap) ** (spec.alpha - 1.0) if x0_gap != 0.0 else 0.0
@@ -84,7 +84,7 @@ def theoretical_bound(spec: RateBoundSpec, x0_gap: float, B: float, S: float) ->
         if big >= 1.0:
             raise AssumptionViolation(f"bound needs max(B, S) < 1, got {big:g}")
         term = 0.0 if big == 0.0 else 1.0 / math.log(1.0 / big)
-    return spec.C_fit * (gap_term + term)
+    return gap_term + term
 
 
 def tail_bound(spec: RateBoundSpec, x0_gap: float, B: float, S: float,
@@ -118,6 +118,7 @@ class SweepRow:
 class SweepResult:
     spec: RateBoundSpec
     rows: list
+    C_fit: float            # the calibration row's D over its bound bracket
     slope_D_vs_scale: float | None = None          # log D against log scale
     slope_S_vs_inverse_scale: float | None = None  # log S against log(1/scale)
 
@@ -168,17 +169,14 @@ def run_sweep(family: PerturbationFamily, sim_config: SimConfig,
                              assumption_flag=flag, tails=tails))
 
     calib = rows[0]
-    if not calib.assumption_flag and calib.bound_raw > 0:
-        c_fit = calib.D / calib.bound_raw
-    else:
-        c_fit = 1.0
-    spec = replace(spec, C_fit=c_fit)
+    c_fit = (calib.D / calib.bound_raw
+             if not calib.assumption_flag and calib.bound_raw > 0 else 1.0)
     for r in rows:
         if not r.assumption_flag:
             r.bound_value = c_fit * r.bound_raw
             r.satisfied = bool(r.D <= r.bound_value * (1.0 + 1e-12))
 
-    result = SweepResult(spec=spec, rows=rows)
+    result = SweepResult(spec=spec, rows=rows, C_fit=c_fit)
     good = [r for r in rows if not r.assumption_flag and r.D > 0 and r.bound_raw > 0]
     if len(good) >= 4:
         result.slope_D_vs_scale = ols_loglog([r.scale for r in good],
@@ -199,12 +197,7 @@ class ConvergenceReport:
     pairwise_se: np.ndarray
     monotone_within_2se: bool
     limit_residual: float
-    limit_residual_se: float
     lp_report: object
-
-    @property
-    def passes(self) -> bool:
-        return bool(self.monotone_within_2se and self.lp_report.passes)
 
 
 def convergence_experiment(family: PerturbationFamily, sim_config: SimConfig,
@@ -237,6 +230,4 @@ def convergence_experiment(family: PerturbationFamily, sim_config: SimConfig,
                           law.alpha)
     return ConvergenceReport(pairwise_D=ds, pairwise_se=ses,
                              monotone_within_2se=mono,
-                             limit_residual=curves[-1].sup,
-                             limit_residual_se=curves[-1].sup_stderr,
-                             lp_report=lp)
+                             limit_residual=curves[-1].sup, lp_report=lp)

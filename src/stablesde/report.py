@@ -32,8 +32,8 @@ class CheckRow:
 @dataclass
 class Report:
     name: str
-    params: dict
     checks: list
+    params: dict = field(default_factory=dict)
     grid: dict = field(default_factory=dict)
 
     @property
@@ -41,8 +41,9 @@ class Report:
         return all(c.passed for c in self.checks)
 
     @property
-    def worst_margin(self) -> float:
-        return min((c.margin for c in self.checks), default=float("inf"))
+    def worst_margin(self) -> float | None:
+        """The smallest margin; None (JSON null) for a report without rows."""
+        return min((c.margin for c in self.checks), default=None)
 
     def to_dict(self) -> dict:
         return {

@@ -148,15 +148,14 @@ def _require_converged(law: StableLaw, xs, val, err):
                            estimate=float(val[i]), error_bound=float(err[i]))
 
 
-def stable_density(law: StableLaw, x):
-    """Probability density of Z_1 at x. Accepts scalars or arrays."""
-    if np.ndim(x) == 0:
-        ax = abs(float(x))
-        if ax <= law.density_quadrature.oscillatory_cutoff:
-            return _density_quad(law, ax)
-        return _density_series(law, ax)
-    x = np.asarray(x, dtype=float)
-    return np.array([stable_density(law, xi) for xi in x.ravel()]).reshape(x.shape)
+def stable_density(law: StableLaw, x: float) -> float:
+    """Probability density of Z_1 at the scalar x, by the oscillatory
+    quadrature up to the cutoff and the tail series beyond; density_grid
+    evaluates arrays."""
+    ax = abs(float(x))
+    if ax <= law.density_quadrature.oscillatory_cutoff:
+        return _density_quad(law, ax)
+    return _density_series(law, ax)
 
 
 def stable_tail_mass(law: StableLaw, x: float) -> float:

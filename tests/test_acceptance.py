@@ -42,7 +42,7 @@ def law():
 def jump_sweep(law):
     """Criterion 7 family, shared with criterion 8: sigma_n = sigma + 2^-n bump
     (negative narrow bump; eta_tilde = 1)."""
-    family = make_family("jump_bump", ALPHA,
+    family = make_family("jump_bump",
                          {"amp0": -0.1, "width": 0.6, "n_start": 1, "n_stop": 6})
     cfg = SimConfig(T=1.0, n_steps=500, n_paths=150000, seed=31415)
     return ss.run_sweep(family, cfg, law, h_values=(0.05, 0.1, 0.2, 0.4))
@@ -128,7 +128,7 @@ def test_criterion_5_coupling_exactness(law):
     ok = True
     for seed in (1, 777, 424242):
         cfg = SimConfig(T=1.0, n_steps=200, n_paths=4096, seed=seed)
-        ens = ss.simulate_coupled(cfg, make_pair("identical", ALPHA, {}), law)
+        ens = ss.simulate_coupled(cfg, make_pair("identical", {}), law)
         curve = ss.distance_moment_curve(ens, ALPHA - 1.0)
         ok &= ens.y_max.max() == 0.0
         ok &= curve.sup == 0.0
@@ -144,7 +144,7 @@ def test_criterion_6_initial_value_rate(law):
     for i, gap in enumerate(gaps):
         cfg = SimConfig(T=1.0, n_steps=1000, n_paths=100000, seed=606,
                         stream_label=f"c6-{i}")
-        pair = make_pair("initial_gap", ALPHA, {**base, "x0_gap": gap})
+        pair = make_pair("initial_gap", {**base, "x0_gap": gap})
         ens = ss.simulate_coupled(cfg, pair, law)
         sups.append(ss.distance_moment_curve(ens, ALPHA - 1.0).sup)
     slope, _, se = ols_loglog(np.array(gaps), np.array(sups))
@@ -160,7 +160,7 @@ def test_criterion_7_jump_perturbation_bound(jump_sweep):
     slope_ok = abs(res.slope_S_vs_inverse_scale + 1.0) < 0.05
     ok &= slope_ok
     ratios = [r.D / r.bound_raw for r in res.rows]
-    assert report(7, ok, f"C_fit={res.spec.C_fit:.4f} at n=1; "
+    assert report(7, ok, f"C_fit={res.C_fit:.4f} at n=1; "
                          f"D_n/bound ratios {[f'{r:.4f}' for r in ratios]}; "
                          f"S slope vs 2^n = "
                          f"{res.slope_S_vs_inverse_scale:.5f} (-1 +- 0.05)")
@@ -184,12 +184,12 @@ def test_criterion_8_tail_probability_shape(jump_sweep):
 
 def test_criterion_9_weighted_distance_consistency(law):
     def member(amp, i):
-        return make_pair("drift_bump", ALPHA, {"amp": amp, "s1": 0.05}), i
+        return make_pair("drift_bump", {"amp": amp, "s1": 0.05}), i
 
     amps_fit, amps_check = [0.4, 0.2], [0.1, 0.05]
-    pairs_fit = [make_pair("drift_bump", ALPHA, {"amp": a, "s1": 0.05})
+    pairs_fit = [make_pair("drift_bump", {"amp": a, "s1": 0.05})
                  for a in amps_fit]
-    pairs_check = [make_pair("drift_bump", ALPHA, {"amp": a, "s1": 0.05})
+    pairs_check = [make_pair("drift_bump", {"amp": a, "s1": 0.05})
                    for a in amps_check]
     cfg = SimConfig(T=1.0, n_steps=500, n_paths=100000, seed=909,
                     stream_label="c9")
@@ -203,7 +203,7 @@ def test_criterion_9_weighted_distance_consistency(law):
 
 
 def test_criterion_10_convergence_experiment(law):
-    family = make_family("drift_mollification", ALPHA,
+    family = make_family("drift_mollification",
                          {"h0": 0.5, "ratio": 0.5, "n_start": 1, "n_stop": 6})
     cfg = SimConfig(T=1.0, n_steps=400, n_paths=40000, seed=1618)
     rep = ss.convergence_experiment(family, cfg, law)
@@ -217,7 +217,7 @@ def test_criterion_10_convergence_experiment(law):
 
 
 def test_criterion_11_moment_threshold_negative_control(law):
-    pair = make_pair("jump_bump", ALPHA, {"amp": -0.025, "width": 0.6})
+    pair = make_pair("jump_bump", {"amp": -0.025, "width": 0.6})
     cfg = SimConfig(T=1.0, n_steps=400, n_paths=120000, seed=777,
                     stream_label="c11")
     ens = ss.simulate_coupled(cfg, pair, law)

@@ -177,6 +177,13 @@ class TestConfigParsing:
         ("certify-mollifier", "--set mollifier.rho=0.05", 2, "rho"),
         ("converge", "--set converge.p_exponent=1.25", 2, "p_exponent"),
         ("sweep", "--set sweep.calibration_index=0", 2, "calibration_index"),
+        # the certification window is fixed at [-5, 5]
+        ("certify-mollifier", "--set certify.grid_lo=-5.0", 2, "grid_lo"),
+        ("certify-mollifier", "--set certify.grid_hi=5.0", 2, "grid_hi"),
+        # a gaps list sets initial_value's members, so the keys it overrides
+        # are errors, not ignored
+        ("sweep", "--set sweep.params.n_stop=1", 2, "n_stop"),
+        ("sweep", "--set sweep.params.ratio=0.5", 2, "ratio"),
         ("certify-mollifier", "--set certify.grid_points=-1", 3, "certify.grid_points"),
         ("certify-mollifier", "--set certify.komatsu_points=-1", 3,
          "certify.komatsu_points"),
@@ -240,6 +247,25 @@ class TestConfigParsing:
                                   4: "numeric failure: "}[code])
         assert needle in err[0]
         assert "estimate=None" not in err[0]
+
+    @pytest.mark.parametrize("command, override, code", [
+        ("distances", 'coefficients.params.amp="x"', 2),
+        ("distances", "coefficients.params.widht=2", 2),
+        ("distances", "coefficients.params.width=0", 3),
+        ("sweep", "sweep.params.n_stop=1", 2),
+        ("converge", "converge.params.h0=0", 3),
+        ("distances", 'distances.time_nodes="x"', 2),
+    ])
+    def test_bad_catalog_params_fail_before_any_output(self, tmp_path, command,
+                                                       override, code):
+        """Catalog params are checked, like every other key, before the
+        output directory is created."""
+        cfg = write_cfg(tmp_path, {"command": command, **TINY[command]})
+        out = tmp_path / "o"
+        rc, err = run_quiet(["run", "--config", cfg, "--out", str(out),
+                             "--set", override])
+        assert rc == code and len(err) == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("error, code", [(DomainError, 3), (NumericError, 4)])
     def test_block_failure_exits_with_one_line(self, tmp_path, monkeypatch,
@@ -414,7 +440,7 @@ class TestRunCommands:
                             satisfied=satisfied, assumption_flag=False)
 
         result = SweepResult(spec=RateBoundSpec(alpha=1.5, eta_tilde=1.0),
-                             rows=[row(True), row(False), row(False)])
+                             rows=[row(True), row(False), row(False)], C_fit=1.0)
         monkeypatch.setattr(cli, "run_sweep", lambda *a, **k: result)
         cfg = write_cfg(tmp_path, {"command": "sweep", **TINY["sweep"]})
         rc, err = run_quiet(["run", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -423,6 +449,17 @@ class TestRunCommands:
         check, = [c for c in checks if c["check_id"] == "bound_out_of_sample"]
         assert check["value"] == 2.0 and not check["passed"]
         assert check["margin"] == -check["value"] < 0
+
+    # distances' distances_finite row writes its bound as Infinity; those
+    # bytes are pinned by the benchmark (ROADMAP)
+    @pytest.mark.parametrize("command", sorted(set(TINY) - {"distances"}))
+    def test_report_is_strict_json(self, tmp_path, command):
+        cfg = write_cfg(tmp_path, {"command": command, **TINY[command]})
+        rc, err = run_quiet(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 0 and err == []
+        rep = json.loads((tmp_path / "o" / "report.json").read_text(),
+                         parse_constant=cli._reject_constant)
+        validate_report(rep)
 
     def test_dump_paths(self, tmp_path):
         out = tmp_path / "dp"

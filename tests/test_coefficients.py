@@ -17,7 +17,7 @@ _REQUIRED = {"drift_shift": {"shift": 0.2}, "jump_shift": {"shift": 0.2},
 
 @pytest.mark.parametrize("name", sorted(_PAIRS))
 def test_catalog_pairs_are_bounded_with_positive_sigma(name):
-    pair = make_pair(name, 1.5, _REQUIRED.get(name, {}))
+    pair = make_pair(name, _REQUIRED.get(name, {}))
     ys = np.linspace(-50.0, 50.0, 20001)
     for t in (0.0, 0.7):
         for f in (pair.b(ys), pair.sigma(ys), pair.b_tilde(t, ys),
@@ -31,9 +31,9 @@ def test_catalog_pairs_are_bounded_with_positive_sigma(name):
 
 
 def test_jump_kink_is_exactly_eta_tilde_holder():
-    pair = make_pair("jump_kink", 1.5, {"amp": 0.2, "eta_tilde": 0.8})
+    pair = make_pair("jump_kink", {"amp": 0.2, "eta_tilde": 0.8})
     assert pair.eta_tilde == 0.8
-    assert make_pair("jump_bump", 1.5, {"amp": 0.2}).eta_tilde == 1.0
+    assert make_pair("jump_bump", {"amp": 0.2}).eta_tilde == 1.0
     d = np.geomspace(1e-8, 1e-2, 13)
     rise = np.abs(pair.sigma_tilde(0.0, pair.x0 + d) - pair.sigma_tilde(0.0, pair.x0))
     # amp |d / width|^eta_tilde at the kink, plus the Lipschitz baseline sigma
@@ -45,7 +45,7 @@ def test_jump_kink_is_exactly_eta_tilde_holder():
 @given(amp=st.floats(0.01, 0.5), width=st.floats(0.5, 3.0))
 @settings(max_examples=10, deadline=None)
 def test_drift_bump_gap_is_the_bump(amp, width):
-    pair = make_pair("drift_bump", 1.5, {"amp": amp, "width": width})
+    pair = make_pair("drift_bump", {"amp": amp, "width": width})
     ys = pair.x0 + np.linspace(-5.0, 5.0, 2001)
     gap = pair.drift_gap(0.3, ys)
     assert pair.drift_gap(0.3, np.array([pair.x0]))[0] == pytest.approx(amp, rel=1e-12)

@@ -19,7 +19,7 @@ def law15():
 
 @pytest.fixture(scope="module")
 def gentle_model(law15):
-    pair = make_pair("identical", 1.5, {"s1": 0.05})
+    pair = make_pair("identical", {"s1": 0.05})
     return pair, DensityModel(mode="frozen_plain", law=law15)
 
 
@@ -27,7 +27,7 @@ class TestFrozenDensity:
     def test_constant_sigma_matches_weighted_measure(self, law15):
         """With sigma constant, p0_t(x0, y) = g((y - x0) / s) / s with
         s = t^(1/alpha) sigma^(1/alpha), the stable law rescaled around x0."""
-        pair = make_pair("identical", 1.5, {"s0": 1.3, "s1": 0.0, "x0": 0.5})
+        pair = make_pair("identical", {"s0": 1.3, "s1": 0.0, "x0": 0.5})
         model = DensityModel(mode="frozen_plain", law=law15)
         scale = 0.7 ** (1 / 1.5) * 1.3 ** (1 / 1.5)
         for y in (-1.0, 0.5, 2.0):
@@ -36,13 +36,13 @@ class TestFrozenDensity:
                 g / scale, rel=1e-12)
 
     def test_center_value(self, law15):
-        pair = make_pair("identical", 1.5, {"s0": 1.0, "s1": 0.0})
+        pair = make_pair("identical", {"s0": 1.0, "s1": 0.0})
         model = DensityModel(mode="frozen_plain", law=law15)
         assert ss.frozen_density(model, pair, 1.0, 0.0) == pytest.approx(G0_15, abs=1e-8)
 
     def test_center_by_substitution(self, law15):
         # y = x0 gives g(0) / (t^(1/a) sigma^(1/a))
-        pair = make_pair("identical", 1.5, {"s0": 1.3, "s1": 0.0, "x0": 2.0})
+        pair = make_pair("identical", {"s0": 1.3, "s1": 0.0, "x0": 2.0})
         model = DensityModel(mode="frozen_plain", law=law15)
         scale = 0.7 ** (1 / 1.5) * 1.3 ** (1 / 1.5)
         assert ss.frozen_density(model, pair, 0.7, 2.0) == pytest.approx(
@@ -55,7 +55,7 @@ class TestFrozenDensity:
                 ss.frozen_density(model, pair, t, 1.0)
         # the baseline sigma must stay strictly positive
         with pytest.raises(ss.DomainError):
-            make_pair("identical", 1.5, {"s0": 0.5, "s1": 0.5})
+            make_pair("identical", {"s0": 0.5, "s1": 0.5})
 
     def test_mass_near_one_on_time_grid(self, law15, gentle_model):
         """Quadrature of p0 over a window of 200 largest scales around x0,
@@ -111,7 +111,7 @@ class TestSpaceIntegral:
 
     @pytest.fixture(scope="class")
     def constant_sigma(self, law15):
-        pair = make_pair("identical", 1.5, {"s0": 1.2, "s1": 0.0, "x0": 0.5})
+        pair = make_pair("identical", {"s0": 1.2, "s1": 0.0, "x0": 0.5})
         return pair, DensityModel(mode="frozen_plain", law=law15)
 
     def test_total_mass_one(self, constant_sigma):
@@ -128,7 +128,7 @@ class TestSpaceIntegral:
         assert val == pytest.approx(2.0, rel=1e-4)
 
     def test_far_indicator_below_tail_bound(self, law15):
-        pair = make_pair("identical", 1.5, {"s0": 1.0, "s1": 0.0})
+        pair = make_pair("identical", {"s0": 1.0, "s1": 0.0})
         model = DensityModel(mode="frozen_plain", law=law15)
         val = measures._space_integral(
             model, pair, 1.0, lambda y: (np.abs(y) > 30.0).astype(float))
@@ -144,20 +144,20 @@ class TestDistances:
         assert ss.distance_S(pair, model, 1.0) == 0.0
 
     def test_constant_drift_shift(self, law15):
-        pair = make_pair("drift_shift", 1.5, {"shift": 0.3, "s1": 0.0})
+        pair = make_pair("drift_shift", {"shift": 0.3, "s1": 0.0})
         model = DensityModel(mode="frozen_plain", law=law15)
         assert ss.distance_B(pair, model, 1.0) == pytest.approx(0.3, rel=1e-3)
         assert ss.distance_B(pair, model, 2.0) == pytest.approx(0.6, rel=1e-3)
 
     def test_constant_jump_shift(self, law15):
-        pair = make_pair("jump_shift", 1.5, {"shift": 0.2, "s1": 0.0})
+        pair = make_pair("jump_shift", {"shift": 0.2, "s1": 0.0})
         model = DensityModel(mode="frozen_plain", law=law15)
         assert ss.distance_S(pair, model, 1.0) == pytest.approx(0.2, rel=1e-3)
         assert ss.distance_S(pair, model, 2.0) == pytest.approx(
             0.2 * 2.0 ** (1 / 1.5), rel=1e-3)
 
     def test_upper_mode_ratio_exactly_M(self, law15):
-        pair = make_pair("drift_bump", 1.5, {"amp": 0.25})
+        pair = make_pair("drift_bump", {"amp": 0.25})
         plain = DensityModel(mode="frozen_plain", law=law15)
         upper = DensityModel(mode="frozen_upper", law=law15, M=3.0)
         b_plain = ss.distance_B(pair, plain, 1.0)
@@ -171,8 +171,8 @@ class TestDistances:
         vals_B, vals_S = [], []
         model = DensityModel(mode="frozen_plain", law=law15)
         for amp in amps:
-            pb = make_pair("drift_bump", 1.5, {"amp": amp})
-            js = make_pair("jump_bump", 1.5, {"amp": amp * 0.3})
+            pb = make_pair("drift_bump", {"amp": amp})
+            js = make_pair("jump_bump", {"amp": amp * 0.3})
             vals_B.append(ss.distance_B(pb, model, 1.0))
             vals_S.append(ss.distance_S(js, model, 1.0))
         slope_B, _, _ = ols_loglog(1.0 / amps, np.array(vals_B))
@@ -184,7 +184,7 @@ class TestDistances:
         model = DensityModel(mode="frozen_plain", law=law15)
         vals = []
         for amp in (0.1, 0.2, 0.4):
-            pair = make_pair("drift_bump", 1.5, {"amp": amp})
+            pair = make_pair("drift_bump", {"amp": amp})
             vals.append(ss.distance_B(pair, model, 1.0))
         assert vals[0] < vals[1] < vals[2]
 
@@ -194,7 +194,7 @@ class TestDistances:
         """With constant sigma and the bump centred on x0, the frozen density
         and the gap both move with the pair's start, so the distance does not."""
         model = DensityModel(mode="frozen_plain", law=law15)
-        at = [distance(make_pair(name, 1.5, {"amp": 0.25, "s1": 0.0, "x0": x0}),
+        at = [distance(make_pair(name, {"amp": 0.25, "s1": 0.0, "x0": x0}),
                        model, 1.0) for x0 in (0.0, 2.0)]
         assert at[0] > 0 and at[1] == pytest.approx(at[0], rel=1e-9)
 
@@ -204,7 +204,7 @@ class TestDistances:
             ss.distance_B(pair, model, 0.0)
 
     def test_empirical_mode_close_to_frozen(self, law15):
-        pair = make_pair("drift_bump", 1.5, {"amp": 0.4, "s1": 0.05})
+        pair = make_pair("drift_bump", {"amp": 0.4, "s1": 0.05})
         frozen = DensityModel(mode="frozen_plain", law=law15)
         b_frozen = ss.distance_B(pair, frozen, 1.0)
         emp = DensityModel(mode="empirical", law=law15,
@@ -215,7 +215,7 @@ class TestDistances:
 
 
     def test_empirical_B_and_S_share_one_run(self, law15, monkeypatch):
-        pair = make_pair("jump_bump", 1.5, {"amp": 0.3, "s1": 0.05})
+        pair = make_pair("jump_bump", {"amp": 0.3, "s1": 0.05})
         cfg = ss.SimConfig(T=1.0, n_steps=32, n_paths=512, seed=7)
         emp = DensityModel(mode="empirical", law=law15, sim_config=cfg)
         calls = []
@@ -231,7 +231,7 @@ class TestDistances:
                              [lambda t, x: pair.jump_gap(t, x) ** 1.5])
         assert B == b_alone and S == s_alone ** (1 / 1.5) and S > 0
         # another pair on the same model simulates again
-        ss.distance_B(make_pair("drift_shift", 1.5, {"shift": 0.2}), emp, 1.0)
+        ss.distance_B(make_pair("drift_shift", {"shift": 0.2}), emp, 1.0)
         assert len(calls) == 2
 
 
@@ -242,11 +242,11 @@ class TestSupDistances:
         assert ss.distance_S_sup(pair, 1.5, 1.0) == 0.0
 
     def test_constant_shift_variants(self):
-        pair = make_pair("drift_shift", 1.5, {"shift": 0.25})
+        pair = make_pair("drift_shift", {"shift": 0.25})
         assert ss.distance_B_sup(pair, 2.0) == pytest.approx(0.5, rel=1e-12)
         assert ss.distance_B_sup(pair, 2.0, variant="time_sup") == pytest.approx(
             0.25, rel=1e-12)
-        js = make_pair("jump_shift", 1.5, {"shift": 0.25})
+        js = make_pair("jump_shift", {"shift": 0.25})
         assert ss.distance_S_sup(js, 1.5, 2.0) == pytest.approx(
             0.25 * 2.0 ** (1 / 1.5), rel=1e-6)
 

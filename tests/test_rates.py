@@ -77,9 +77,9 @@ class TestTheoreticalBound:
             0.2 ** 0.5)
 
     def test_gap_term(self):
-        spec = RateBoundSpec(alpha=1.5, eta_tilde=1.0, C_fit=2.0)
+        spec = RateBoundSpec(alpha=1.5, eta_tilde=1.0)
         assert ss.theoretical_bound(spec, 0.04, 0.0, 0.0) == pytest.approx(
-            2.0 * 0.04 ** 0.5)
+            0.04 ** 0.5)
 
     @pytest.mark.parametrize("B,S", [(1.0, 0.01), (0.01, 1.0), (1.5, 1.5)])
     def test_assumption_violation(self, B, S):
@@ -128,26 +128,24 @@ class TestTailBound:
 class TestRunSweep:
     def test_empty_family_rejected(self):
         with pytest.raises(ss.DomainError):
-            make_family("initial_value", 1.5, {"n_start": 3, "n_stop": 2})
+            make_family("initial_value", {"n_start": 3, "n_stop": 2})
 
     def test_unknown_family(self):
         with pytest.raises(ss.DomainError):
-            make_family("bogus", 1.5, {})
+            make_family("bogus", {})
 
     def test_initial_value_sweep(self, law15):
-        family = make_family("initial_value", 1.5,
-                             {"gaps": [0.64, 0.16, 0.04, 0.01]})
+        family = make_family("initial_value", {"gaps": [0.64, 0.16, 0.04, 0.01]})
         cfg = SimConfig(T=1.0, n_steps=100, n_paths=12000, seed=7)
         res = ss.run_sweep(family, cfg, law15)
         assert res.slope_D_vs_scale == pytest.approx(0.5, abs=0.15)
         # B = S = 0 for the pure initial-value family
         assert all(r.B == 0.0 and r.S == 0.0 for r in res.rows)
-        assert res.spec.C_fit > 0.0
+        assert res.C_fit > 0.0
         assert res.rows[0].satisfied
 
     def test_sweep_reproducible(self, law15):
-        family = make_family("jump_bump", 1.5,
-                             {"amp0": 0.5, "n_start": 1, "n_stop": 3})
+        family = make_family("jump_bump", {"amp0": 0.5, "n_start": 1, "n_stop": 3})
         cfg = SimConfig(T=1.0, n_steps=64, n_paths=4000, seed=21)
         r1 = ss.run_sweep(family, cfg, law15)
         r2 = ss.run_sweep(family, cfg, law15)
@@ -166,12 +164,12 @@ class TestRunSweep:
             return ens
 
         monkeypatch.setattr(rates, "simulate_coupled", tracked)
-        family = make_family("jump_bump", 1.5, {"n_start": 1, "n_stop": 2})
+        family = make_family("jump_bump", {"n_start": 1, "n_stop": 2})
         ss.run_sweep(family, SimConfig(T=1.0, n_steps=8, n_paths=512, seed=4), law15)
         assert len(live) == 2
 
     def test_no_slopes_under_four_members(self, law15):
-        family = make_family("jump_bump", 1.5, {"n_start": 1, "n_stop": 3})
+        family = make_family("jump_bump", {"n_start": 1, "n_stop": 3})
         cfg = SimConfig(T=1.0, n_steps=32, n_paths=2000, seed=4)
         res = ss.run_sweep(family, cfg, law15)
         assert res.slope_D_vs_scale is None
@@ -179,20 +177,17 @@ class TestRunSweep:
 
 class TestConvergenceExperiment:
     def test_constant_family_all_zero(self, law15):
-        family = make_family("drift_mollification", 1.5,
-                             {"h0": 0.25, "ratio": 1.0, "n_start": 1,
-                              "n_stop": 4})
+        family = make_family("drift_mollification",
+                             {"h0": 0.25, "ratio": 1.0, "n_start": 1, "n_stop": 4})
         cfg = SimConfig(T=1.0, n_steps=64, n_paths=3000, seed=6)
         rep = ss.convergence_experiment(family, cfg, law15)
         assert np.all(rep.pairwise_D == 0.0)
         assert rep.monotone_within_2se
         assert rep.lp_report.passes
-        assert rep.passes
 
     def test_mollification_family_decreases(self, law15):
-        family = make_family("drift_mollification", 1.5,
-                             {"h0": 0.5, "ratio": 0.5, "n_start": 1,
-                              "n_stop": 5})
+        family = make_family("drift_mollification",
+                             {"h0": 0.5, "ratio": 0.5, "n_start": 1, "n_stop": 5})
         cfg = SimConfig(T=1.0, n_steps=128, n_paths=8000, seed=17)
         rep = ss.convergence_experiment(family, cfg, law15)
         assert rep.monotone_within_2se
@@ -202,9 +197,8 @@ class TestConvergenceExperiment:
     def test_one_run_matches_coupled_pairs(self, law15):
         # the single 4-leg run equals, bitwise, one coupled simulation per
         # neighbouring pair of members on the same config
-        family = make_family("drift_mollification", 1.5,
-                             {"h0": 0.5, "ratio": 0.5, "n_start": 1,
-                              "n_stop": 3})
+        family = make_family("drift_mollification",
+                             {"h0": 0.5, "ratio": 0.5, "n_start": 1, "n_stop": 3})
         cfg = SimConfig(T=1.0, n_steps=32, n_paths=512, seed=21)
         rep = ss.convergence_experiment(family, cfg, law15)
         curves = [ss.distance_moment_curve(
@@ -213,24 +207,21 @@ class TestConvergenceExperiment:
         assert rep.pairwise_D.tolist() == [c.sup for c in curves[:-1]]
         assert rep.pairwise_se.tolist() == [c.sup_stderr for c in curves[:-1]]
         assert rep.limit_residual == curves[-1].sup
-        assert rep.limit_residual_se == curves[-1].sup_stderr
 
     def test_nonzero_start_gap_rejected(self, law15):
-        family = make_family("drift_mollification", 1.5,
-                             {"n_stop": 2, "x0_gap": 0.1})
+        family = make_family("drift_mollification", {"n_stop": 2, "x0_gap": 0.1})
         cfg = SimConfig(T=1.0, n_steps=8, n_paths=64, seed=1)
         with pytest.raises(ss.DomainError):
             ss.convergence_experiment(family, cfg, law15)
 
     def test_one_member_family_rejected(self, law15):
-        family = make_family("drift_mollification", 1.5,
-                             {"n_start": 3, "n_stop": 3})
+        family = make_family("drift_mollification", {"n_start": 3, "n_stop": 3})
         cfg = SimConfig(T=1.0, n_steps=8, n_paths=64, seed=1)
         with pytest.raises(ss.DomainError, match="at least 2 family members"):
             ss.convergence_experiment(family, cfg, law15)
 
     def test_requires_mollification_family(self, law15):
-        family = make_family("jump_bump", 1.5, {"n_start": 1, "n_stop": 4})
+        family = make_family("jump_bump", {"n_start": 1, "n_stop": 4})
         cfg = SimConfig(T=1.0, n_steps=16, n_paths=100, seed=1)
         with pytest.raises(ss.DomainError):
             ss.convergence_experiment(family, cfg, law15)
