@@ -96,6 +96,14 @@ def load_config(path: str, overrides) -> dict:
     for key, value in overrides or ():
         _apply_override(cfg, key, value)
     _validate_schema(cfg)
+    # list entries, which the commands would reject only after running the
+    # entries before them
+    h_values = _value(cfg, "sweep", "h_values")
+    if not all(h > 0 for h in h_values):
+        raise DomainError(f"sweep.h_values entries must be > 0, got {h_values}")
+    alphas = _value(cfg, "certify", "alphas") or ()
+    if not all(1.0 < a < 2.0 for a in alphas):
+        raise DomainError(f"certify.alphas entries must lie in (1, 2), got {alphas}")
     # build each catalog entry a section names, so that its params are
     # checked before any output exists; another name is left to the command
     for section, names in _CATALOG.items():

@@ -4,12 +4,16 @@ Experiments never load code at runtime: coefficient pairs and perturbation
 families are named members of this catalog with numeric parameters, so a
 config file fully determines the experiment.
 
-Conventions: baseline coefficients b, sigma map numpy arrays to arrays;
-perturbed coefficients b_tilde, sigma_tilde take (t, x) with scalar t.
+Conventions: every coefficient takes (t, x) with scalar t and an array x;
+the catalog's are time-homogeneous. A perturbed coefficient is the baseline
+object itself, a Perturbed (baseline + term), or a coefficient of its own,
+so the Euler engine and the gap functions can see which legs share a
+baseline and evaluate it once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -74,11 +78,42 @@ def check_params(name: str, params: dict, family: bool, where: str) -> None:
                           f"{overridden} would be ignored")
 
 
+@dataclass(frozen=True)
+class Perturbed:
+    """The coefficient base(t, x) + term(t, x): a baseline plus a
+    perturbation term, which callers that already hold the baseline value at
+    x add to it instead of evaluating base again."""
+
+    base: callable
+    term: callable
+
+    def __call__(self, t, x):
+        return self.base(t, x) + self.term(t, x)
+
+
+def split(f) -> tuple:
+    """(base, term) with f = base + term; term is None when f is no Perturbed."""
+    return (f.base, f.term) if isinstance(f, Perturbed) else (f, None)
+
+
+def _gap(base, tilde, t, y, value):
+    """|base(t, y) - tilde(t, y)|, where value, unless None, is base(t, y):
+    a tilde built from base reuses it."""
+    value = base(t, y) if value is None else value
+    tilde_base, term = split(tilde)
+    if tilde_base is not base:
+        return np.abs(value - tilde(t, y))
+    return np.abs(value - (value if term is None else value + term(t, y)))
+
+
 @dataclass
 class CoefficientPair:
     """Baseline (b, sigma) and perturbed (b_tilde, sigma_tilde) coefficients
-    with their starts x0, x0_tilde. eta_tilde is the spatial Holder exponent
-    of sigma_tilde, which selects the branch of the rate bound."""
+    with their starts x0, x0_tilde. A perturbed coefficient is built from the
+    baseline value at the same point: it is the baseline itself, or a
+    Perturbed adding a term to it; only mollified_kink's b_tilde replaces the
+    drift. eta_tilde is the spatial Holder exponent of sigma_tilde, which
+    selects the branch of the rate bound."""
 
     b: callable
     sigma: callable
@@ -89,11 +124,14 @@ class CoefficientPair:
     eta_tilde: float
     label: str = ""
 
-    def drift_gap(self, t, y):
-        return np.abs(self.b(y) - self.b_tilde(t, y))
+    def drift_gap(self, t, y, b=None):
+        """|b(t, y) - b_tilde(t, y)|; b, when given, is the value b(t, y)."""
+        return _gap(self.b, self.b_tilde, t, y, b)
 
-    def jump_gap(self, t, y):
-        return np.abs(self.sigma(y) - self.sigma_tilde(t, y))
+    def jump_gap(self, t, y, sigma=None):
+        """|sigma(t, y) - sigma_tilde(t, y)|; sigma, when given, is the
+        value sigma(t, y)."""
+        return _gap(self.sigma, self.sigma_tilde, t, y, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -151,11 +189,7 @@ def _sigma(params):
     freq_s = _param(params, "sigma", "freq_s")
     if s0 - s1 <= 0:
         raise DomainError("baseline sigma must stay strictly positive (s0 > s1)")
-
-    def sigma(x):
-        return s0 + s1 * np.sin(freq_s * np.asarray(x, dtype=float))
-
-    return sigma
+    return lambda t, x: s0 + s1 * np.sin(freq_s * np.asarray(x, dtype=float))
 
 
 def _baseline(params):
@@ -166,22 +200,15 @@ def _baseline(params):
     b_amp = _param(params, "trig", "b_amp")
     freq = _param(params, "trig", "freq")
     b_phase = _param(params, "trig", "b_phase")
-
-    def b(x):
-        return b_amp * np.cos(freq * np.asarray(x, dtype=float) - b_phase)
-
-    return b, _sigma(params)
+    return (lambda t, x: b_amp * np.cos(freq * np.asarray(x, dtype=float) - b_phase),
+            _sigma(params))
 
 
 def _kink_baseline(params):
     """Kinked-hat drift baseline for the mollification experiments."""
     amp = _param(params, "kink", "kink_amp")
     center = _param(params, "kink", "kink_center")
-
-    def b(x):
-        return kink_hat(x, center, amp)
-
-    return b, _sigma(params)
+    return lambda t, x: kink_hat(x, center, amp), _sigma(params)
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +216,10 @@ def _kink_baseline(params):
 # ---------------------------------------------------------------------------
 
 def make_pair(name: str, params: dict | None = None) -> CoefficientPair:
-    """Named coefficient pairs. All perturbations are time-homogeneous
-    functions exposed through the (t, x) signature. Only jump_kink's
-    sigma_tilde is eta_tilde-Holder; every other pair's is Lipschitz."""
+    """Named coefficient pairs. Every perturbed coefficient is the baseline
+    or a Perturbed baseline + term, except mollified_kink's b_tilde, which
+    replaces the drift. Only jump_kink's sigma_tilde is eta_tilde-Holder;
+    every other pair's is Lipschitz."""
     groups = _PAIRS.get(name)
     if groups is None:
         raise DomainError(f"unknown coefficient pair {name!r}")
@@ -200,8 +228,7 @@ def make_pair(name: str, params: dict | None = None) -> CoefficientPair:
     b, sigma = (_baseline if "trig" in groups else _kink_baseline)(params)
     x0_tilde = x0 + _param(params, "start", "x0_gap")
     eta_tilde = _param(params, "holder", "eta_tilde") if "holder" in groups else 1.0
-    b_t = lambda t, x: b(x)
-    s_t = lambda t, x: sigma(x)
+    b_t, s_t = b, sigma
     if "shift" in groups:
         c = _param(params, "shift", "shift")
     if "bump" in groups:
@@ -213,16 +240,16 @@ def make_pair(name: str, params: dict | None = None) -> CoefficientPair:
             raise DomainError("bump width must be > 0")
 
     if name == "drift_shift":
-        b_t = lambda t, x: b(x) + c
+        b_t = Perturbed(b, lambda t, x: c)
     elif name == "jump_shift":
-        s_t = lambda t, x: sigma(x) + c
+        s_t = Perturbed(sigma, lambda t, x: c)
     elif name == "drift_bump":
-        b_t = lambda t, x: b(x) + amp * smooth_bump((np.asarray(x) - center) / width)
+        b_t = Perturbed(b, lambda t, x: amp * smooth_bump((np.asarray(x) - center) / width))
     elif name == "jump_bump":
-        s_t = lambda t, x: sigma(x) + amp * smooth_bump((np.asarray(x) - center) / width)
+        s_t = Perturbed(sigma, lambda t, x: amp * smooth_bump((np.asarray(x) - center) / width))
     elif name == "jump_kink":
-        s_t = lambda t, x: (sigma(x) + amp
-                            * holder_kink((np.asarray(x) - center) / width, eta_tilde))
+        s_t = Perturbed(sigma, lambda t, x: amp * holder_kink(
+            (np.asarray(x) - center) / width, eta_tilde))
     elif name == "mollified_kink":
         amp = _param(params, "kink", "kink_amp")
         center = _param(params, "kink", "kink_center")
@@ -267,19 +294,18 @@ def make_family(name: str, params: dict | None = None) -> PerturbationFamily:
     if group == "gaps":
         values = _param(params, "gaps", "gaps", list)
         if values is None:
-            gap0 = _param(params, "gaps", "gap0")
-            ratio = _param(params, "gaps", "ratio")
-            values = [gap0 * ratio ** (n - n_start) for n in ns]
+            values = _geometric(_param(params, "gaps", "gap0"),
+                                _param(params, "gaps", "ratio"),
+                                [n - n_start for n in ns], name)
         scales, tags = [abs(g) for g in values], [f"gap={g:g}" for g in values]
     elif group == "amps":
-        amp0 = _param(params, "amps", "amp0")
-        ratio = _param(params, "amps", "ratio")
-        values = [amp0 * ratio ** n for n in ns]
+        values = _geometric(_param(params, "amps", "amp0"),
+                            _param(params, "amps", "ratio"), ns, name)
         scales, tags = [abs(a) for a in values], [f"n={n}" for n in ns]
     else:
-        h0 = _param(params, "hs", "h0")
-        ratio = _param(params, "hs", "ratio")
-        values = [h0 * ratio ** (n - n_start) for n in ns]
+        values = _geometric(_param(params, "hs", "h0"),
+                            _param(params, "hs", "ratio"),
+                            [n - n_start for n in ns], name)
         scales, tags = values, [f"h={h:g}" for h in values]
     pairs = [make_pair(member, {**params, per_member: v}) for v in values]
     for p, tag in zip(pairs, tags):
@@ -287,19 +313,29 @@ def make_family(name: str, params: dict | None = None) -> PerturbationFamily:
     return PerturbationFamily(name=name, pairs=pairs, scales=scales)
 
 
+def _geometric(first: float, ratio: float, powers, name: str) -> list:
+    """first * ratio ** p for each p; DomainError when one overflows a double."""
+    try:
+        values = [first * ratio ** p for p in powers]
+        if all(math.isfinite(v) for v in values):
+            return values
+    except OverflowError:
+        pass
+    raise DomainError(f"the members of family {name!r} overflow a double "
+                      f"at ratio {ratio:g}")
+
+
 def drift_sequence(family: PerturbationFamily, who: str) -> list:
     """A mollification family's member drifts b_tilde(t, x), then their limit,
     the baseline drift; DomainError naming `who` for any other family."""
     if family.name != "drift_mollification":
         raise DomainError(f"{who} needs a mollification family")
-    base = family.pairs[0].b
-    return [p.b_tilde for p in family.pairs] + [lambda t, x: base(x)]
+    return [p.b_tilde for p in family.pairs] + [family.pairs[0].b]
 
 
 def pair_between(family: PerturbationFamily, i: int, j: int) -> CoefficientPair:
     """Coupled pair whose baseline leg runs member i's drift and whose
     perturbed leg runs member j's; index len(family.pairs) is the limit."""
     drifts = drift_sequence(family, "pair_between")
-    bi, bj = drifts[i], drifts[j]
-    return replace(family.pairs[0], b=lambda x: bi(0.0, x), b_tilde=bj,
+    return replace(family.pairs[0], b=drifts[i], b_tilde=drifts[j],
                    label=f"members({i},{j})")

@@ -80,7 +80,7 @@ def frozen_density(model: DensityModel, pair: CoefficientPair, t: float, y):
     if t <= 0:
         raise DomainError("t must be > 0")
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-    sig = np.asarray(pair.sigma(y_arr), dtype=float)
+    sig = np.asarray(pair.sigma(t, y_arr), dtype=float)
     scale = t ** (1.0 / model.law.alpha) * sig ** (1.0 / model.law.alpha)
     vals = model.M * (density_grid(model.law, (y_arr - pair.x0) / scale) / scale)
     return float(vals[0]) if np.ndim(y) == 0 else vals
@@ -94,7 +94,7 @@ def _space_integral(model: DensityModel, pair: CoefficientPair, t: float, gap_fn
     """int gap(y) p0_t(x0, y) dy over an expanding window + tail estimate."""
     a = model.law.alpha
     x0 = pair.x0
-    sig0 = float(np.asarray(pair.sigma(np.array([x0])))[0])
+    sig0 = float(np.asarray(pair.sigma(t, np.array([x0])))[0])
     scale = t ** (1.0 / a) * sig0 ** (1.0 / a)
     Z = max(10.0, _SPACE_REL_TOL ** (-1.0 / a))
     for _ in range(3):
@@ -119,14 +119,16 @@ def _gap_powers(pair: CoefficientPair, alpha: float) -> tuple:
 
 def _empirical_averages(pair: CoefficientPair, model: DensityModel) -> list:
     """The baseline-path averages of both entries of _gap_powers, from one
-    single-leg run: the first empirical distance of a pair on a model
-    simulates once for both, and the second reuses the run."""
+    single-leg run whose step values of b and sigma the gaps reuse: the
+    first empirical distance of a pair on a model simulates once for both,
+    and the second reuses the run."""
     memo = model._empirical
     if memo is None or memo[0] is not pair:
+        (drift_gap, p_b), (jump_gap, p_s) = _gap_powers(pair, model.law.alpha)
         runs = simulate_baseline_average(
             model.sim_config, pair, model.law,
-            [lambda t, x, g=g, p=p: g(t, x) ** p
-             for g, p in _gap_powers(pair, model.law.alpha)])
+            [lambda t, x, b, s: drift_gap(t, x, b) ** p_b,
+             lambda t, x, b, s: jump_gap(t, x, s) ** p_s])
         memo = model._empirical = (pair, [mean for mean, _ in runs])
     return memo[1]
 

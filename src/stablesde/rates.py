@@ -219,7 +219,7 @@ def convergence_experiment(family: PerturbationFamily, sim_config: SimConfig,
     if K < 2:
         raise DomainError(f"convergence experiment needs at least 2 family "
                           f"members, got {K}")
-    legs = [(base.x0, b, lambda t, x: base.sigma(x)) for b in drifts]
+    legs = [(base.x0, b, base.sigma) for b in drifts]
     run = simulate_legs(sim_config, law, legs)
     curves = [distance_moment_curve(run, law.alpha - 1.0, i) for i in range(K)]
     ds = np.array([c.sup for c in curves[:-1]])

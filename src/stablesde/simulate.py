@@ -11,6 +11,13 @@ path. A path is flagged as soon as any leg goes non-finite or leaves
 [-x_clip, x_clip]; the flag is one per path, shared by all legs, and flagged
 paths are left out of every statistic.
 
+The legs of a block are one stacked (N, width) state. At each step every
+distinct coefficient is evaluated once, over all the rows of the legs that
+run it, into a preallocated buffer, and a leg whose coefficient is a
+Perturbed adds its term on its own row; the states are then updated as
+(x + drift dt) + jump dZ, the order of the per-leg formula, so a leg's path
+has the bits it would have if it ran alone.
+
 Paths are simulated in fixed 4096-column blocks, each block owning a
 counter-based substream keyed by (seed, stream label, block index). The
 blocks of a run execute on a thread pool with one thread per CPU the process
@@ -31,6 +38,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import sys
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -38,7 +46,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .coefficients import CoefficientPair
+from .coefficients import CoefficientPair, split
 from .errors import DomainError, NumericError
 from .rng import RngStream
 from .stable import StableLaw, sample_increments
@@ -63,7 +71,7 @@ class SimConfig:
             raise DomainError("T must be > 0")
         if self.n_steps < 1 or self.n_paths < 1:
             raise DomainError("n_steps and n_paths must be >= 1")
-        if self.x_clip <= 0:
+        if not self.x_clip > 0:
             raise DomainError("x_clip must be > 0")
 
 
@@ -109,12 +117,31 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
+def _plan(coefficients) -> tuple:
+    """How one coefficient slot of the legs is evaluated at each step: the
+    distinct base coefficients, each with the rows of the legs that run it
+    (a slice when they are adjacent), and (row, term) for each leg whose
+    coefficient is a Perturbed of its base."""
+    groups, terms = {}, []
+    for i, f in enumerate(coefficients):
+        base, term = split(f)
+        groups.setdefault(id(base), (base, []))[1].append(i)
+        if term is not None:
+            terms.append((i, term))
+    return ([(base, slice(r[0], r[-1] + 1) if r[-1] - r[0] == len(r) - 1
+              else np.array(r)) for base, r in groups.values()], terms)
+
+
 def simulate_legs(config: SimConfig, law: StableLaw, legs, integrands=(),
                   digest: bool = False) -> LegEnsemble:
     """Explicit Euler for the legs (x0, drift(t, x), jump(t, x)) on the
     shared increments: X[k+1] = X[k] + drift(t_k, X[k]) dt + jump(t_k, X[k]) dZ_k.
 
-    Each integrand f(t, x) is summed along leg 0 into its own row of
+    The legs of a block are stepped as one stacked state: each distinct
+    coefficient (a Perturbed counts as its base) is evaluated once per step
+    over the rows of every leg that runs it, and each Perturbed leg adds its
+    term on its own row. Each integrand f(t, x, drift, jump), given leg 0's
+    state and coefficient values, is summed along leg 0 into its own row of
     `integral` (left-endpoint rule in time, matching the Euler grid); digest
     hashes the increments of every block in block order, so a block then
     keeps its increment chunks until they are hashed. Blocks run on
@@ -130,6 +157,10 @@ def simulate_legs(config: SimConfig, law: StableLaw, legs, integrands=(),
         0, n, min(_RETAIN_GRID_MAX, n + 1))).astype(int))
     rpos = {k: i for i, k in enumerate(ridx)}
     x0 = np.array([[leg[0]] for leg in legs], dtype=float)
+    plans = [_plan([leg[1] for leg in legs]), _plan([leg[2] for leg in legs])]
+    # a leg is out of bounds (non-finite, or |x| > x_clip) exactly when
+    # |x| <= guard fails: guard is finite, so it fails for +-inf and NaN
+    guard = min(config.x_clip, sys.float_info.max)
     run = LegEnsemble(
         alpha=law.alpha, retained_idx=ridx, retained_times=times[ridx],
         abs_diff=np.empty((nl - 1, ridx.size, npth)),
@@ -150,15 +181,20 @@ def simulate_legs(config: SimConfig, law: StableLaw, legs, integrands=(),
             exponential=stream.after_uniforms(n * width).exponential)
         chunks = []
         x = np.repeat(x0, width, axis=1)   # leg states, stepped in place
+        # step buffers: coefficient values, |x|, neighbour differences,
+        # guard test
+        drift, jump, abs_x = np.empty_like(x), np.empty_like(x), np.abs(x)
+        diff, ok = np.empty((nl - 1, width)), np.empty(x.shape, dtype=bool)
+        any_flagged = False
         # views into the outputs, updated in place
         flagged, tot = run.flagged[cols], run.integral[:, cols]
         y_max, x_max = run.y_max[:, cols], run.abs_max[:, cols]
         for k in range(n + 1):
-            # record the state at t_k, then step to t_{k+1}
-            with np.errstate(invalid="ignore"):
-                diff = np.abs(x[:-1] - x[1:])
-                np.fmax(y_max, diff, out=y_max)
-                np.fmax(x_max, np.abs(x), out=x_max)
+            # record the state at t_k (finite, or NaN on flagged paths), then
+            # step to t_{k+1}
+            np.abs(np.subtract(x[:-1], x[1:], out=diff), out=diff)
+            np.fmax(y_max, diff, out=y_max)
+            np.fmax(x_max, abs_x, out=x_max)
             if k in rpos:
                 run.abs_diff[:, rpos[k], cols] = diff
             if run.paths is not None:
@@ -171,14 +207,26 @@ def simulate_legs(config: SimConfig, law: StableLaw, legs, integrands=(),
                 if digest:
                     chunks.append(dz)
             t_k = times[k]
-            np.copyto(x, 0.0, where=flagged)    # flagged paths step from 0
+            if any_flagged:
+                np.copyto(x, 0.0, where=flagged)    # flagged paths step from 0
+            for value, (groups, terms) in zip((drift, jump), plans):
+                for f, rows in groups:
+                    value[rows] = f(t_k, x[rows])
+                for i, term in terms:
+                    value[i] += term(t_k, x[i])
             for tot_i, f in zip(tot, integrands):
-                tot_i += f(t_k, x[0]) * dt
-            dz_k = dz[k % _CHUNK_ROWS]
-            for xj, (_, drift, jump) in zip(x, legs):
-                xj[...] = xj + drift(t_k, xj) * dt + jump(t_k, xj) * dz_k
-                flagged |= ~np.isfinite(xj) | (np.abs(xj) > config.x_clip)
-            np.copyto(x, np.nan, where=flagged)
+                tot_i += f(t_k, x[0], drift[0], jump[0]) * dt
+            drift *= dt
+            jump *= dz[k % _CHUNK_ROWS]
+            x += drift
+            x += jump
+            np.less_equal(np.abs(x, out=abs_x), guard, out=ok)
+            if not ok.all():
+                flagged |= ~ok.all(axis=0)
+                any_flagged = True
+            if any_flagged:
+                np.copyto(x, np.nan, where=flagged)
+                np.copyto(abs_x, np.nan, where=flagged)
         return chunks
 
     hasher = hashlib.blake2b(digest_size=16) if digest else None
@@ -208,7 +256,7 @@ def simulate_coupled(config: SimConfig, pair: CoefficientPair,
     """The baseline leg (x0, b, sigma) and the perturbed leg (x0_tilde,
     b_tilde, sigma_tilde) on the shared increments, with the increments
     digest if asked; deterministic for fixed (seed, config, pair)."""
-    legs = [(pair.x0, lambda t, x: pair.b(x), lambda t, x: pair.sigma(x)),
+    legs = [(pair.x0, pair.b, pair.sigma),
             (pair.x0_tilde, pair.b_tilde, pair.sigma_tilde)]
     return simulate_legs(config, law, legs, digest=digest)
 
@@ -216,14 +264,15 @@ def simulate_coupled(config: SimConfig, pair: CoefficientPair,
 def simulate_baseline_average(config: SimConfig, pair: CoefficientPair,
                               law: StableLaw, integrands) -> list:
     """Euler simulation of the pair's baseline leg alone accumulating time
-    averages: for each f, the mean over paths of sum_k f(t_k, X_k) dt with
-    its standard error, as a (mean, stderr) tuple.
+    averages: for each f, the mean over paths of
+    sum_k f(t_k, X_k, b(t_k, X_k), sigma(t_k, X_k)) dt with its standard
+    error, as a (mean, stderr) tuple.
 
     This is the Monte Carlo estimator behind the empirical coefficient
     distances (left-endpoint rule in time, matching the Euler grid).
     """
-    leg = (pair.x0, lambda t, x: pair.b(x), lambda t, x: pair.sigma(x))
-    run = simulate_legs(config, law, [leg], integrands=integrands)
+    run = simulate_legs(config, law, [(pair.x0, pair.b, pair.sigma)],
+                        integrands=integrands)
     return [(float(v.mean()), float(v.std(ddof=1) / math.sqrt(v.size)))
             for v in run.integral[:, run.ok]]
 

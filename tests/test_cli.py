@@ -197,6 +197,13 @@ class TestConfigParsing:
                       '--set sim={"T":1.0,"n_steps":4,"n_paths":16,"seed":5}', 3,
          "frozen_upper"),
         ("converge", "--set converge.params.h0=0", 3, "scale h"),
+        # members, and list entries, that would fail only after the ones before them ran
+        ("sweep", '--set sweep.family="jump_bump" --set sweep.params={"ratio":1e200,"n_stop":3}',
+         3, "overflow a double"),
+        ("converge", "--set converge.params.ratio=1e200 --set converge.params.n_stop=3", 3,
+         "overflow a double"),
+        ("sweep", "--set sweep.h_values=[0.1,-1]", 3, "sweep.h_values entries"),
+        ("certify-density", "--set certify.alphas=[1.5,2.5]", 3, "certify.alphas entries"),
         ("converge", "--set converge.params.n_stop=1", 3, "at least 2 family members"),
         ("converge", "--set converge.params.n_start=4 --set converge.params.n_stop=4", 3,
          "at least 2 family members"),
@@ -255,11 +262,15 @@ class TestConfigParsing:
         ("sweep", "sweep.params.n_stop=1", 2),
         ("converge", "converge.params.h0=0", 3),
         ("distances", 'distances.time_nodes="x"', 2),
+        ("sweep", 'sweep={"family":"jump_bump","params":{"ratio":1e200,"n_stop":3}}', 3),
+        ("converge", 'converge.params={"ratio":1e200,"n_stop":3}', 3),
+        ("sweep", "sweep.h_values=[-1]", 3),
+        ("certify-density", "certify.alphas=[1.5,2.5]", 3),
     ])
     def test_bad_catalog_params_fail_before_any_output(self, tmp_path, command,
                                                        override, code):
-        """Catalog params are checked, like every other key, before the
-        output directory is created."""
+        """Catalog params and list entries are checked, like every other
+        key, before the output directory is created."""
         cfg = write_cfg(tmp_path, {"command": command, **TINY[command]})
         out = tmp_path / "o"
         rc, err = run_quiet(["run", "--config", cfg, "--out", str(out),

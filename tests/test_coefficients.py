@@ -20,11 +20,11 @@ def test_catalog_pairs_are_bounded_with_positive_sigma(name):
     pair = make_pair(name, _REQUIRED.get(name, {}))
     ys = np.linspace(-50.0, 50.0, 20001)
     for t in (0.0, 0.7):
-        for f in (pair.b(ys), pair.sigma(ys), pair.b_tilde(t, ys),
+        for f in (pair.b(t, ys), pair.sigma(t, ys), pair.b_tilde(t, ys),
                   pair.sigma_tilde(t, ys)):
             assert np.all(np.isfinite(f))
         # defaults s0 = 1, s1 = 0.1 keep sigma in [0.9, 1.1]
-        assert np.min(pair.sigma(ys)) >= 0.9 - 1e-12
+        assert np.min(pair.sigma(t, ys)) >= 0.9 - 1e-12
         assert np.min(pair.sigma_tilde(t, ys)) >= 0.9 - 1e-12
         assert np.max(pair.drift_gap(t, ys)) <= 0.2 + 1e-12
         assert np.max(pair.jump_gap(t, ys)) <= 0.2 + 1e-12

@@ -224,11 +224,12 @@ class TestDistances:
                             lambda *a: calls.append(a) or real(*a))
         B, S = ss.distance_B(pair, emp, 1.0), ss.distance_S(pair, emp, 1.0)
         assert len(calls) == 1
-        # each average is bitwise what a run of that integrand alone gives
+        # each average is bitwise what a run of that integrand alone gives,
+        # with the gap evaluating b and sigma again
         (b_alone, _), = real(cfg, pair, law15,
-                             [lambda t, x: pair.drift_gap(t, x) ** 1.0])
+                             [lambda t, x, b, s: pair.drift_gap(t, x) ** 1.0])
         (s_alone, _), = real(cfg, pair, law15,
-                             [lambda t, x: pair.jump_gap(t, x) ** 1.5])
+                             [lambda t, x, b, s: pair.jump_gap(t, x) ** 1.5])
         assert B == b_alone and S == s_alone ** (1 / 1.5) and S > 0
         # another pair on the same model simulates again
         ss.distance_B(make_pair("drift_shift", {"shift": 0.2}), emp, 1.0)

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import threading
 import time
 import tracemalloc
 from dataclasses import replace
@@ -12,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stablesde as ss
-from stablesde.coefficients import make_pair
+from stablesde.coefficients import (_PAIRS, Perturbed, drift_sequence, make_family,
+                                    make_pair, split)
 from stablesde import simulate
 from stablesde.simulate import LegEnsemble, SimConfig, wilson_interval
 
@@ -30,7 +32,7 @@ def small_cfg():
 class TestConfig:
     @pytest.mark.parametrize("kw", [
         {"T": 0.0}, {"T": -1.0}, {"n_steps": 0}, {"n_paths": 0},
-        {"x_clip": -1.0},
+        {"x_clip": -1.0}, {"x_clip": math.nan},
     ])
     def test_validation(self, kw):
         base = dict(T=1.0, n_steps=10, n_paths=10, seed=0)
@@ -248,13 +250,13 @@ class TestThreadedBlocks:
         monkeypatch.setattr(simulate, "_workers", lambda: n_threads)
         law = ss.make_stable_law(1.5)
         pair = make_pair("jump_bump", {"amp": 0.3})
-        legs = [(pair.x0, lambda t, x: pair.b(x), lambda t, x: pair.sigma(x)),
+        legs = [(pair.x0, pair.b, pair.sigma),
                 (pair.x0_tilde, pair.b_tilde, pair.sigma_tilde),
                 (pair.x0 + 0.1, pair.b_tilde, pair.sigma_tilde)]
         config = SimConfig(**{"T": 1.0, "n_steps": 24, "n_paths": self.RAGGED,
                               "seed": 8080, **cfg})
         return simulate.simulate_legs(config, law, legs,
-                                      integrands=[lambda t, x: np.abs(x) ** 0.5],
+                                      integrands=[lambda t, x, b, s: np.abs(x) ** 0.5],
                                       digest=True)
 
     @pytest.mark.parametrize("cfg", [{"keep_paths": True}, {"x_clip": 25.0}],
@@ -319,6 +321,201 @@ class TestThreadedBlocks:
         assert info.value is err
         # block 0 raised; at most the block already taken by the worker ran
         assert 1 <= len(starts) <= 2
+
+
+def reference_legs(config, law, legs, integrands=()):
+    """The per-leg Euler loop that the stacked engine replaced, one block
+    after another: each leg evaluates its own coefficients, and each
+    integrand f(t, x) is evaluated on leg 0's state alone. The increments of
+    a block are drawn in one call, which draws the numbers of the engine's
+    chunks (TestThreadedBlocks.test_chunk_rows_bitwise_neutral)."""
+    n, npth, nl = config.n_steps, config.n_paths, len(legs)
+    dt = config.T / n
+    times = dt * np.arange(n + 1)
+    ridx = np.unique(np.round(np.linspace(
+        0, n, min(simulate._RETAIN_GRID_MAX, n + 1))).astype(int))
+    rpos = {k: i for i, k in enumerate(ridx)}
+    x0 = np.array([[leg[0]] for leg in legs], dtype=float)
+    run = LegEnsemble(
+        alpha=law.alpha, retained_idx=ridx, retained_times=times[ridx],
+        abs_diff=np.empty((nl - 1, ridx.size, npth)),
+        y_max=np.full((nl - 1, npth), np.nan), abs_max=np.full((nl, npth), np.nan),
+        flagged=np.zeros(npth, dtype=bool),
+        integral=np.zeros((len(integrands), npth)),
+        paths=np.empty((nl, n + 1, npth)) if config.keep_paths else None)
+    hasher = hashlib.blake2b(digest_size=16)
+    for _, cols, stream in simulate._blocks(config):
+        width = cols.stop - cols.start
+        dz = simulate.sample_increments(law, dt, (n, width), stream)
+        hasher.update(dz)
+        x = np.repeat(x0, width, axis=1)
+        flagged, tot = run.flagged[cols], run.integral[:, cols]
+        y_max, x_max = run.y_max[:, cols], run.abs_max[:, cols]
+        for k in range(n + 1):
+            with np.errstate(invalid="ignore"):
+                diff = np.abs(x[:-1] - x[1:])
+                np.fmax(y_max, diff, out=y_max)
+                np.fmax(x_max, np.abs(x), out=x_max)
+            if k in rpos:
+                run.abs_diff[:, rpos[k], cols] = diff
+            if run.paths is not None:
+                run.paths[:, k, cols] = x
+            if k == n:
+                break
+            t_k = times[k]
+            np.copyto(x, 0.0, where=flagged)
+            for tot_i, f in zip(tot, integrands):
+                tot_i += f(t_k, x[0]) * dt
+            dz_k = dz[k]
+            for xj, (_, drift, jump) in zip(x, legs):
+                xj[...] = xj + drift(t_k, xj) * dt + jump(t_k, xj) * dz_k
+                flagged |= ~np.isfinite(xj) | (np.abs(xj) > config.x_clip)
+            np.copyto(x, np.nan, where=flagged)
+    run.increments_digest = hasher.hexdigest()
+    return run
+
+
+# the required parameter of each catalog pair that has one
+_REQUIRED = {"drift_shift": {"shift": 0.2}, "jump_shift": {"shift": 0.2},
+             "drift_bump": {"amp": 0.2}, "jump_bump": {"amp": 0.2},
+             "jump_kink": {"amp": 0.2, "eta_tilde": 0.8},
+             "mollified_kink": {"h": 0.1}, "initial_gap": {"x0_gap": 0.3}}
+_FIELDS = ("abs_diff", "y_max", "abs_max", "flagged", "integral", "paths")
+
+
+class TestStackedLegs:
+    """The stacked engine gives every output bit of the per-leg loop, at any
+    thread count, with flagged paths and kept paths."""
+
+    RAGGED = 4096 + 123
+
+    def _config(self, **kw):
+        return SimConfig(**{"T": 1.0, "n_steps": 24, "n_paths": self.RAGGED,
+                            "seed": 2024, "x_clip": 25.0, "keep_paths": True, **kw})
+
+    def _assert_same(self, reference, run):
+        for name in _FIELDS:
+            a, b = getattr(reference, name), getattr(run, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+        assert run.increments_digest == reference.increments_digest
+
+    def _check(self, monkeypatch, run, reference):
+        """run(config) at 1 and 2 threads against the reference's outputs."""
+        for threads in (1, 2):
+            monkeypatch.setattr(simulate, "_workers", lambda: threads)
+            self._assert_same(reference, run())
+
+    @pytest.mark.parametrize("name", sorted(_PAIRS))
+    def test_catalog_pair_coupled(self, monkeypatch, law15, name):
+        pair = make_pair(name, _REQUIRED.get(name, {}))
+        config = self._config()
+        legs = [(pair.x0, pair.b, pair.sigma),
+                (pair.x0_tilde, pair.b_tilde, pair.sigma_tilde)]
+        reference = reference_legs(config, law15, legs)
+        assert 0 < reference.n_flagged <= 0.01 * self.RAGGED
+        self._check(monkeypatch, lambda: ss.simulate_coupled(
+            config, pair, law15, digest=True), reference)
+
+    def test_convergence_legs(self, monkeypatch, law15):
+        """The legs of convergence_experiment: one drift per member and the
+        limit, all on the first member's sigma."""
+        family = make_family("drift_mollification", {"n_stop": 4})
+        base = family.pairs[0]
+        legs = [(base.x0, b, base.sigma)
+                for b in drift_sequence(family, "test")]
+        config = self._config()
+        reference = reference_legs(config, law15, legs)
+        assert reference.n_flagged > 0
+        self._check(monkeypatch, lambda: simulate.simulate_legs(
+            config, law15, legs, digest=True), reference)
+
+    @pytest.mark.parametrize("name", ["drift_bump", "jump_bump", "jump_kink",
+                                      "drift_shift", "mollified_kink"])
+    def test_empirical_gap_integrands(self, monkeypatch, law15, name):
+        """The integrands of the empirical distances, given the step's b and
+        sigma, against the gaps evaluating both coefficients again."""
+        pair = make_pair(name, _REQUIRED[name])
+        config = self._config()
+        reference = reference_legs(
+            config, law15, [(pair.x0, pair.b, pair.sigma)],
+            [lambda t, x: pair.drift_gap(t, x) ** 1.0,
+             lambda t, x: pair.jump_gap(t, x) ** 1.5])
+        assert np.any(reference.integral != 0.0)
+        self._check(monkeypatch, lambda: simulate.simulate_legs(
+            config, law15, [(pair.x0, pair.b, pair.sigma)],
+            [lambda t, x, b, s: pair.drift_gap(t, x, b) ** 1.0,
+             lambda t, x, b, s: pair.jump_gap(t, x, s) ** 1.5], digest=True),
+            reference)
+
+    def test_scalar_and_non_adjacent_coefficients(self, monkeypatch, law15):
+        """Coefficients returning a scalar broadcast over their rows, and a
+        base shared by legs that are not adjacent runs on those rows only."""
+        pair = make_pair("drift_bump", {"amp": 0.2})
+        one = lambda t, x: 1.0
+        legs = [(0.0, pair.b, one), (0.1, lambda t, x: 0.0, pair.sigma),
+                (0.2, pair.b_tilde, one),
+                (0.3, pair.b, Perturbed(one, lambda t, x: 0.5 * np.cos(x)))]
+        config = self._config()
+        reference = reference_legs(config, law15, legs,
+                                   [lambda t, x: np.abs(x) ** 0.5])
+        self._check(monkeypatch, lambda: simulate.simulate_legs(
+            config, law15, legs, [lambda t, x, b, s: np.abs(x) ** 0.5],
+            digest=True), reference)
+
+
+class _Counted:
+    """A coefficient that counts the calls and the elements it is evaluated on."""
+
+    def __init__(self, f):
+        self.f, self.calls, self.elements = f, 0, 0
+        self._lock = threading.Lock()
+
+    def __call__(self, t, x):
+        with self._lock:
+            self.calls += 1
+            self.elements += np.size(x)
+        return self.f(t, x)
+
+
+def _counted(pair):
+    """pair with its baseline b and sigma counted, also where b_tilde and
+    sigma_tilde are built from them."""
+    b, sigma = _Counted(pair.b), _Counted(pair.sigma)
+
+    def rebuilt(tilde, old, new):
+        base, term = split(tilde)
+        if base is not old:
+            return tilde
+        return new if term is None else Perturbed(new, term)
+
+    return replace(pair, b=b, sigma=sigma,
+                   b_tilde=rebuilt(pair.b_tilde, pair.b, b),
+                   sigma_tilde=rebuilt(pair.sigma_tilde, pair.sigma, sigma))
+
+
+class TestCoefficientCounts:
+    """Each baseline coefficient is evaluated once per path-step of each leg
+    that runs it, in one call per block and step."""
+
+    def test_empirical_run_evaluates_b_and_sigma_once(self, law15):
+        pair = _counted(make_pair("drift_bump", {"amp": 0.2}))
+        cfg = SimConfig(T=1.0, n_steps=10, n_paths=5000, seed=3)
+        emp = ss.DensityModel(mode="empirical", law=law15, sim_config=cfg)
+        assert ss.distance_B(pair, emp, 1.0) > 0
+        ss.distance_S(pair, emp, 1.0)
+        for f in (pair.b, pair.sigma):
+            assert f.elements == 10 * 5000
+            assert f.calls == 10 * 2    # 2 blocks
+
+    @pytest.mark.parametrize("name", ["drift_bump", "jump_bump"])
+    def test_coupled_run_evaluates_b_once_per_step(self, law15, name):
+        pair = _counted(make_pair(name, {"amp": 0.2}))
+        cfg = SimConfig(T=1.0, n_steps=10, n_paths=5000, seed=3)
+        ss.simulate_coupled(cfg, pair, law15)
+        for f in (pair.b, pair.sigma):
+            assert f.elements == 2 * 10 * 5000
+            assert f.calls == 10 * 2
 
 
 class TestMemory:
