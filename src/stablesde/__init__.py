@@ -1,7 +1,7 @@
 """Numerical laboratory for stability of alpha-stable-driven SDEs."""
 
 from .coefficients import (CoefficientPair, PerturbationFamily, make_family,
-                           make_pair, pair_between)
+                           make_pair)
 from .errors import (AssumptionViolation, ConstructionError, DomainError,
                      NumericError)
 from .measures import (DensityModel, comparability_band, distance_B,

@@ -14,7 +14,7 @@ baseline and evaluate it once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -141,11 +141,10 @@ class CoefficientPair:
 def smooth_bump(z):
     """C-infinity bump, value 1 at 0, supported on (-1, 1)."""
     z = np.asarray(z, dtype=float)
-    inside = np.abs(z) < 1.0
-    zm = np.where(inside, z, 0.0)
-    with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        val = np.exp(1.0 - 1.0 / np.maximum(1.0 - zm * zm, 1e-300))
-    return np.where(inside, val, 0.0)
+    # fmax sends |z| >= 1 and NaN to 1e-300, whose exp(1 - 1e300) is +0.0;
+    # z * z overflows to inf from |z| ~ 1e154
+    with np.errstate(over="ignore", under="ignore"):
+        return np.exp(1.0 - 1.0 / np.fmax(1.0 - z * z, 1e-300))
 
 
 def holder_kink(z, exponent):
@@ -331,11 +330,3 @@ def drift_sequence(family: PerturbationFamily, who: str) -> list:
     if family.name != "drift_mollification":
         raise DomainError(f"{who} needs a mollification family")
     return [p.b_tilde for p in family.pairs] + [family.pairs[0].b]
-
-
-def pair_between(family: PerturbationFamily, i: int, j: int) -> CoefficientPair:
-    """Coupled pair whose baseline leg runs member i's drift and whose
-    perturbed leg runs member j's; index len(family.pairs) is the limit."""
-    drifts = drift_sequence(family, "pair_between")
-    return replace(family.pairs[0], b=drifts[i], b_tilde=drifts[j],
-                   label=f"members({i},{j})")

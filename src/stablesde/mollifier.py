@@ -44,8 +44,9 @@ _KOMATSU_ABS_TOL = 1e-4     # generator identity where psi = 0
 
 
 def _bump_exp(t):
-    with np.errstate(divide="ignore", over="ignore", under="ignore"):
-        return np.where(t > 0.0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
+    # fmax sends t <= 0 and NaN to 1e-300, whose exp(-1e300) is +0.0
+    with np.errstate(under="ignore"):
+        return np.exp(-1.0 / np.fmax(t, 1e-300))
 
 
 def _smoothstep_pair(t):

@@ -71,15 +71,35 @@ def make_stable_law(alpha: float) -> StableLaw:
 # density / cdf
 # ---------------------------------------------------------------------------
 
+class _ExpMemo(dict):
+    """t -> exp(-t^alpha), each value computed once by the expression
+    math.exp(-t ** alpha) and kept under the exact float t. QUADPACK bisects
+    [0, t_max] alike for every x, so the density quadratures of one alpha
+    share under a thousand distinct abscissae; `__getitem__` is their
+    integrand."""
+
+    def __init__(self, alpha: float):
+        super().__init__()
+        self.alpha = alpha
+
+    def __missing__(self, t):
+        val = self[t] = math.exp(-t ** self.alpha)
+        return val
+
+
+# one memo per alpha, shared by every density quadrature at that alpha
+_exp_memo = lru_cache(maxsize=8)(_ExpMemo)
+
+
 def _density_quad(law: StableLaw, x: float) -> float:
     spec = law.density_quadrature
-    a = law.alpha
+    integrand = _exp_memo(law.alpha).__getitem__
     if x == 0.0:
-        val, err = integrate.quad(lambda t: math.exp(-t ** a), 0.0, law.t_max,
+        val, err = integrate.quad(integrand, 0.0, law.t_max,
                                   epsabs=spec.abs_tol, epsrel=spec.rel_tol,
                                   limit=spec.max_subdivisions)
     else:
-        out = integrate.quad(lambda t: math.exp(-t ** a), 0.0, law.t_max,
+        out = integrate.quad(integrand, 0.0, law.t_max,
                              weight="cos", wvar=abs(x),
                              epsabs=spec.abs_tol, epsrel=spec.rel_tol,
                              limit=spec.max_subdivisions, full_output=1)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablesde.coefficients import _PAIRS, make_pair
+from stablesde.coefficients import _PAIRS, make_pair, smooth_bump
 
 # the required parameter of each pair that has one
 _REQUIRED = {"drift_shift": {"shift": 0.2}, "jump_shift": {"shift": 0.2},
@@ -52,3 +52,27 @@ def test_drift_bump_gap_is_the_bump(amp, width):
     assert np.max(gap) <= amp * (1.0 + 1e-12)
     assert np.all(gap[np.abs(ys - pair.x0) >= width] == 0.0)
     assert np.all(pair.jump_gap(0.3, ys) == 0.0)
+
+
+def _oracle_smooth_bump(z):
+    """exp(1 - 1/(1 - z^2)) on |z| < 1, else 0: the masked formula the
+    one-call smooth_bump replaced."""
+    z = np.asarray(z, dtype=float)
+    inside = np.abs(z) < 1.0
+    zm = np.where(inside, z, 0.0)
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        val = np.exp(1.0 - 1.0 / np.maximum(1.0 - zm * zm, 1e-300))
+    return np.where(inside, val, 0.0)
+
+
+def test_smooth_bump_is_the_masked_formula():
+    z = np.random.default_rng(11).uniform(-1.5, 1.5, 1_000_000)
+    near_one = np.nextafter(np.repeat([1.0, -1.0], 2), [0.0, 2.0, 0.0, -2.0])
+    edges = np.concatenate([[0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan,
+                             1e300, -1e300, 1e154, 5e-324], near_one,
+                            np.random.default_rng(12).uniform(-1e-3, 1e-3, 100_000)])
+    for arg in (z, edges):
+        assert smooth_bump(arg).tobytes() == _oracle_smooth_bump(arg).tobytes()
+        for amp in (-0.2, 0.35):
+            assert (amp * smooth_bump(arg)).tobytes() == \
+                (amp * _oracle_smooth_bump(arg)).tobytes()

@@ -280,10 +280,26 @@ def test_near_batch_size_does_not_change_bits(monkeypatch):
     assert got[0] == got[1] == got[2]
 
 
+def _oracle_bump_exp(t):
+    """exp(-1/t) for t > 0, else 0: the masked formula the one-call
+    _bump_exp replaced."""
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        return np.where(t > 0.0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
+
+
+def test_bump_exp_is_the_masked_formula():
+    t = np.random.default_rng(7).uniform(-0.5, 2.0, 1_000_000)
+    edges = np.array([0.0, -0.0, 1e-300, 5e-324, 1.0, np.inf, -np.inf, np.nan,
+                      np.nextafter(0.0, 1.0), np.nextafter(1e-300, 0.0), 1e300])
+    for arg in (t, edges, np.concatenate([edges, -edges])):
+        got = mollifier._bump_exp(arg)
+        assert got.tobytes() == _oracle_bump_exp(arg).tobytes()
+
+
 def _oracle_smoothstep(t):
     t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
-    fu = mollifier._bump_exp(t)
-    fv = mollifier._bump_exp(1.0 - t)
+    fu = _oracle_bump_exp(t)
+    fv = _oracle_bump_exp(1.0 - t)
     return fu / (fu + fv)
 
 
@@ -291,8 +307,8 @@ def _oracle_smoothstep_prime(t):
     t = np.asarray(t, dtype=float)
     inside = (t > 0.0) & (t < 1.0)
     tc = np.where(inside, t, 0.5)
-    fu = mollifier._bump_exp(tc)
-    fv = mollifier._bump_exp(1.0 - tc)
+    fu = _oracle_bump_exp(tc)
+    fv = _oracle_bump_exp(1.0 - tc)
     with np.errstate(invalid="ignore"):     # 0/0 at the smallest subnormal t
         fup = fu / tc ** 2
     fvp = fv / (1.0 - tc) ** 2

@@ -2,6 +2,7 @@
 
 import math
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,9 +11,17 @@ from hypothesis import strategies as st
 
 import stablesde as ss
 from stablesde import rates
-from stablesde.coefficients import make_family, pair_between
+from stablesde.coefficients import drift_sequence, make_family
 from stablesde.rates import RateBoundSpec
 from stablesde.simulate import SimConfig
+
+
+def pair_between(family, i, j):
+    """Coupled pair whose baseline leg runs member i's drift and whose
+    perturbed leg runs member j's; index len(family.pairs) is the limit."""
+    drifts = drift_sequence(family, "pair_between")
+    return replace(family.pairs[0], b=drifts[i], b_tilde=drifts[j],
+                   label=f"members({i},{j})")
 
 
 @pytest.fixture(scope="module")

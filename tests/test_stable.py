@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 from scipy.special import gammaln
 
 import stablesde as ss
+from stablesde import stable
 from stablesde.stable import _density_series, density_total_mass
 
 ORACLE_C_ALPHA = {1.2: 0.33354942991224811, 1.5: 0.29920671030107451,
@@ -115,6 +117,64 @@ class TestDensity:
         # series tail beyond the cutoff must splice continuously
         a, b = ss.stable_cdf(law15, 19.9), ss.stable_cdf(law15, 20.1)
         assert 0 < b - a < 1e-4
+
+
+def _plain_density_quad(law, x):
+    """The density quadrature with a fresh lambda as its integrand: the
+    oracle of the memoised one."""
+    spec = law.density_quadrature
+    a = law.alpha
+    weight = {} if x == 0.0 else {"weight": "cos", "wvar": abs(x)}
+    val = integrate.quad(lambda t: math.exp(-t ** a), 0.0, law.t_max,
+                         epsabs=spec.abs_tol, epsrel=spec.rel_tol,
+                         limit=spec.max_subdivisions, **weight)[0]
+    return val / math.pi
+
+
+class _CountingMath:
+    """The math module with a count of its exp calls."""
+
+    def __init__(self):
+        self.exp_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def exp(self, v):
+        self.exp_calls += 1
+        return math.exp(v)
+
+
+class TestIntegrandMemo:
+    """Every density quadrature of one alpha reads exp(-t^alpha) from one
+    memo keyed by t; the values are bitwise those of a plain integrand."""
+
+    def test_memo_is_bitwise_plain_and_shared_per_alpha(self, monkeypatch):
+        cut = ss.QuadratureSpec().oscillatory_cutoff
+        xs = [0.0, 1e-3, 0.5, 2.0, 7.3, math.nextafter(cut, 0.0)]
+        alphas = (1.2, 1.5, 1.8)
+        want = {(a, x): _plain_density_quad(ss.make_stable_law(a), x)
+                for a in alphas for x in xs}
+        counting = _CountingMath()
+        monkeypatch.setattr(stable, "math", counting)
+        stable._exp_memo.cache_clear()
+        laws = []       # held, so that no two calls see a law at one address
+        for rnd in ("cold", "warm"):
+            before = counting.exp_calls
+            for x in xs:
+                for a in alphas:
+                    # a new law object each call: the memo belongs to alpha
+                    laws.append(ss.make_stable_law(a))
+                    got = stable._density_quad(laws[-1], x)
+                    assert got.hex() == want[a, x].hex(), (rnd, a, x)
+            if rnd == "cold":
+                assert counting.exp_calls > before
+            else:
+                assert counting.exp_calls == before
+        # one exp per distinct abscissa: a few hundred per alpha
+        for a in alphas:
+            assert 0 < len(stable._exp_memo(a)) <= 2000
+        assert counting.exp_calls == sum(len(stable._exp_memo(a)) for a in alphas)
 
 
 class TestEnvelope:
