@@ -23,6 +23,6 @@ from .simulate import (LegEnsemble, MomentCurve, SimConfig, TailEstimate,
 from .stable import (StableLaw, density_envelope, density_grid,
                      density_total_mass, envelope_comparability_check,
                      generator_apply, make_stable_law, sample_increments,
-                     stable_cdf, stable_density, stable_tail_mass)
+                     stable_density, stable_tail_mass)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

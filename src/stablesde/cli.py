@@ -10,9 +10,11 @@ parameters (alpha, eps, delta, T, seed, ...) have no default. Every key
 present is checked before any command runs, and is never coerced; catalog
 params are checked against the keys their pair or family reads and by
 building it, and are the only source of coefficient parameters, a sweep's
-eta_tilde among them. Outputs are results.csv (floats at 17 significant
-digits), report.json (validated machine-readable pass/fail rows), and
-plotdata/*.tsv series.
+eta_tilde among them. A distances run's density model (an empirical one
+needs its sim section, with sim.T equal to distances.T), sup-distance
+variant and sup window (lo, hi with lo < hi) are checked likewise. Outputs
+are results.csv (floats at 17 significant digits), report.json (validated
+machine-readable pass/fail rows), and plotdata/*.tsv series.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 config error (parse,
 unknown key, wrong type, missing value, an output directory that cannot be
@@ -34,7 +36,8 @@ from . import mollifier as moll
 from .coefficients import _FAMILIES, _PAIRS, check_params, make_family, make_pair
 from .errors import (REQUIRED, AssumptionViolation, ConfigError, ConstructionError,
                      DomainError, NumericError, config_value)
-from .measures import DensityModel, distance_B, distance_B_sup, distance_S, distance_S_sup
+from .measures import (DensityModel, check_horizon, check_sup_args, distance_B,
+                       distance_B_sup, distance_S, distance_S_sup)
 from .rates import RateBoundSpec, convergence_experiment, run_sweep, tail_bound, theoretical_bound
 from .report import CheckRow, Report, fmt17, validate_report, write_plotdata, write_results_csv
 from .simulate import SimConfig, distance_moment_curve, simulate_coupled, tail_probability
@@ -110,6 +113,8 @@ def load_config(path: str, overrides) -> dict:
         given = cfg.get(section, {})
         if given.get("name", given.get("family")) in names:
             _catalog(cfg, section)
+    if cfg["command"] == "distances":
+        _check_distances(cfg)
     return cfg
 
 
@@ -171,6 +176,22 @@ def _given(cfg, section, *keys) -> dict:
 
 def _sim_config(cfg, keep_paths=False) -> SimConfig:
     return SimConfig(**_given(cfg, "sim", *_SCHEMA["sim"]), keep_paths=keep_paths)
+
+
+def _density_model(cfg, law) -> DensityModel:
+    mode = _value(cfg, "distances", "model")
+    return DensityModel(mode=mode, law=law, **_given(cfg, "distances", "M"),
+                        sim_config=_sim_config(cfg) if mode == "empirical" else None)
+
+
+def _check_distances(cfg) -> None:
+    """The density model (its name, M, an empirical model's sim keys and
+    horizon) and the sup-distance variant and window of a distances run,
+    which its command would reject only after the output exists."""
+    model = _density_model(cfg, make_stable_law(_value(cfg, "law", "alpha")))
+    check_horizon(model, _value(cfg, "distances", "T"))
+    check_sup_args(_value(cfg, "distances", "variant"),
+                   _value(cfg, "distances", "sup_window"))
 
 
 def _catalog(cfg, section):
@@ -261,9 +282,7 @@ def _cmd_distances(cfg, law, out: Path, dump_paths: bool) -> Report:
     alpha = law.alpha
     pair = _catalog(cfg, "coefficients")
     T = _value(cfg, "distances", "T")
-    mode = _value(cfg, "distances", "model")
-    model = DensityModel(mode=mode, law=law, **_given(cfg, "distances", "M"),
-                         sim_config=_sim_config(cfg) if mode == "empirical" else None)
+    model = _density_model(cfg, law)
     window = tuple(_value(cfg, "distances", "sup_window") or (pair.x0 - 10.0, pair.x0 + 10.0))
     n_pts = _value(cfg, "distances", "sup_points")
     variant = _value(cfg, "distances", "variant")
@@ -275,7 +294,7 @@ def _cmd_distances(cfg, law, out: Path, dump_paths: bool) -> Report:
                            n_points=n_pts)
     rep = Report(name="distances",
                  params={"alpha": alpha, "pair": pair.label, "T": T,
-                         "model": mode, "sup_window": list(window),
+                         "model": model.mode, "sup_window": list(window),
                          "sup_points": n_pts, "variant": variant},
                  checks=[CheckRow("distances_finite",
                                   "all four coefficient distances are finite",

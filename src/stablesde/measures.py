@@ -133,13 +133,23 @@ def _empirical_averages(pair: CoefficientPair, model: DensityModel) -> list:
     return memo[1]
 
 
+def check_horizon(model: DensityModel, T: float) -> None:
+    """Reject a horizon the model cannot integrate to: T <= 0, or in
+    empirical mode any T but that of its simulation, over which the
+    baseline-path averages run."""
+    if T <= 0:
+        raise DomainError("T must be > 0")
+    if model.mode == "empirical" and T != model.sim_config.T:
+        raise DomainError(f"empirical distances average over the simulated "
+                          f"horizon sim.T={model.sim_config.T:g}, got T={T:g}")
+
+
 def _distance_weighted(pair: CoefficientPair, model: DensityModel, T: float,
                        time_nodes: int, which: int) -> float:
     """Time-space integral of entry `which` of _gap_powers against the model
     density on time_nodes intervals graded by alpha, or its baseline-path
     average in empirical mode."""
-    if T <= 0:
-        raise DomainError("T must be > 0")
+    check_horizon(model, T)
     if model.mode == "empirical":
         return _empirical_averages(pair, model)[which]
     gap, power = _gap_powers(pair, model.law.alpha)[which]
@@ -169,12 +179,19 @@ def distance_S(pair: CoefficientPair, model: DensityModel, T: float,
     return raw ** (1.0 / model.law.alpha)
 
 
-def _sup_distance(T: float, gap, power: float, variant: str, window: tuple,
-                  n_points: int) -> float:
+def check_sup_args(variant: str, window) -> None:
+    """Reject an unknown sup-distance variant, and a window that is not
+    (lo, hi) with lo < hi; an empty or None window stands for the default
+    one."""
     if variant not in ("time_integral", "time_sup"):
         raise DomainError(f"unknown sup-distance variant {variant!r}")
-    if len(window) != 2:
-        raise DomainError(f"sup window must be (lo, hi), got {window}")
+    if window and (len(window) != 2 or not window[0] < window[1]):
+        raise DomainError(f"sup window must be (lo, hi) with lo < hi, got {window}")
+
+
+def _sup_distance(T: float, gap, power: float, variant: str, window: tuple,
+                  n_points: int) -> float:
+    check_sup_args(variant, window)
     lo, hi = window
     ys = np.linspace(lo, hi, n_points)
     ts = np.linspace(0.0, T, _SUP_TIME_NODES)

@@ -446,8 +446,8 @@ def komatsu_identity_residual(s: SmoothedDistance, law: StableLaw,
                               theta: float) -> float:
     """|L_alpha u(theta) - big_C_alpha psi(theta)|, both sides numeric.
 
-    Uses the second-derivative generator route (cancellation-free), with
-    breakpoints at the support endpoints.
+    The generator integrates u'' (cancellation-free), with breakpoints at
+    the support endpoints and window ramps.
     """
     if theta == 0.0:
         raise DomainError("the generator identity for u holds for theta != 0")
@@ -457,8 +457,7 @@ def komatsu_identity_residual(s: SmoothedDistance, law: StableLaw,
     rl, rh = s.mollifier.ramp_widths
     # window ramps are sharp features of u''; the quadrature mesh must split there
     brk = (a_s, a_s + rl, b_s - rh, b_s, -a_s, -b_s)
-    lhs = generator_apply(law, s.u_eval, theta, f2=s.u_second,
-                          breakpoints=brk, method="second_derivative")
+    lhs = generator_apply(law, s.u_second, theta, brk)
     rhs = law.big_C_alpha * s.mollifier.psi(theta)
     return abs(lhs - rhs)
 

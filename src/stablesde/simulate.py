@@ -39,7 +39,6 @@ import hashlib
 import math
 import os
 import sys
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -169,9 +168,11 @@ def simulate_legs(config: SimConfig, law: StableLaw, legs, integrands=(),
         integral=np.zeros((len(integrands), npth)),
         paths=np.empty((nl, n + 1, npth)) if config.keep_paths else None)
 
-    def euler_block(cols: slice, stream: RngStream):
-        """Simulate one block into its columns of run; return its increment
-        chunks, in step order, when they are to be hashed."""
+    def euler_block(block):
+        """Simulate one block (index, columns, stream) of _blocks into its
+        columns of run; return its increment chunks, in step order, when they
+        are to be hashed."""
+        _, cols, stream = block
         width = cols.stop - cols.start
         # the (n, width) increments of the block draw n * width uniforms,
         # then n * width exponentials; a second stream that starts at the
@@ -231,16 +232,12 @@ def simulate_legs(config: SimConfig, law: StableLaw, legs, integrands=(),
 
     hasher = hashlib.blake2b(digest_size=16) if digest else None
     with ThreadPoolExecutor(max_workers=_workers()) as pool:
-        pending = deque(pool.submit(euler_block, cols, stream)
-                        for _, cols, stream in _blocks(config))
-        try:
-            # in block order; popleft drops each block's increments once hashed
-            while pending:
-                for dz in pending.popleft().result():
-                    hasher.update(dz)
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+        # map yields in block order and drops each block's future once it has
+        # yielded its increments; if a block raises, it cancels the blocks
+        # not yet started
+        for chunks in pool.map(euler_block, _blocks(config)):
+            for dz in chunks:
+                hasher.update(dz)
 
     if run.n_flagged > 0.01 * npth:
         raise NumericError(

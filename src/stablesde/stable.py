@@ -8,6 +8,11 @@ mutually consistent: the generator applied to cos(u x) returns
 -|u|^alpha cos(u x), and the first-order tail of the density is
 c_alpha |x|^(-1-alpha).
 
+Generator route: L f(x) is the integral of f''(x + t) against the weight
+c_alpha/(alpha(alpha-1)) |t|^(1-alpha), for C^2 f whose f'' is absolutely
+integrable against that weight. cos is no such f; its symbol is checked by
+an independent second-difference quadrature kept with the tests.
+
 Density route: g(x) = (1/pi) * int_0^inf cos(x t) exp(-t^alpha) dt by
 oscillatory-weight quadrature for moderate |x|, switching to the power-law
 tail series beyond the oscillatory cutoff. The tail series is asymptotic
@@ -68,7 +73,7 @@ def make_stable_law(alpha: float) -> StableLaw:
 
 
 # ---------------------------------------------------------------------------
-# density / cdf
+# density
 # ---------------------------------------------------------------------------
 
 class _ExpMemo(dict):
@@ -197,32 +202,6 @@ def stable_tail_mass(law: StableLaw, x: float) -> float:
     return val
 
 
-def stable_cdf(law: StableLaw, x) -> float:
-    """CDF of Z_1: G(x) = 1/2 + (1/pi) int_0^inf sin(x t) exp(-t^alpha)/t dt."""
-    if np.ndim(x) != 0:
-        xs = np.asarray(x, dtype=float)
-        return np.array([stable_cdf(law, xi) for xi in xs.ravel()]).reshape(xs.shape)
-    x = float(x)
-    if x == 0.0:
-        return 0.5
-    if x < 0.0:
-        return 1.0 - stable_cdf(law, -x)
-    a = law.alpha
-    spec = law.density_quadrature
-    if x > spec.oscillatory_cutoff:
-        return 1.0 - stable_tail_mass(law, x)
-    i1, e1 = integrate.quad(
-        lambda t: math.sin(x * t) * math.exp(-t ** a) / t if t > 0 else x,
-        0.0, 1.0, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-        limit=spec.max_subdivisions)
-    out = integrate.quad(lambda t: math.exp(-t ** a) / t, 1.0, law.t_max,
-                         weight="sin", wvar=x,
-                         epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-                         limit=spec.max_subdivisions, full_output=1)
-    i2 = out[0]
-    return 0.5 + (i1 + i2) / math.pi
-
-
 def density_total_mass(law: StableLaw) -> float:
     """int_{-R}^{R} g plus the first-order analytic tail 2 c_alpha R^(-alpha)/alpha."""
     spec = law.density_quadrature
@@ -328,71 +307,23 @@ def sample_increments(law: StableLaw, dt: float, n: int, stream: RngStream) -> n
 # generator
 # ---------------------------------------------------------------------------
 
-def _second_difference_route(law, f, x, f2, breakpoints):
-    a = law.alpha
-    spec = law.density_quadrature
-    y0 = min(1e-4 * (1.0 + abs(x)), 0.5)
-    if f2 is None:
-        h = y0
-        fxx = (f(x + h) - 2.0 * f(x) + f(x - h)) / h ** 2
-    else:
-        fxx = float(np.asarray(f2(x)).ravel()[0])
-    # int_0^y0 f''(x) y^(1-alpha) dy; the dropped f'''' term is O(y0^(4-alpha))
-    near = law.c_alpha * fxx * y0 ** (2.0 - a) / (2.0 - a)
+def generator_apply(law: StableLaw, f2, x: float, breakpoints=()) -> float:
+    """The generator L_alpha applied to f at x, from f's second derivative:
 
-    fx = f(x)
+        L f(x) = c_alpha/(alpha(alpha-1)) * int f''(x+t) |t|^(1-alpha) dt.
 
-    def integrand(y):
-        return (f(x + y) + f(x - y) - 2.0 * fx) * y ** (-1.0 - a)
-
-    pts = sorted({abs(b - x) for b in breakpoints} | {abs(b + x) for b in breakpoints})
-    y1 = 50.0
-    y2 = 40.0 * y1
-    mid_pts = [p for p in pts if y0 < p < 1.0]
-    mid, e1 = integrate.quad(integrand, y0, 1.0, points=mid_pts or None,
-                             epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-                             limit=spec.max_subdivisions)
-    far_pts = [p for p in pts if 1.0 < p < y1]
-    far, e2 = integrate.quad(integrand, 1.0, y1, points=far_pts or None,
-                             epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-                             limit=spec.max_subdivisions)
-    osc, e3 = integrate.quad(integrand, y1, y2, epsabs=spec.abs_tol,
-                             epsrel=spec.rel_tol, limit=800)
-    # beyond y2: the -2 f(x) part is analytic; the f(x +- y) part is either
-    # integrated through the inversion map y = 1/s (smoothly growing f) or,
-    # for oscillating bounded f, bounded and charged to the error budget
-    rem = -2.0 * fx * y2 ** (-a) / a
-    probe = np.array([f(x + s * y2) + f(x - s * y2) for s in (1.0, 2.0, 4.0, 8.0)])
-    tame = np.all(np.diff(np.abs(probe)) >= 0) or np.all(np.diff(np.abs(probe)) <= 0)
-    e4 = 0.0
-    if tame and np.max(np.abs(probe)) > 1e-12:
-        part, e4 = integrate.quad(
-            lambda s: (f(x + 1.0 / s) + f(x - 1.0 / s)) * s ** (a - 1.0),
-            1e-12, 1.0 / y2, epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-            limit=spec.max_subdivisions)
-        rem += part
-    else:
-        e4 = np.max(np.abs(probe)) * y2 ** (-a) / a
-    total_err = (e1 + e2 + e3 + e4) * law.c_alpha
-    val = near + law.c_alpha * (mid + far + osc + rem)
-    if total_err > max(spec.abs_tol * 1e6, 2e-4 * (1.0 + abs(val))):
-        raise NumericError("generator quadrature did not reach tolerance",
-                           estimate=val, error_bound=total_err)
-    return val
-
-
-def _second_derivative_route(law, f2, x, breakpoints):
-    """L f(x) = c_alpha/(alpha(alpha-1)) * int f''(x+t) |t|^(1-alpha) dt.
-
-    Exact for C^2 f whose first derivative grows slower than |x|^(alpha-1)
-    at infinity (both boundary terms of the double integration by parts
-    vanish); f2 must accept numpy arrays.
+    Exact for C^2 f whose f'' is absolutely integrable against |t|^(1-alpha)
+    (both boundary terms of the double integration by parts then vanish);
+    f2 is f'' and must accept numpy arrays. Integrating f'' rather than the
+    second difference of f keeps rounding from being amplified by the jump
+    kernel's y^(-1-alpha) near y = 0.
 
     On the two segments adjacent to t = 0 the substitution t = v^(1/(2-a))
     absorbs the weight singularity exactly (the transformed weight is the
     constant 1/(2-a)); elsewhere the weight is analytic and graded
     Gauss-Legendre panels resolve the features announced via breakpoints.
     """
+    x = float(x)
     a = law.alpha
     tf = 60.0 * (1.0 + abs(x))
     brk = sorted({float(b) - x for b in breakpoints} | {0.0})
@@ -427,24 +358,3 @@ def _second_derivative_route(law, f2, x, breakpoints):
         vals = np.asarray(f2(x + sgn / nodes))
         total += float(np.sum(vals * nodes ** (a - 3.0) * wts))
     return law.c_alpha / (a * (a - 1.0)) * total
-
-
-def generator_apply(law: StableLaw, f, x: float, *, f2=None, breakpoints=(),
-                    method: str = "second_difference") -> float:
-    """Numerical value of the generator L_alpha applied to f at x.
-
-    f must be evaluable near x with at most linear growth. The default route
-    integrates the symmetrized second difference of f against the jump
-    kernel, with a Taylor replacement below y0 = 1e-4 (1+|x|). The
-    "second_derivative" route needs a vectorized second derivative f2 and is
-    the preferred path when f'' is cheap and decaying (used for the
-    mollified-distance identity check, where amplification of rounding by
-    y^(-1-alpha) would otherwise dominate).
-    """
-    if method == "second_derivative":
-        if f2 is None:
-            raise DomainError("second_derivative route requires f2")
-        return _second_derivative_route(law, f2, float(x), breakpoints)
-    if method != "second_difference":
-        raise DomainError(f"unknown generator method {method!r}")
-    return _second_difference_route(law, f, float(x), f2, breakpoints)

@@ -266,6 +266,11 @@ class TestConfigParsing:
         ("converge", 'converge.params={"ratio":1e200,"n_stop":3}', 3),
         ("sweep", "sweep.h_values=[-1]", 3),
         ("certify-density", "certify.alphas=[1.5,2.5]", 3),
+        ("distances", 'distances.model="bogus"', 3),
+        ("distances", "distances.sup_window=[1]", 3),
+        ("distances", "distances.sup_window=[1,1]", 3),
+        ("distances", 'distances.variant="bogus"', 3),
+        ("distances", 'distances.model="empirical"', 2),
     ])
     def test_bad_catalog_params_fail_before_any_output(self, tmp_path, command,
                                                        override, code):
@@ -276,6 +281,17 @@ class TestConfigParsing:
         rc, err = run_quiet(["run", "--config", cfg, "--out", str(out),
                              "--set", override])
         assert rc == code and len(err) == 1
+        assert not out.exists()
+
+    def test_empirical_horizon_mismatch_fails_before_any_output(self, tmp_path):
+        """Empirical distances average over sim.T, so a distances.T other
+        than sim.T is rejected before the output directory is created."""
+        cfg = write_cfg(tmp_path, {"command": "distances", **TINY["distances"],
+                                   "sim": TINY_SIM})
+        out = tmp_path / "o"
+        rc, err = run_quiet(["run", "--config", cfg, "--out", str(out), "--set",
+                             "distances.model=empirical", "--set", "distances.T=2.0"])
+        assert rc == 3 and len(err) == 1 and "sim.T=1" in err[0]
         assert not out.exists()
 
     @pytest.mark.parametrize("error, code", [(DomainError, 3), (NumericError, 4)])

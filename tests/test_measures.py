@@ -214,6 +214,15 @@ class TestDistances:
         assert 0.5 < b_emp / b_frozen < 2.0
 
 
+    def test_empirical_T_must_be_the_simulated_horizon(self, law15):
+        pair = make_pair("drift_bump", {"amp": 0.2, "s1": 0.05})
+        emp = DensityModel(mode="empirical", law=law15,
+                           sim_config=ss.SimConfig(T=1.0, n_steps=4, n_paths=16,
+                                                   seed=1))
+        for distance in (ss.distance_B, ss.distance_S):
+            with pytest.raises(ss.DomainError, match="sim.T=1, got T=2"):
+                distance(pair, emp, 2.0)
+
     def test_empirical_B_and_S_share_one_run(self, law15, monkeypatch):
         pair = make_pair("jump_bump", {"amp": 0.3, "s1": 0.05})
         cfg = ss.SimConfig(T=1.0, n_steps=32, n_paths=512, seed=7)

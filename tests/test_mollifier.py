@@ -16,6 +16,8 @@ from stablesde import mollifier
 from stablesde.quadrature import graded_edges, panel_nodes
 from stablesde.report import validate_report
 
+from oracles import second_difference_route
+
 
 @pytest.fixture(scope="module")
 def law15():
@@ -204,12 +206,10 @@ class TestGeneratorIdentity:
         rl, rh = m.ramp_widths
         brk = (a_s, a_s + rl, b_s - rh, b_s, -a_s, -b_s)
         theta = 0.0625
-        via_diff = ss.generator_apply(
+        via_diff = second_difference_route(
             law15, lambda x: float(smooth15.u_eval(x)), theta,
-            f2=smooth15.u_second, breakpoints=brk, method="second_difference")
-        via_ibp = ss.generator_apply(
-            law15, smooth15.u_eval, theta, f2=smooth15.u_second,
-            breakpoints=brk, method="second_derivative")
+            f2=smooth15.u_second, breakpoints=brk)
+        via_ibp = ss.generator_apply(law15, smooth15.u_second, theta, brk)
         assert via_diff == pytest.approx(via_ibp, rel=1e-3)
 
     def test_certify_report(self, smooth15, law15):

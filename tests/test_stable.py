@@ -18,6 +18,8 @@ import stablesde as ss
 from stablesde import stable
 from stablesde.stable import _density_series, density_total_mass
 
+from oracles import second_difference_route, stable_cdf
+
 ORACLE_C_ALPHA = {1.2: 0.33354942991224811, 1.5: 0.29920671030107451,
                   1.8: 0.16490493881830272}
 ORACLE_BIG_C = {1.2: 0.56745949021079875, 1.5: 1.2533141373155003,
@@ -105,17 +107,17 @@ class TestDensity:
 
     def test_cdf_oracle(self, law15):
         for x, ref in ORACLE_CDF15.items():
-            assert ss.stable_cdf(law15, x) == pytest.approx(ref, abs=1e-9)
-        assert ss.stable_cdf(law15, 0.0) == 0.5
-        assert ss.stable_cdf(law15, -2.0) == pytest.approx(
+            assert stable_cdf(law15, x) == pytest.approx(ref, abs=1e-9)
+        assert stable_cdf(law15, 0.0) == 0.5
+        assert stable_cdf(law15, -2.0) == pytest.approx(
             1.0 - ORACLE_CDF15[2.0], abs=1e-9)
 
     def test_cdf_monotone_and_tail_consistent(self, law15):
         xs = np.linspace(-30, 30, 41)
-        vals = np.array([ss.stable_cdf(law15, x) for x in xs])
+        vals = np.array([stable_cdf(law15, x) for x in xs])
         assert np.all(np.diff(vals) > 0)
         # series tail beyond the cutoff must splice continuously
-        a, b = ss.stable_cdf(law15, 19.9), ss.stable_cdf(law15, 20.1)
+        a, b = stable_cdf(law15, 19.9), stable_cdf(law15, 20.1)
         assert 0 < b - a < 1e-4
 
 
@@ -276,44 +278,57 @@ class TestSampler:
 
 
 class TestGenerator:
+    """The symbol, linearity and null space on the second-difference
+    oracle, which validates it; the package route against the oracle and
+    against a Fourier integral."""
+
     def test_constant_vanishes(self, law15):
-        assert abs(ss.generator_apply(law15, lambda x: 3.0, 0.7)) < 1e-12
+        assert abs(second_difference_route(law15, lambda x: 3.0, 0.7)) < 1e-12
 
     def test_linear_vanishes(self, law15):
-        assert abs(ss.generator_apply(law15, lambda x: float(x), 0.3)) < 1e-5
+        assert abs(second_difference_route(law15, lambda x: float(x), 0.3)) < 1e-5
 
     @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
     def test_cosine_symbol(self, alpha):
         # L_alpha cos(u .)(x) = -|u|^alpha cos(u x)
         law = ss.make_stable_law(alpha)
-        assert ss.generator_apply(law, math.cos, 0.0) == pytest.approx(
+        assert second_difference_route(law, math.cos, 0.0) == pytest.approx(
             -1.0, abs=1e-6)
 
     def test_cosine_frequency_and_shift(self, law15):
-        val = ss.generator_apply(law15, lambda x: math.cos(2.0 * x), 0.0)
+        val = second_difference_route(law15, lambda x: math.cos(2.0 * x), 0.0)
         assert val == pytest.approx(-(2.0 ** 1.5), rel=1e-6)
-        val = ss.generator_apply(law15, math.cos, 0.7)
+        val = second_difference_route(law15, math.cos, 0.7)
         assert val == pytest.approx(-math.cos(0.7), rel=1e-5)
 
     def test_linearity(self, law15):
         f = lambda x: math.cos(x)
         g = lambda x: math.exp(-x * x)
         combo = lambda x: 2.0 * f(x) - 0.5 * g(x)
-        lhs = ss.generator_apply(law15, combo, 0.4)
-        rhs = (2.0 * ss.generator_apply(law15, f, 0.4)
-               - 0.5 * ss.generator_apply(law15, g, 0.4))
+        lhs = second_difference_route(law15, combo, 0.4)
+        rhs = (2.0 * second_difference_route(law15, f, 0.4)
+               - 0.5 * second_difference_route(law15, g, 0.4))
         assert lhs == pytest.approx(rhs, abs=1e-7)
 
     def test_routes_agree_on_gaussian(self, law15):
         g = lambda x: np.exp(-np.asarray(x) ** 2)
         g2 = lambda x: (4.0 * np.asarray(x) ** 2 - 2.0) * np.exp(-np.asarray(x) ** 2)
-        a = ss.generator_apply(law15, g, 0.3)
-        b = ss.generator_apply(law15, g, 0.3, f2=g2, method="second_derivative")
+        a = second_difference_route(law15, g, 0.3)
+        b = ss.generator_apply(law15, g2, 0.3)
         assert a == pytest.approx(b, abs=2e-5)
 
-    def test_unknown_method(self, law15):
-        with pytest.raises(ss.DomainError):
-            ss.generator_apply(law15, math.cos, 0.0, method="bogus")
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
+    def test_gaussian_matches_fourier_integral(self, alpha):
+        # f = exp(-x^2/2) has Fourier transform sqrt(2 pi) exp(-u^2/2), so
+        # L f(x) = -(sqrt(2 pi)/pi) int_0^inf u^alpha exp(-u^2/2) cos(u x) du
+        law = ss.make_stable_law(alpha)
+        f2 = lambda x: (np.asarray(x) ** 2 - 1.0) * np.exp(-np.asarray(x) ** 2 / 2.0)
+        for x in (0.0, 0.025, 0.1, 0.2, 1.0, 3.0):
+            integral, _ = integrate.quad(
+                lambda u: u ** alpha * math.exp(-u * u / 2.0) * math.cos(u * x),
+                0.0, np.inf, epsabs=1e-14, epsrel=1e-13)
+            ref = -math.sqrt(2.0 * math.pi) / math.pi * integral
+            assert ss.generator_apply(law, f2, x) == pytest.approx(ref, abs=1e-12)
 
 
 class TestNumericErrorContract:
@@ -394,7 +409,7 @@ class TestTailMassTruncation:
 
     @pytest.mark.parametrize("alpha", [1.01, 1.5, 1.999])
     def test_shipped_range_converges(self, alpha):
-        # stable_cdf calls it above x = 20, the space integral above x = 80
+        # the CDF oracle calls it above x = 20, the space integral above x = 80
         law = ss.make_stable_law(alpha)
         for x in (np.nextafter(20.0, 21.0), 80.0, 1e4):
             assert 0.0 < ss.stable_tail_mass(law, x) < 0.5
