@@ -7,14 +7,15 @@
 The config is strict JSON. _SCHEMA below is the reference for its keys: it
 declares each key's type, default and lower bound once, and physical
 parameters (alpha, eps, delta, T, seed, ...) have no default. Every key
-present is checked before any command runs, and is never coerced; catalog
-params are checked against the keys their pair or family reads and by
-building it, and are the only source of coefficient parameters, a sweep's
-eta_tilde among them. A distances run's density model (an empirical one
-needs its sim section, with sim.T equal to distances.T), sup-distance
-variant and sup window (lo, hi with lo < hi) are checked likewise. Outputs
-are results.csv (floats at 17 significant digits), report.json (validated
-machine-readable pass/fail rows), and plotdata/*.tsv series.
+present, and every required key its command reads, is checked before any
+command runs, and is never coerced; catalog params are checked against the
+keys their pair or family reads and by building it, and are the only source
+of coefficient parameters, a sweep's eta_tilde among them. A distances run's
+density model (an empirical one needs its sim section, with sim.T equal to
+distances.T), sup-distance variant and sup window (lo, hi with lo < hi;
+absent for x0 -+ 10) are checked likewise. Outputs are results.csv (floats
+at 17 significant digits), report.json (validated machine-readable
+pass/fail rows), and plotdata/*.tsv series.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 config error (parse,
 unknown key, wrong type, missing value, an output directory that cannot be
@@ -68,6 +69,11 @@ _SCHEMA = {
 }
 # catalog section -> the names its pair or family may take
 _CATALOG = {"coefficients": _PAIRS, "sweep": _FAMILIES, "converge": _FAMILIES}
+# command -> the sections besides law whose required keys it reads (an
+# empirical distances run also reads sim, which _check_distances checks)
+_READS = {"certify-mollifier": ("mollifier",), "certify-density": (),
+          "distances": ("coefficients", "distances"), "simulate": ("coefficients", "sim"),
+          "sweep": ("sim", "sweep"), "converge": ("sim", "converge")}
 _CERTIFY_WINDOW = (-5.0, 5.0)   # x range of the certify-mollifier grid
 
 
@@ -107,11 +113,19 @@ def load_config(path: str, overrides) -> dict:
     alphas = _value(cfg, "certify", "alphas") or ()
     if not all(1.0 < a < 2.0 for a in alphas):
         raise DomainError(f"certify.alphas entries must lie in (1, 2), got {alphas}")
-    # build each catalog entry a section names, so that its params are
-    # checked before any output exists; another name is left to the command
+    # the required keys the command reads, which it would report only after
+    # the output directory exists
+    reads = _READS[cfg["command"]]
+    for section in ("law",) + reads:
+        for key, (_, default, _) in _SCHEMA[section].items():
+            if default is REQUIRED:
+                _value(cfg, section, key)
+    # build each catalog entry the command reads or a section names, so that
+    # its params are checked before any output exists; an unknown name in a
+    # section the command does not read is left alone
     for section, names in _CATALOG.items():
         given = cfg.get(section, {})
-        if given.get("name", given.get("family")) in names:
+        if section in reads or given.get("name", given.get("family")) in names:
             _catalog(cfg, section)
     if cfg["command"] == "distances":
         _check_distances(cfg)
@@ -283,7 +297,8 @@ def _cmd_distances(cfg, law, out: Path, dump_paths: bool) -> Report:
     pair = _catalog(cfg, "coefficients")
     T = _value(cfg, "distances", "T")
     model = _density_model(cfg, law)
-    window = tuple(_value(cfg, "distances", "sup_window") or (pair.x0 - 10.0, pair.x0 + 10.0))
+    window = _value(cfg, "distances", "sup_window")
+    window = (pair.x0 - 10.0, pair.x0 + 10.0) if window is None else tuple(window)
     n_pts = _value(cfg, "distances", "sup_points")
     variant = _value(cfg, "distances", "variant")
     nodes = _given(cfg, "distances", "time_nodes")

@@ -59,6 +59,10 @@ class DensityModel:
     # (pair, averages) of the last empirical run
     _empirical: tuple | None = field(default=None, init=False, repr=False,
                                      compare=False)
+    # (pair, {(t, window factor): density on the window's nodes}) of the last
+    # pair whose frozen distances ran
+    _frozen: tuple | None = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     def __post_init__(self):
         if self.mode not in ("frozen_plain", "frozen_upper", "empirical"):
@@ -91,7 +95,12 @@ def frozen_density(model: DensityModel, pair: CoefficientPair, t: float, y):
 # ---------------------------------------------------------------------------
 
 def _space_integral(model: DensityModel, pair: CoefficientPair, t: float, gap_fn) -> float:
-    """int gap(y) p0_t(x0, y) dy over an expanding window + tail estimate."""
+    """int gap(y) p0_t(x0, y) dy over an expanding window + tail estimate.
+    The density on each window is memoized on the model for the pair, so
+    distance_B and distance_S of one pair evaluate it once."""
+    if model._frozen is None or model._frozen[0] is not pair:
+        model._frozen = (pair, {})
+    densities = model._frozen[1]
     a = model.law.alpha
     x0 = pair.x0
     sig0 = float(np.asarray(pair.sigma(t, np.array([x0])))[0])
@@ -102,7 +111,10 @@ def _space_integral(model: DensityModel, pair: CoefficientPair, t: float, gap_fn
         edges = np.concatenate([-np.geomspace(R, 1e-4 * scale, 140), [0.0],
                                 np.geomspace(1e-4 * scale, R, 140)]) + x0
         nodes, wts = panel_nodes(np.sort(edges), order=12)
-        body = float(np.sum(gap_fn(nodes) * frozen_density(model, pair, t, nodes) * wts))
+        density = densities.get((t, Z))
+        if density is None:
+            density = densities[(t, Z)] = frozen_density(model, pair, t, nodes)
+        body = float(np.sum(gap_fn(nodes) * density * wts))
         gap_far = max(float(gap_fn(np.array([x0 + R]))[0]),
                       float(gap_fn(np.array([x0 - R]))[0]))
         tail = 2.0 * model.M * gap_far * stable_tail_mass(model.law, Z * 0.8)
@@ -181,11 +193,11 @@ def distance_S(pair: CoefficientPair, model: DensityModel, T: float,
 
 def check_sup_args(variant: str, window) -> None:
     """Reject an unknown sup-distance variant, and a window that is not
-    (lo, hi) with lo < hi; an empty or None window stands for the default
-    one."""
+    (lo, hi) with lo < hi; None stands for the default window, and an empty
+    window is rejected like any other."""
     if variant not in ("time_integral", "time_sup"):
         raise DomainError(f"unknown sup-distance variant {variant!r}")
-    if window and (len(window) != 2 or not window[0] < window[1]):
+    if window is not None and (len(window) != 2 or not window[0] < window[1]):
         raise DomainError(f"sup window must be (lo, hi) with lo < hi, got {window}")
 
 
@@ -208,7 +220,8 @@ def distance_B_sup(pair: CoefficientPair, T: float, *,
                    n_points: int = 10001) -> float:
     """Sup-norm drift distance: either int_0^T ||b - b_tilde(s,.)||_inf ds or
     sup_t ||..||_inf, the sup taken over a declared compact window."""
-    window = window or (pair.x0 - 10.0, pair.x0 + 10.0)
+    if window is None:
+        window = (pair.x0 - 10.0, pair.x0 + 10.0)
     return _sup_distance(T, pair.drift_gap, 1.0, variant, window, n_points)
 
 
@@ -217,7 +230,8 @@ def distance_S_sup(pair: CoefficientPair, alpha: float, T: float, *,
                    n_points: int = 10001) -> float:
     """Sup-norm jump distance: (int_0^T ||.||_inf^alpha ds)^(1/alpha) or
     sup_t ||.||_inf."""
-    window = window or (pair.x0 - 10.0, pair.x0 + 10.0)
+    if window is None:
+        window = (pair.x0 - 10.0, pair.x0 + 10.0)
     return _sup_distance(T, pair.jump_gap, alpha, variant, window, n_points)
 
 

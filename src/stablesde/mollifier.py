@@ -10,9 +10,13 @@ integral at 1 while the cap has factor-2 headroom.
 The smoothed distance u = |.|^(alpha-1) * psi and its derivatives are
 evaluated by graded-panel Gauss-Legendre quadrature near the support and by
 a binomial moment expansion in the far field (|x| > 3 eps); the near-field
-quadrature runs on batches of points and evaluates psi and psi' once per
-distinct panel, both from one pass over the window ramps per node
-(Mollifier.psi_and_prime; see SmoothedDistance._near_values). In the far field
+quadrature runs on batches of points, evaluates psi and psi' once per
+distinct panel, both from one pass over the window ramps per node, with the
+exponentials run only where a ramp is not flat (Mollifier.psi_and_prime),
+and integrates only the columns of u, u', u'' that its caller reads (see
+SmoothedDistance._near_values). The spline cache holds u' and u'' only: u
+itself is read only where it is certified, through the exact evaluator. In
+the far field
 
     E|x - Y|^p = |x|^p * sum_k C(p, k) (-sgn x)^k E[Y^k] |x|^{-k},  Y ~ psi.
 
@@ -61,6 +65,18 @@ def _smoothstep_pair(t):
     return fu / (fu + fv), np.where((t > 0.0) & (t < 1.0), slope, 0.0)
 
 
+def _window_ramp(t):
+    """_smoothstep_pair(t), with the exponentials run only where t is in
+    (0, 1): elsewhere the pair is (1.0, 0.0) for t >= 1 and (0.0, 0.0) for
+    t <= 0, the values the formula takes there (fu / (fu + 0.0) and
+    0.0 / (0.0 + fv), with the slope masked)."""
+    ramp = (t > 0.0) & (t < 1.0)
+    value = np.where(t >= 1.0, 1.0, 0.0)
+    slope = np.zeros_like(t)
+    value[ramp], slope[ramp] = _smoothstep_pair(t[ramp])
+    return value, slope
+
+
 @dataclass(frozen=True)
 class Mollifier:
     """Concrete psi_{delta,eps}: windowed 1/(x log delta) profile."""
@@ -82,14 +98,14 @@ class Mollifier:
 
     def psi_and_prime(self, x):
         """psi(x) and psi'(x) as arrays, from one evaluation of the window
-        ramps per point."""
+        ramps per point, and of their exponentials per point where they ramp."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         a, b = self.support
         rl, rh = self.ramp_widths
         inside = (x > a) & (x < b)
         xm = np.where(inside, x, 0.5 * (a + b))
-        sl, dl = _smoothstep_pair((xm - a) / rl)
-        sh, dh = _smoothstep_pair((b - xm) / rh)
+        sl, dl = _window_ramp((xm - a) / rl)
+        sh, dh = _window_ramp((b - xm) / rh)
         window = sl * sh
         logd = math.log(self.delta)
         pv = np.where(inside, self.psi_normalizer * window / (xm * logd), 0.0)
@@ -155,10 +171,11 @@ def build_mollifier(alpha: float, eps: float, delta: float) -> Mollifier:
 class SmoothedDistance:
     """u = |.|^(alpha-1) * psi with batched evaluators for u, u', u''.
 
-    Direct graded quadrature inside |x| <= 3 eps, moment series outside, and
-    a cubic-spline cache (built lazily on the graded master grid) behind the
-    scalar u_eval / u_prime / u_second API. The exact batch evaluators stay
-    available for oracle-grade checks.
+    Direct graded quadrature inside |x| <= 3 eps, moment series outside:
+    the exact evaluators u_exact, u_prime_exact and u_second_exact. The
+    cubic-spline cache behind u_prime and u_second, built lazily on the
+    graded master grid, holds u' and u'' only; nothing in the package reads
+    u often enough to need a spline of it.
     """
 
     def __init__(self, mollifier: Mollifier):
@@ -210,20 +227,22 @@ class SmoothedDistance:
                           + m.psi_and_prime(nodes.ravel()))
         return tuple(meshes)
 
-    def _kernel_terms(self, w, pv, ppv, wts):
-        """The integrands of u, u'/(alpha-1) and u''/(alpha-1) at the offsets
-        w = x - node."""
+    def _kernel_terms(self, w, pv, ppv, wts, which):
+        """The integrands named in which, in its order, at the offsets
+        w = x - node: "u" of u, "up" of u'/(alpha-1), "upp" of u''/(alpha-1).
+        Each power of |w| is taken only if a named integrand reads it."""
         absw = np.abs(w)
-        k_up = np.sign(w) * absw ** (self.alpha - 2.0)
-        return (pv * absw ** (self.alpha - 1.0) * wts, pv * k_up * wts,
-                ppv * k_up * wts)
+        if which != ("u",):
+            k_up = np.sign(w) * absw ** (self.alpha - 2.0)
+        return [pv * absw ** (self.alpha - 1.0) * wts if k == "u"
+                else (pv if k == "up" else ppv) * k_up * wts for k in which]
 
-    def _outside_values(self, xs, mesh):
+    def _outside_values(self, xs, mesh, which):
         _, _, nodes, wts, pv, ppv = mesh
-        terms = self._kernel_terms(xs[:, None] - nodes[None, :], pv, ppv, wts)
+        terms = self._kernel_terms(xs[:, None] - nodes[None, :], pv, ppv, wts, which)
         return [np.sum(t, axis=1) for t in terms]
 
-    def _inside_values(self, xs):
+    def _inside_values(self, xs, which):
         a, b = self.mollifier.support
         base_lo, base_hi, _, _, base_pv, base_ppv = self._fixed_meshes[0]
         fracs = graded_fracs(40, 0.4)
@@ -246,9 +265,9 @@ class SmoothedDistance:
         pv[~shared], ppv[~shared] = self.mollifier.psi_and_prime(nodes[~shared])
         sizes = _NEAR_ORDER * keep.sum(axis=1)
         w = np.repeat(xs, sizes) - nodes.ravel()
-        terms = self._kernel_terms(w, pv.ravel(), ppv.ravel(), wts.ravel())
+        terms = self._kernel_terms(w, pv.ravel(), ppv.ravel(), wts.ravel(), which)
         starts = np.cumsum(sizes) - sizes
-        out = np.empty((3, xs.size))
+        out = np.empty((len(which), xs.size))
         # one np.sum per node count over gathered contiguous rows keeps each
         # point's summation order that of a 1-D sum of its own terms
         for n in np.unique(sizes):
@@ -258,25 +277,27 @@ class SmoothedDistance:
                 out[k, rows] = np.sum(t[gather], axis=1)
         return out
 
-    def _near_values(self, xs: np.ndarray):
-        """(u, u', u'') at each x by quadrature over the mollifier support."""
+    def _near_values(self, xs: np.ndarray, which: tuple):
+        """The columns named in which ("u", "up", "upp": u, u', u''), in its
+        order, at each x by quadrature over the mollifier support."""
         xs = np.asarray(xs, dtype=float)
         a, b = self.mollifier.support
         inside = (a < xs) & (xs < b)
         d_a, d_b = np.abs(xs - a), np.abs(xs - b)
         near = np.minimum(d_a, d_b) < (b - a)
         mesh_of = np.where(inside, -1, np.where(near, np.where(d_a <= d_b, 1, 2), 0))
-        out = np.empty((3, xs.size))
+        out = np.empty((len(which), xs.size))
         for m in (-1, 0, 1, 2):
             idx = np.nonzero(mesh_of == m)[0]
             for i0 in range(0, idx.size, _NEAR_BATCH):
                 sel = idx[i0:i0 + _NEAR_BATCH]
                 if m < 0:
-                    out[:, sel] = self._inside_values(xs[sel])
+                    out[:, sel] = self._inside_values(xs[sel], which)
                 else:
-                    out[:, sel] = self._outside_values(xs[sel], self._fixed_meshes[m])
+                    out[:, sel] = self._outside_values(xs[sel], self._fixed_meshes[m],
+                                                       which)
         am1 = self.alpha - 1.0
-        return out[0], am1 * out[1], am1 * out[2]
+        return tuple(col if k == "u" else am1 * col for k, col in zip(which, out))
 
     # -- cache ---------------------------------------------------------------
 
@@ -302,12 +323,8 @@ class SmoothedDistance:
     def _ensure_cache(self):
         if self._cache is None:
             grid = self._master_grid()
-            u, up, upp = self._near_values(grid)
-            self._cache = {
-                "u": CubicSpline(grid, u),
-                "up": CubicSpline(grid, up),
-                "upp": CubicSpline(grid, upp),
-            }
+            up, upp = self._near_values(grid, ("up", "upp"))
+            self._cache = {"up": CubicSpline(grid, up), "upp": CubicSpline(grid, upp)}
         return self._cache
 
     # -- public evaluators ----------------------------------------------------
@@ -326,16 +343,11 @@ class SmoothedDistance:
         near = ~far
         if np.any(near):
             if exact:
-                vals = self._near_values(x[near])
-                out[near] = vals[{"u": 0, "up": 1, "upp": 2}[which]]
+                out[near] = self._near_values(x[near], (which,))[0]
             else:
                 cache = self._ensure_cache()
                 out[near] = cache[which](x[near])
         return out
-
-    def u_eval(self, x):
-        out = self._eval_batch(x, "u")
-        return float(out[0]) if np.ndim(x) == 0 else out
 
     def u_prime(self, x):
         out = self._eval_batch(x, "up")

@@ -9,12 +9,18 @@ generator_apply integrates f'' instead and is compared with it.
 
 stable_cdf is the CDF of Z_1 by a sine-weight quadrature, spliced to the
 package's tail mass beyond the oscillatory cutoff.
+
+u_spline evaluates the smoothed distance u fast, the way the package does
+u' and u'': a cubic spline through u_exact on the master grid inside the
+far-field switch, the moment series outside. The package reads u only
+through u_exact, so its cache holds no u spline.
 """
 
 import math
 
 import numpy as np
 from scipy import integrate
+from scipy.interpolate import CubicSpline
 
 from stablesde.errors import NumericError
 from stablesde.stable import StableLaw, stable_tail_mass
@@ -45,6 +51,21 @@ def stable_cdf(law: StableLaw, x) -> float:
     i2 = out[0]
     return 0.5 + (i1 + i2) / math.pi
 
+
+def u_spline(s):
+    """A fast u(x) of the SmoothedDistance s: a cubic spline through
+    s.u_exact on s's master grid for |x| <= s.far_switch, s.u_exact beyond."""
+    grid = s._master_grid()
+    spline = CubicSpline(grid, s.u_exact(grid))
+
+    def u(x):
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        out = spline(xs)
+        far = np.abs(xs) > s.far_switch
+        out[far] = s.u_exact(xs[far])
+        return float(out[0]) if np.ndim(x) == 0 else out
+
+    return u
 
 
 def second_difference_route(law, f, x, f2=None, breakpoints=()):

@@ -269,6 +269,8 @@ class TestConfigParsing:
         ("distances", 'distances.model="bogus"', 3),
         ("distances", "distances.sup_window=[1]", 3),
         ("distances", "distances.sup_window=[1,1]", 3),
+        # only an absent window stands for the default one
+        ("distances", "distances.sup_window=[]", 3),
         ("distances", 'distances.variant="bogus"', 3),
         ("distances", 'distances.model="empirical"', 2),
     ])
@@ -281,6 +283,30 @@ class TestConfigParsing:
         rc, err = run_quiet(["run", "--config", cfg, "--out", str(out),
                              "--set", override])
         assert rc == code and len(err) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, section, key", [
+        ("simulate", "sim", "T"), ("simulate", "sim", "n_steps"),
+        ("simulate", "sim", "n_paths"), ("simulate", "sim", "seed"),
+        ("sweep", "sim", "seed"), ("sweep", "sim", "T"),
+        ("converge", "sim", "seed"), ("converge", "sim", "n_paths"),
+        ("sweep", "sweep", "family"), ("converge", "converge", "family"),
+        ("simulate", "coefficients", "name"), ("distances", "coefficients", "name"),
+        ("certify-mollifier", "mollifier", "eps"),
+        ("certify-mollifier", "mollifier", "delta"),
+        ("certify-density", "law", "alpha"),
+    ])
+    def test_missing_command_key_fails_before_any_output(self, tmp_path, command,
+                                                         section, key):
+        """A required key that only the command reads is reported, like
+        every other key, before the output directory is created."""
+        payload = copy.deepcopy({"command": command, **TINY[command]})
+        del payload[section][key]
+        out = tmp_path / "o"
+        rc, err = run_quiet(["run", "--config", write_cfg(tmp_path, payload),
+                             "--out", str(out)])
+        assert rc == 2 and len(err) == 1
+        assert err[0] == f"config error: {section}.{key} must be explicit"
         assert not out.exists()
 
     def test_empirical_horizon_mismatch_fails_before_any_output(self, tmp_path):

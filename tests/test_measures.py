@@ -244,6 +244,27 @@ class TestDistances:
         ss.distance_B(make_pair("drift_shift", {"shift": 0.2}), emp, 1.0)
         assert len(calls) == 2
 
+    def test_frozen_B_and_S_share_the_density(self, law15, monkeypatch):
+        pair = make_pair("jump_bump", {"amp": 0.3, "s1": 0.05})
+        model = DensityModel(mode="frozen_plain", law=law15)
+        calls = []
+        real = measures.frozen_density
+        monkeypatch.setattr(measures, "frozen_density",
+                            lambda *a: calls.append(a[2]) or real(*a))
+        B = ss.distance_B(pair, model, 1.0)
+        n_B = len(calls)
+        S = ss.distance_S(pair, model, 1.0)
+        # one density per time node and window, all of them computed for B
+        assert n_B >= 24 and len(calls) == n_B
+        # each distance is bitwise what it is on a model of its own
+        for distance, value in ((ss.distance_B, B), (ss.distance_S, S)):
+            assert distance(pair, DensityModel(mode="frozen_plain", law=law15),
+                            1.0) == value
+        # another pair on the same model evaluates its own densities
+        n = len(calls)
+        ss.distance_B(make_pair("drift_shift", {"shift": 0.2}), model, 1.0)
+        assert len(calls) > n
+
 
 class TestSupDistances:
     def test_identical_zero(self, gentle_model):
@@ -264,6 +285,13 @@ class TestSupDistances:
         pair, _ = gentle_model
         with pytest.raises(ss.DomainError):
             ss.distance_B_sup(pair, 1.0, variant="bogus")
+
+    def test_only_an_absent_window_is_the_default(self, gentle_model):
+        pair, _ = gentle_model
+        for window in ((), []):
+            with pytest.raises(ss.DomainError, match="lo < hi"):
+                ss.distance_B_sup(pair, 1.0, window=window)
+        assert ss.distance_B_sup(pair, 1.0, window=None) == 0.0
 
 
 class TestTimeGrid:

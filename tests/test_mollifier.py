@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.interpolate import CubicSpline
 
 import stablesde as ss
 from stablesde import mollifier
 from stablesde.quadrature import graded_edges, panel_nodes
 from stablesde.report import validate_report
 
-from oracles import second_difference_route
+from oracles import second_difference_route, u_spline
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +28,11 @@ def law15():
 @pytest.fixture(scope="module")
 def smooth15():
     return ss.SmoothedDistance(ss.build_mollifier(1.5, 0.1, 4.0))
+
+
+@pytest.fixture(scope="module")
+def u15(smooth15):
+    return u_spline(smooth15)
 
 
 class TestConstruction:
@@ -83,32 +89,32 @@ class TestConstruction:
 
 
 class TestSmoothedDistance:
-    def test_far_field_against_quadrature_oracle(self, smooth15):
+    def test_far_field_against_quadrature_oracle(self, smooth15, u15):
         m = smooth15.mollifier
         a, b = m.support
         for x in (10.0, -10.0, 0.7, -0.4):
             ref, _ = integrate.quad(
                 lambda z: m.psi(z) * abs(x - z) ** 0.5, a, b,
                 epsabs=1e-13, epsrel=1e-13, limit=200)
-            assert smooth15.u_eval(x) == pytest.approx(ref, rel=1e-8)
+            assert u15(x) == pytest.approx(ref, rel=1e-8)
 
-    def test_far_field_offset_from_pure_power(self, smooth15):
+    def test_far_field_offset_from_pure_power(self, smooth15, u15):
         # one-sided mollifier: u(x) - |x|^(a-1) ~ -(a-1) E[Y] |x|^(a-2) at +x
         m = smooth15.mollifier
         mean_y = m.moments()[1]
         x = 10.0
-        gap = smooth15.u_eval(x) - x ** 0.5
+        gap = u15(x) - x ** 0.5
         assert gap == pytest.approx(-0.5 * mean_y * x ** -0.5, rel=1e-2)
 
-    def test_value_at_zero_below_eps_power(self, smooth15):
+    def test_value_at_zero_below_eps_power(self, smooth15, u15):
         eps = smooth15.mollifier.eps
-        u0 = smooth15.u_eval(0.0)
+        u0 = u15(0.0)
         assert 0.0 < u0 <= eps ** 0.5
 
-    def test_sandwich_at_origin_and_far(self, smooth15):
+    def test_sandwich_at_origin_and_far(self, smooth15, u15):
         eps_pow = smooth15.mollifier.eps ** 0.5
         for x in (0.0, 0.03, -0.2, 5.0):
-            u = smooth15.u_eval(x)
+            u = u15(x)
             assert abs(x) ** 0.5 <= eps_pow + u + 1e-12
             assert u <= abs(x) ** 0.5 + eps_pow + 1e-12
 
@@ -123,11 +129,10 @@ class TestSmoothedDistance:
     def test_cache_matches_exact(self, smooth15):
         xs = np.linspace(-0.29, 0.29, 401)
         # u'' is steep inside the window ramps; its spline is looser there
-        tols = {"u_eval": 1e-8, "u_prime": 1e-6, "u_second": 1e-4}
+        tols = {"u_prime": 1e-6, "u_second": 1e-4}
         for which, tol in tols.items():
             fast = getattr(smooth15, which)(xs)
-            exact = getattr(smooth15, which.replace("eval", "exact")
-                            if which == "u_eval" else which + "_exact")(xs)
+            exact = getattr(smooth15, which + "_exact")(xs)
             scale = np.max(np.abs(exact))
             assert np.max(np.abs(fast - exact)) < tol * scale
 
@@ -199,7 +204,7 @@ class TestGeneratorIdentity:
         rhs = law15.big_C_alpha * m.psi(theta)
         assert resid / rhs < 1e-2
 
-    def test_routes_agree_on_u(self, smooth15, law15):
+    def test_routes_agree_on_u(self, smooth15, u15, law15):
         # independent quadrature formulations of the generator must agree
         m = smooth15.mollifier
         a_s, b_s = m.support
@@ -207,7 +212,7 @@ class TestGeneratorIdentity:
         brk = (a_s, a_s + rl, b_s - rh, b_s, -a_s, -b_s)
         theta = 0.0625
         via_diff = second_difference_route(
-            law15, lambda x: float(smooth15.u_eval(x)), theta,
+            law15, u15, theta,
             f2=smooth15.u_second, breakpoints=brk)
         via_ibp = ss.generator_apply(law15, smooth15.u_second, theta, brk)
         assert via_diff == pytest.approx(via_ibp, rel=1e-3)
@@ -262,7 +267,7 @@ class TestNearFieldBatched:
             [a, b], up, down,                            # at and next to the ends
             np.linspace(-3 * eps, 3 * eps, 25),          # outside, incl. 0
             [0.0, a - 0.5 * (b - a), b + 0.5 * (b - a)]])
-        got = s._near_values(xs)
+        got = s._near_values(xs, ("u", "up", "upp"))
         ref = _scalar_near_values(s, xs)
         for g, r in zip(got, ref):
             assert np.array_equal(g, r)
@@ -276,7 +281,7 @@ def test_near_batch_size_does_not_change_bits(monkeypatch):
     got = []
     for batch in (1, 4, 64):
         monkeypatch.setattr(mollifier, "_NEAR_BATCH", batch)
-        got.append(np.stack(s._near_values(grid)).tobytes())
+        got.append(np.stack(s._near_values(grid, ("u", "up", "upp"))).tobytes())
     assert got[0] == got[1] == got[2]
 
 
@@ -374,3 +379,71 @@ class TestOnePassPsi:
         mid = 0.5 * (a + b)
         for f, ref in zip((m.psi, m.psi_prime), _oracle_psi_and_prime(m, np.array([mid]))):
             assert type(f(mid)) is float and f(mid) == ref[0]
+
+
+def _full_window_psi_and_prime(m, x):
+    """psi and psi' with the ramp arguments of every node sent through
+    _smoothstep_pair, flat ends included: the oracle of the evaluator that
+    runs the exponentials only where a ramp is not flat."""
+    a, b = m.support
+    rl, rh = m.ramp_widths
+    inside = (x > a) & (x < b)
+    xm = np.where(inside, x, 0.5 * (a + b))
+    sl, dl = mollifier._smoothstep_pair((xm - a) / rl)
+    sh, dh = mollifier._smoothstep_pair((b - xm) / rh)
+    window = sl * sh
+    logd = math.log(m.delta)
+    pv = np.where(inside, m.psi_normalizer * window / (xm * logd), 0.0)
+    ppv = np.where(inside, m.psi_normalizer / logd
+                   * ((dl / rl * sh - sl * dh / rh) / xm - window / xm ** 2), 0.0)
+    return pv, ppv
+
+
+@pytest.mark.parametrize("alpha, eps, delta", [(1.5, 0.1, 4.0), (1.2, 0.02, 16.0),
+                                               (1.8, 0.5, 20.0)])
+def test_psi_and_prime_is_the_full_window_formula(alpha, eps, delta):
+    m = ss.build_mollifier(alpha, eps, delta)
+    a, b = m.support
+    rl, rh = m.ramp_widths
+    ends = np.array([a, a + rl, b - rh, b])
+    xs = np.concatenate([
+        np.random.default_rng(18).uniform(a - rl, b + rh, 1_000_000),
+        ends, np.nextafter(ends, np.inf), np.nextafter(ends, -np.inf)])
+    # the nodes reach both flat ends of each ramp and its inside
+    for t in ((xs - a) / rl, (b - xs) / rh):
+        assert np.any(t <= 0.0) and np.any(t >= 1.0) and np.any((0.0 < t) & (t < 1.0))
+    got = m.psi_and_prime(xs)
+    ref = _full_window_psi_and_prime(m, xs)
+    for g, r in zip(got, ref):
+        assert g.tobytes() == r.tobytes()
+
+
+def _all_column_kernel_terms(s):
+    """The near-field kernel that takes both powers of |w| and forms all
+    three integrands on every call, returning those named in which: the
+    reference of the kernel that forms only the named ones."""
+    def kernel_terms(w, pv, ppv, wts, which):
+        absw = np.abs(w)
+        k_up = np.sign(w) * absw ** (s.alpha - 2.0)
+        terms = {"u": pv * absw ** (s.alpha - 1.0) * wts, "up": pv * k_up * wts,
+                 "upp": ppv * k_up * wts}
+        return [terms[k] for k in which]
+    return kernel_terms
+
+
+@pytest.mark.parametrize("alpha, eps, delta", [(1.5, 0.1, 4.0), (1.2, 0.02, 16.0)])
+def test_near_field_integrates_only_the_columns_read(alpha, eps, delta):
+    """The u', u'' cache and each exact evaluator are bitwise those of the
+    all-column quadrature, and the cache holds no u spline."""
+    m = ss.build_mollifier(alpha, eps, delta)
+    s, ref = ss.SmoothedDistance(m), ss.SmoothedDistance(m)
+    ref._kernel_terms = _all_column_kernel_terms(ref)
+    grid = s._master_grid()
+    assert np.all(np.abs(grid) <= s.far_switch)     # near field throughout
+    cols = ref._near_values(grid, ("u", "up", "upp"))
+    cache = s._ensure_cache()
+    assert set(cache) == {"up", "upp"}
+    for key, col in zip(("up", "upp"), cols[1:]):
+        assert cache[key].c.tobytes() == CubicSpline(grid, col).c.tobytes()
+    for name, col in zip(("u_exact", "u_prime_exact", "u_second_exact"), cols):
+        assert getattr(s, name)(grid).tobytes() == col.tobytes()
