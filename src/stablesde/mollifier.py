@@ -15,8 +15,10 @@ distinct panel, both from one pass over the window ramps per node, with the
 exponentials run only where a ramp is not flat (Mollifier.psi_and_prime),
 and integrates only the columns of u, u', u'' that its caller reads (see
 SmoothedDistance._near_values). The spline cache holds u' and u'' only: u
-itself is read only where it is certified, through the exact evaluator. In
-the far field
+itself is read only where it is certified, through the exact evaluator. Its
+grid points are split over forked workers (parallel.map_interleaved); each
+value is computed from its own point, so the cache has the same bits for any
+worker count. In the far field
 
     E|x - Y|^p = |x|^p * sum_k C(p, k) (-sgn x)^k E[Y^k] |x|^{-k},  Y ~ psi.
 
@@ -34,6 +36,7 @@ from scipy.interpolate import CubicSpline
 from scipy.special import binom
 
 from .errors import ConstructionError, DomainError
+from .parallel import map_interleaved
 from .quadrature import graded_edges, graded_fracs, kept_panels, panel_nodes, panel_rule
 from .report import CheckRow, Report
 from .stable import StableLaw, generator_apply
@@ -323,7 +326,9 @@ class SmoothedDistance:
     def _ensure_cache(self):
         if self._cache is None:
             grid = self._master_grid()
-            up, upp = self._near_values(grid, ("up", "upp"))
+            self._fixed_meshes      # built here once, not once per worker
+            up, upp = map_interleaved(
+                lambda xs: np.array(self._near_values(xs, ("up", "upp"))), grid)
             self._cache = {"up": CubicSpline(grid, up), "upp": CubicSpline(grid, upp)}
         return self._cache
 

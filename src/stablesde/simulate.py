@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -45,6 +44,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from . import parallel
 from .coefficients import CoefficientPair, split
 from .errors import DomainError, NumericError
 from .rng import RngStream
@@ -108,14 +108,6 @@ def _blocks(config: SimConfig):
                root.substream(config.stream_label, j))
 
 
-def _workers() -> int:
-    """Number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:      # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _plan(coefficients) -> tuple:
     """How one coefficient slot of the legs is evaluated at each step: the
     distinct base coefficients, each with the rows of the legs that run it
@@ -144,7 +136,7 @@ def simulate_legs(config: SimConfig, law: StableLaw, legs, integrands=(),
     `integral` (left-endpoint rule in time, matching the Euler grid); digest
     hashes the increments of every block in block order, so a block then
     keeps its increment chunks until they are hashed. Blocks run on
-    _workers() threads, so legs and integrands must be safe to call
+    parallel.workers() threads, so legs and integrands must be safe to call
     concurrently. If a block raises, the first such exception in block order
     is raised and blocks not yet started are cancelled.
     Deterministic for fixed (seed, config, legs), whatever the thread count.
@@ -231,7 +223,7 @@ def simulate_legs(config: SimConfig, law: StableLaw, legs, integrands=(),
         return chunks
 
     hasher = hashlib.blake2b(digest_size=16) if digest else None
-    with ThreadPoolExecutor(max_workers=_workers()) as pool:
+    with ThreadPoolExecutor(max_workers=parallel.workers()) as pool:
         # map yields in block order and drops each block's future once it has
         # yielded its increments; if a block raises, it cancels the blocks
         # not yet started

@@ -35,6 +35,7 @@ from scipy.interpolate import CubicSpline
 from scipy.special import gammaln
 
 from .errors import DomainError, NumericError
+from .parallel import map_interleaved
 from .quadrature import QuadratureSpec, graded_edges, panel_nodes, refine_edges
 from .rng import RngStream
 
@@ -245,14 +246,17 @@ def _density_spline(alpha: float, cutoff: float):
     law = make_stable_law(alpha)
     z = np.concatenate([np.linspace(0.0, 2.0, 801),
                         np.linspace(2.0, cutoff, 1601)[1:]])
-    vals = np.array([_density_quad(law, zi) for zi in z])
+    vals = map_interleaved(
+        lambda zs: np.array([_density_quad(law, zi) for zi in zs]), z)
     return CubicSpline(z, vals)
 
 
 def density_grid(law: StableLaw, x) -> np.ndarray:
     """Vectorized g evaluation: cubic-spline table inside the cutoff, tail
     series beyond. Accuracy ~1e-9; the scalar quadrature route stays the
-    oracle-grade path."""
+    oracle-grade path. The table's quadratures run on forked workers
+    (parallel.map_interleaved), one value per point, so its bits do not
+    depend on the worker count."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     ax = np.abs(x)
     cut = law.density_quadrature.oscillatory_cutoff

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import stablesde as ss
 from stablesde.coefficients import (_PAIRS, Perturbed, drift_sequence, make_family,
                                     make_pair, split)
-from stablesde import simulate
+from stablesde import parallel, simulate
 from stablesde.simulate import LegEnsemble, SimConfig, wilson_interval
 
 from oracles import stable_cdf
@@ -249,7 +249,7 @@ class TestThreadedBlocks:
     RAGGED = 3 * 4096 + 123
 
     def _run(self, monkeypatch, n_threads, **cfg):
-        monkeypatch.setattr(simulate, "_workers", lambda: n_threads)
+        monkeypatch.setattr(parallel, "workers", lambda: n_threads)
         law = ss.make_stable_law(1.5)
         pair = make_pair("jump_bump", {"amp": 0.3})
         legs = [(pair.x0, pair.b, pair.sigma),
@@ -304,7 +304,7 @@ class TestThreadedBlocks:
     def test_block_error_is_raised_and_pending_blocks_cancelled(self, monkeypatch):
         """The exception a block raises reaches the caller as the same
         object; blocks that had not started never run."""
-        monkeypatch.setattr(simulate, "_workers", lambda: 1)
+        monkeypatch.setattr(parallel, "workers", lambda: 1)
         err = RuntimeError("drift failed")
         starts = []
 
@@ -405,7 +405,7 @@ class TestStackedLegs:
     def _check(self, monkeypatch, run, reference):
         """run(config) at 1 and 2 threads against the reference's outputs."""
         for threads in (1, 2):
-            monkeypatch.setattr(simulate, "_workers", lambda: threads)
+            monkeypatch.setattr(parallel, "workers", lambda: threads)
             self._assert_same(reference, run())
 
     @pytest.mark.parametrize("name", sorted(_PAIRS))
@@ -525,7 +525,7 @@ class TestMemory:
     array buffers are traced by tracemalloc."""
 
     def test_coupled_run_and_moment_curve_peak(self, monkeypatch, law15):
-        monkeypatch.setattr(simulate, "_workers", lambda: 2)
+        monkeypatch.setattr(parallel, "workers", lambda: 2)
         pair = make_pair("jump_bump", {"amp": 0.3})
         cfg = SimConfig(T=1.0, n_steps=400, n_paths=8192, seed=3)
         tracemalloc.start()
