@@ -6,15 +6,14 @@
 
 The config is strict JSON. _SCHEMA below is the reference for its keys: it
 declares each key's type, default and lower bound once, and physical
-parameters (alpha, eps, delta, T, seed, ...) have no default. Every key
-present, and every required key its command reads, is checked before any
-command runs, and is never coerced; catalog params are checked against the
-keys their pair or family reads and by building it, and are the only source
-of coefficient parameters, a sweep's eta_tilde among them. A distances run's
-density model (an empirical one needs its sim section, with sim.T equal to
-distances.T), sup-distance variant and sup window (lo, hi with lo < hi;
-absent for x0 -+ 10) are checked likewise. Outputs are results.csv (floats
-at 17 significant digits), report.json (validated machine-readable
+parameters (alpha, eps, delta, T, seed, ...) have no default. Catalog params
+take the same form in coefficients._PARAMS, and errors.check_section checks
+both tables. Every key present, and the params of each pair or family a
+section names, are checked when the config loads, and never coerced. A
+command then reads every key it uses and builds all it needs (laws, pair or
+family, SimConfig, density model, mollifier, a distances run's horizon and
+sup window) before the output directory exists. Outputs are results.csv
+(floats at 17 significant digits), report.json (validated machine-readable
 pass/fail rows), and plotdata/*.tsv series.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 config error (parse,
@@ -34,9 +33,9 @@ from pathlib import Path
 import numpy as np
 
 from . import mollifier as moll
-from .coefficients import _FAMILIES, _PAIRS, check_params, make_family, make_pair
+from .coefficients import _FAMILIES, _PAIRS, make_family, make_pair
 from .errors import (REQUIRED, AssumptionViolation, ConfigError, ConstructionError,
-                     DomainError, NumericError, config_value)
+                     DomainError, NumericError, check_section, config_value)
 from .measures import (DensityModel, check_horizon, check_sup_args, distance_B,
                        distance_B_sup, distance_S, distance_S_sup)
 from .rates import RateBoundSpec, convergence_experiment, run_sweep, tail_bound, theoretical_bound
@@ -45,10 +44,10 @@ from .simulate import SimConfig, distance_moment_curve, simulate_coupled, tail_p
 from .stable import (density_total_mass, envelope_comparability_check,
                      make_stable_law, stable_density)
 
-# section -> key -> (kind, default, lower bound). kind list is a list of
-# numbers. Default REQUIRED: the key must be given when a command reads it;
-# None: absent means unset, and the reader's own default applies. An int or
-# a list's length must be at least its lower bound, a float must exceed it.
+# section -> key -> (kind, default, lower bound), checked by check_section.
+# kind list is a list of numbers. Default REQUIRED: the key must be given
+# when a command reads it; None: absent means unset, and the reader's own
+# default applies.
 _SCHEMA = {
     "law": {"alpha": (float, REQUIRED, None)},
     "mollifier": {"eps": (float, REQUIRED, 0.0), "delta": (float, REQUIRED, 1.0)},
@@ -69,11 +68,6 @@ _SCHEMA = {
 }
 # catalog section -> the names its pair or family may take
 _CATALOG = {"coefficients": _PAIRS, "sweep": _FAMILIES, "converge": _FAMILIES}
-# command -> the sections besides law whose required keys it reads (an
-# empirical distances run also reads sim, which _check_distances checks)
-_READS = {"certify-mollifier": ("mollifier",), "certify-density": (),
-          "distances": ("coefficients", "distances"), "simulate": ("coefficients", "sim"),
-          "sweep": ("sim", "sweep"), "converge": ("sim", "converge")}
 _CERTIFY_WINDOW = (-5.0, 5.0)   # x range of the certify-mollifier grid
 
 
@@ -105,30 +99,13 @@ def load_config(path: str, overrides) -> dict:
     for key, value in overrides or ():
         _apply_override(cfg, key, value)
     _validate_schema(cfg)
-    # list entries, which the commands would reject only after running the
-    # entries before them
-    h_values = _value(cfg, "sweep", "h_values")
-    if not all(h > 0 for h in h_values):
-        raise DomainError(f"sweep.h_values entries must be > 0, got {h_values}")
-    alphas = _value(cfg, "certify", "alphas") or ()
-    if not all(1.0 < a < 2.0 for a in alphas):
-        raise DomainError(f"certify.alphas entries must lie in (1, 2), got {alphas}")
-    # the required keys the command reads, which it would report only after
-    # the output directory exists
-    reads = _READS[cfg["command"]]
-    for section in ("law",) + reads:
-        for key, (_, default, _) in _SCHEMA[section].items():
-            if default is REQUIRED:
-                _value(cfg, section, key)
-    # build each catalog entry the command reads or a section names, so that
-    # its params are checked before any output exists; an unknown name in a
-    # section the command does not read is left alone
+    # the params of each catalog entry a section names, also where the
+    # command does not read the section; an unknown name is left to the
+    # command that reads it
     for section, names in _CATALOG.items():
         given = cfg.get(section, {})
-        if section in reads or given.get("name", given.get("family")) in names:
+        if given.get("name", given.get("family")) in names:
             _catalog(cfg, section)
-    if cfg["command"] == "distances":
-        _check_distances(cfg)
     return cfg
 
 
@@ -153,25 +130,13 @@ def _validate_schema(cfg: dict) -> None:
     unknown = set(cfg) - set(_SCHEMA) - {"command"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    command = config_value(cfg, "command", kind=str)
+    command = config_value(cfg, "command", str)
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}; "
                           f"expected one of {tuple(_COMMANDS)}")
     for section, table in _SCHEMA.items():
-        given = cfg.get(section, {})
-        if not isinstance(given, dict):
-            raise ConfigError(f"config section {section!r} must be an object")
-        extra = set(given) - set(table)
-        if extra:
-            raise ConfigError(f"unknown keys in {section!r}: {sorted(extra)}")
-        for key in given:
-            kind, _, low = table[key]
-            value = given[key] = config_value(given, key, kind=kind, where=section + ".")
-            size = len(value) if kind is list else value
-            op = ">" if kind is float else ">="
-            if low is not None and not (size > low or (op == ">=" and size == low)):
-                raise DomainError(f"{section}.{key} must be {op} {low}"
-                                  f"{' entries long' if kind is list else ''}, got {value}")
+        if section in cfg:
+            check_section(cfg[section], table, section)
 
 
 def _value(cfg, section, key):
@@ -192,20 +157,8 @@ def _sim_config(cfg, keep_paths=False) -> SimConfig:
     return SimConfig(**_given(cfg, "sim", *_SCHEMA["sim"]), keep_paths=keep_paths)
 
 
-def _density_model(cfg, law) -> DensityModel:
-    mode = _value(cfg, "distances", "model")
-    return DensityModel(mode=mode, law=law, **_given(cfg, "distances", "M"),
-                        sim_config=_sim_config(cfg) if mode == "empirical" else None)
-
-
-def _check_distances(cfg) -> None:
-    """The density model (its name, M, an empirical model's sim keys and
-    horizon) and the sup-distance variant and window of a distances run,
-    which its command would reject only after the output exists."""
-    model = _density_model(cfg, make_stable_law(_value(cfg, "law", "alpha")))
-    check_horizon(model, _value(cfg, "distances", "T"))
-    check_sup_args(_value(cfg, "distances", "variant"),
-                   _value(cfg, "distances", "sup_window"))
+def _law(cfg):
+    return make_stable_law(_value(cfg, "law", "alpha"))
 
 
 def _catalog(cfg, section):
@@ -213,213 +166,240 @@ def _catalog(cfg, section):
     (sweep, converge) the section names."""
     family = section != "coefficients"
     name = _value(cfg, section, "family" if family else "name")
-    params = _value(cfg, section, "params")
-    check_params(name, params, family, section + ".params")
-    return (make_family if family else make_pair)(name, params)
+    return (make_family if family else make_pair)(name, _value(cfg, section, "params"))
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def _cmd_certify_mollifier(cfg, law, out: Path, dump_paths: bool) -> Report:
-    alpha = law.alpha
-    m = moll.build_mollifier(alpha, _value(cfg, "mollifier", "eps"),
+def _cmd_certify_mollifier(cfg, dump_paths: bool):
+    law = _law(cfg)
+    m = moll.build_mollifier(law.alpha, _value(cfg, "mollifier", "eps"),
                              _value(cfg, "mollifier", "delta"))
     s = moll.SmoothedDistance(m)
     lo, hi = _CERTIFY_WINDOW
     grid = np.linspace(lo, hi, _value(cfg, "certify", "grid_points"))
     grid = grid[grid != 0.0]
-    reports = [moll.certify_mollifier_shape(m),
-               moll.certify_sandwich(s, grid),
-               moll.certify_derivative_bound(s, grid)]
     a_s, b_s = m.support
     nk = _value(cfg, "certify", "komatsu_points")
     thetas = np.concatenate([np.linspace(a_s * 1.01, b_s * 0.99, nk),
                              [2 * m.eps, -2 * m.eps, 1.0, -1.0, -a_s]])
-    reports.append(moll.certify_komatsu(s, law, thetas))
-    checks = [c for r in reports for c in r.checks]
-    rep = Report(name="certify-mollifier",
-                 params={"alpha": alpha, "eps": m.eps, "delta": m.delta,
-                         "rho": m.rho},
-                 checks=checks, grid={"n_points": int(grid.size),
-                                      "lo": lo, "hi": hi})
-    xs = np.linspace(-3 * m.eps, 3 * m.eps, 601)
-    write_plotdata(out / "plotdata" / "u_prime.tsv", "x", "u_prime",
-                   xs, s.u_prime(xs))
-    write_results_csv(out / "results.csv",
-                      ["check_id", "value", "bound", "margin", "pass"],
-                      [[c.check_id, c.value, c.bound, c.margin, str(c.passed)]
-                       for c in checks])
-    return rep
+
+    def job(out: Path) -> Report:
+        reports = [moll.certify_mollifier_shape(m),
+                   moll.certify_sandwich(s, grid),
+                   moll.certify_derivative_bound(s, grid),
+                   moll.certify_komatsu(s, law, thetas)]
+        checks = [c for r in reports for c in r.checks]
+        rep = Report(name="certify-mollifier",
+                     params={"alpha": law.alpha, "eps": m.eps, "delta": m.delta,
+                             "rho": m.rho},
+                     checks=checks, grid={"n_points": int(grid.size),
+                                          "lo": lo, "hi": hi})
+        xs = np.linspace(-3 * m.eps, 3 * m.eps, 601)
+        write_plotdata(out / "plotdata" / "u_prime.tsv", "x", "u_prime",
+                       xs, s.u_prime(xs))
+        write_results_csv(out / "results.csv",
+                          ["check_id", "value", "bound", "margin", "pass"],
+                          [[c.check_id, c.value, c.bound, c.margin, str(c.passed)]
+                           for c in checks])
+        return rep
+    return job
 
 
-def _cmd_certify_density(cfg, law, out: Path, dump_paths: bool) -> Report:
+def _cmd_certify_density(cfg, dump_paths: bool):
+    law = _law(cfg)
     alphas = _value(cfg, "certify", "alphas") or [law.alpha]
+    if not all(1.0 < a < 2.0 for a in alphas):
+        raise DomainError(f"certify.alphas entries must lie in (1, 2), got {alphas}")
+    laws = [make_stable_law(float(alpha)) for alpha in alphas]
     tail_x = 50.0  # the abscissa where the [0.98, 1.02] ratio band holds
-    checks = []
-    rows = []
-    for alpha in alphas:
-        law = make_stable_law(float(alpha))
-        mass = density_total_mass(law)
-        g0 = stable_density(law, 0.0)
-        g0_ref = math.gamma(1.0 + 1.0 / law.alpha) / math.pi
-        ratio = stable_density(law, tail_x) / (law.c_alpha * tail_x ** (-1 - law.alpha))
-        c_lo, c_hi = envelope_comparability_check(
-            law, np.linspace(-50.0, 50.0, 1001))
-        checks.extend([
-            CheckRow(f"density_mass_a{alpha}",
-                     "integral of the density plus analytic tail = 1 +- 1e-5",
-                     mass, 1.0, 1e-5 - abs(mass - 1.0), abs(mass - 1.0) <= 1e-5),
-            CheckRow(f"density_center_a{alpha}",
-                     "g(0) = Gamma(1 + 1/alpha)/pi +- 1e-6",
-                     g0, g0_ref, 1e-6 - abs(g0 - g0_ref),
-                     abs(g0 - g0_ref) <= 1e-6),
-            CheckRow(f"density_tail_ratio_a{alpha}",
-                     f"g(x) / (c_alpha |x|^(-1-alpha)) in [0.98, 1.02] at |x| = {tail_x:g}",
-                     ratio, 1.02, min(1.02 - ratio, ratio - 0.98),
-                     0.98 <= ratio <= 1.02),
-            CheckRow(f"envelope_band_a{alpha}",
-                     "0 < min g/G <= max g/G < inf on the grid",
-                     c_lo, c_hi, c_lo, 0.0 < c_lo <= c_hi < float("inf")),
-        ])
-        rows.append([float(alpha), mass, g0, ratio, c_lo, c_hi])
-    rep = Report(name="certify-density", params={"alphas": list(alphas)},
-                 checks=checks)
-    write_results_csv(out / "results.csv",
-                      ["alpha", "mass", "g0", "tail_ratio", "env_lo", "env_hi"],
-                      rows)
-    return rep
+
+    def job(out: Path) -> Report:
+        checks = []
+        rows = []
+        for alpha, law in zip(alphas, laws):
+            mass = density_total_mass(law)
+            g0 = stable_density(law, 0.0)
+            g0_ref = math.gamma(1.0 + 1.0 / law.alpha) / math.pi
+            ratio = stable_density(law, tail_x) / (law.c_alpha * tail_x ** (-1 - law.alpha))
+            c_lo, c_hi = envelope_comparability_check(
+                law, np.linspace(-50.0, 50.0, 1001))
+            checks.extend([
+                CheckRow(f"density_mass_a{alpha}",
+                         "integral of the density plus analytic tail = 1 +- 1e-5",
+                         mass, 1.0, 1e-5 - abs(mass - 1.0), abs(mass - 1.0) <= 1e-5),
+                CheckRow(f"density_center_a{alpha}",
+                         "g(0) = Gamma(1 + 1/alpha)/pi +- 1e-6",
+                         g0, g0_ref, 1e-6 - abs(g0 - g0_ref),
+                         abs(g0 - g0_ref) <= 1e-6),
+                CheckRow(f"density_tail_ratio_a{alpha}",
+                         f"g(x) / (c_alpha |x|^(-1-alpha)) in [0.98, 1.02] at |x| = {tail_x:g}",
+                         ratio, 1.02, min(1.02 - ratio, ratio - 0.98),
+                         0.98 <= ratio <= 1.02),
+                CheckRow(f"envelope_band_a{alpha}",
+                         "0 < min g/G <= max g/G < inf on the grid",
+                         c_lo, c_hi, c_lo, 0.0 < c_lo <= c_hi < float("inf")),
+            ])
+            rows.append([float(alpha), mass, g0, ratio, c_lo, c_hi])
+        rep = Report(name="certify-density", params={"alphas": list(alphas)},
+                     checks=checks)
+        write_results_csv(out / "results.csv",
+                          ["alpha", "mass", "g0", "tail_ratio", "env_lo", "env_hi"],
+                          rows)
+        return rep
+    return job
 
 
-def _cmd_distances(cfg, law, out: Path, dump_paths: bool) -> Report:
-    alpha = law.alpha
+def _cmd_distances(cfg, dump_paths: bool):
+    law = _law(cfg)
     pair = _catalog(cfg, "coefficients")
     T = _value(cfg, "distances", "T")
-    model = _density_model(cfg, law)
-    window = _value(cfg, "distances", "sup_window")
-    window = (pair.x0 - 10.0, pair.x0 + 10.0) if window is None else tuple(window)
-    n_pts = _value(cfg, "distances", "sup_points")
+    mode = _value(cfg, "distances", "model")
+    model = DensityModel(mode=mode, law=law, **_given(cfg, "distances", "M"),
+                         sim_config=_sim_config(cfg) if mode == "empirical" else None)
+    check_horizon(model, T)
     variant = _value(cfg, "distances", "variant")
+    window = check_sup_args(variant, _value(cfg, "distances", "sup_window"), pair.x0)
+    n_pts = _value(cfg, "distances", "sup_points")
     nodes = _given(cfg, "distances", "time_nodes")
-    B = distance_B(pair, model, T, **nodes)
-    S = distance_S(pair, model, T, **nodes)
-    B_inf = distance_B_sup(pair, T, variant=variant, window=window, n_points=n_pts)
-    S_inf = distance_S_sup(pair, alpha, T, variant=variant, window=window,
-                           n_points=n_pts)
-    rep = Report(name="distances",
-                 params={"alpha": alpha, "pair": pair.label, "T": T,
-                         "model": model.mode, "sup_window": list(window),
-                         "sup_points": n_pts, "variant": variant},
-                 checks=[CheckRow("distances_finite",
-                                  "all four coefficient distances are finite",
-                                  max(B, S, B_inf, S_inf), float("inf"),
-                                  1.0, all(np.isfinite([B, S, B_inf, S_inf])))])
-    write_results_csv(out / "results.csv",
-                      ["B", "S", "B_sup", "S_sup"], [[B, S, B_inf, S_inf]])
-    return rep
+
+    def job(out: Path) -> Report:
+        B = distance_B(pair, model, T, **nodes)
+        S = distance_S(pair, model, T, **nodes)
+        B_inf = distance_B_sup(pair, T, variant=variant, window=window, n_points=n_pts)
+        S_inf = distance_S_sup(pair, law.alpha, T, variant=variant, window=window,
+                               n_points=n_pts)
+        rep = Report(name="distances",
+                     params={"alpha": law.alpha, "pair": pair.label, "T": T,
+                             "model": model.mode, "sup_window": list(window),
+                             "sup_points": n_pts, "variant": variant},
+                     checks=[CheckRow("distances_finite",
+                                      "all four coefficient distances are finite",
+                                      max(B, S, B_inf, S_inf), float("inf"),
+                                      1.0, all(np.isfinite([B, S, B_inf, S_inf])))])
+        write_results_csv(out / "results.csv",
+                          ["B", "S", "B_sup", "S_sup"], [[B, S, B_inf, S_inf]])
+        return rep
+    return job
 
 
-def _cmd_simulate(cfg, law, out: Path, dump_paths: bool) -> Report:
-    alpha = law.alpha
+def _cmd_simulate(cfg, dump_paths: bool):
+    law = _law(cfg)
     pair = _catalog(cfg, "coefficients")
     sim = _sim_config(cfg, keep_paths=dump_paths)
-    ens = simulate_coupled(sim, pair, law, digest=True)
-    curve = distance_moment_curve(ens, alpha - 1.0)
-    rows = [[t, mu, se] for t, mu, se in
-            zip(curve.times, curve.mean, curve.stderr)]
-    write_results_csv(out / "results.csv", ["t", "mean_q_moment", "stderr"], rows)
-    tail_rows = []
-    for h in (0.05, 0.1, 0.2, 0.4, 0.8):
-        te = tail_probability(ens, h)
-        tail_rows.append([te.h, te.prob, te.wilson_low, te.wilson_high])
-    write_results_csv(out / "tails.csv",
-                      ["h", "prob", "wilson_low", "wilson_high"], tail_rows)
-    write_plotdata(out / "plotdata" / "moment_curve.tsv", "t",
-                   "mean_q_moment", curve.times, curve.mean)
-    if dump_paths:
-        np.savetxt(out / "paths_x.csv", ens.paths[0], delimiter=",")
-        np.savetxt(out / "paths_xt.csv", ens.paths[1], delimiter=",")
-    return Report(name="simulate",
-                  params={"alpha": alpha, "pair": pair.label,
-                          "n_paths": sim.n_paths, "n_steps": sim.n_steps,
-                          "seed": sim.seed, "T": sim.T,
-                          "sup_moment": curve.sup,
-                          "digest": ens.increments_digest},
-                  checks=[])
+
+    def job(out: Path) -> Report:
+        ens = simulate_coupled(sim, pair, law, digest=True)
+        curve = distance_moment_curve(ens, law.alpha - 1.0)
+        rows = [[t, mu, se] for t, mu, se in
+                zip(curve.times, curve.mean, curve.stderr)]
+        write_results_csv(out / "results.csv", ["t", "mean_q_moment", "stderr"], rows)
+        tail_rows = []
+        for h in (0.05, 0.1, 0.2, 0.4, 0.8):
+            te = tail_probability(ens, h)
+            tail_rows.append([te.h, te.prob, te.wilson_low, te.wilson_high])
+        write_results_csv(out / "tails.csv",
+                          ["h", "prob", "wilson_low", "wilson_high"], tail_rows)
+        write_plotdata(out / "plotdata" / "moment_curve.tsv", "t",
+                       "mean_q_moment", curve.times, curve.mean)
+        if dump_paths:
+            np.savetxt(out / "paths_x.csv", ens.paths[0], delimiter=",")
+            np.savetxt(out / "paths_xt.csv", ens.paths[1], delimiter=",")
+        return Report(name="simulate",
+                      params={"alpha": law.alpha, "pair": pair.label,
+                              "n_paths": sim.n_paths, "n_steps": sim.n_steps,
+                              "seed": sim.seed, "T": sim.T,
+                              "sup_moment": curve.sup,
+                              "digest": ens.increments_digest},
+                      checks=[])
+    return job
 
 
-def _cmd_sweep(cfg, law, out: Path, dump_paths: bool) -> Report:
+def _cmd_sweep(cfg, dump_paths: bool):
+    law = _law(cfg)
     family = _catalog(cfg, "sweep")
     sim = _sim_config(cfg)
-    res = run_sweep(family, sim, law,
-                    h_values=tuple(map(float, _value(cfg, "sweep", "h_values"))))
-    rows = [[str(r.label), r.scale, r.x0_gap, r.B, r.S, r.D, r.D_se,
-             r.bound_raw, r.bound_value, str(r.satisfied),
-             str(r.assumption_flag)] for r in res.rows]
-    write_results_csv(out / "results.csv",
-                      ["label", "scale", "x0_gap", "B", "S", "D", "D_se",
-                       "bound_raw", "bound_value", "satisfied",
-                       "assumption_flag"], rows)
-    good = [r for r in res.rows if r.D > 0]
-    write_plotdata(out / "plotdata" / "D_vs_scale.tsv", "scale", "D",
-                   [r.scale for r in good], [r.D for r in good])
-    if all(r.S > 0 for r in res.rows):
-        write_plotdata(out / "plotdata" / "S_vs_scale.tsv", "scale", "S",
-                       [r.scale for r in res.rows], [r.S for r in res.rows])
-    failures = float(res.out_of_sample_failures)
-    checks = [CheckRow("bound_out_of_sample",
-                       "D_n <= C_fit * bound_n on non-calibration rows",
-                       failures, 0.0, 0.0 - failures,
-                       res.bound_satisfied_out_of_sample)]
-    for r in res.rows:
-        for te in r.tails:
-            checks.append(CheckRow(
-                f"tail_{r.label}_h{te.h:g}",
-                "tail probability with Wilson interval (informational)",
-                te.prob, 1.0, 1.0 - te.prob, True,
-                context={"h": te.h, "lo": te.wilson_low, "hi": te.wilson_high}))
-    return Report(name="sweep",
-                  params={"alpha": law.alpha, "family": family.name,
-                          "eta_tilde": res.spec.eta_tilde, "C_fit": res.C_fit,
-                          "branch": res.spec.branch,
-                          "slope_D_vs_scale": res.slope_D_vs_scale,
-                          "slope_S_vs_inverse_scale": res.slope_S_vs_inverse_scale,
-                          "seed": sim.seed},
-                  checks=checks)
+    h_values = _value(cfg, "sweep", "h_values")
+    if not all(h > 0 for h in h_values):
+        raise DomainError(f"sweep.h_values entries must be > 0, got {h_values}")
+
+    def job(out: Path) -> Report:
+        res = run_sweep(family, sim, law, h_values=tuple(map(float, h_values)))
+        rows = [[str(r.label), r.scale, r.x0_gap, r.B, r.S, r.D, r.D_se,
+                 r.bound_raw, r.bound_value, str(r.satisfied),
+                 str(r.assumption_flag)] for r in res.rows]
+        write_results_csv(out / "results.csv",
+                          ["label", "scale", "x0_gap", "B", "S", "D", "D_se",
+                           "bound_raw", "bound_value", "satisfied",
+                           "assumption_flag"], rows)
+        good = [r for r in res.rows if r.D > 0]
+        write_plotdata(out / "plotdata" / "D_vs_scale.tsv", "scale", "D",
+                       [r.scale for r in good], [r.D for r in good])
+        if all(r.S > 0 for r in res.rows):
+            write_plotdata(out / "plotdata" / "S_vs_scale.tsv", "scale", "S",
+                           [r.scale for r in res.rows], [r.S for r in res.rows])
+        failures = float(res.out_of_sample_failures)
+        checks = [CheckRow("bound_out_of_sample",
+                           "D_n <= C_fit * bound_n on non-calibration rows",
+                           failures, 0.0, 0.0 - failures,
+                           res.bound_satisfied_out_of_sample)]
+        for r in res.rows:
+            for te in r.tails:
+                checks.append(CheckRow(
+                    f"tail_{r.label}_h{te.h:g}",
+                    "tail probability with Wilson interval (informational)",
+                    te.prob, 1.0, 1.0 - te.prob, True,
+                    context={"h": te.h, "lo": te.wilson_low, "hi": te.wilson_high}))
+        return Report(name="sweep",
+                      params={"alpha": law.alpha, "family": family.name,
+                              "eta_tilde": res.spec.eta_tilde, "C_fit": res.C_fit,
+                              "branch": res.spec.branch,
+                              "slope_D_vs_scale": res.slope_D_vs_scale,
+                              "slope_S_vs_inverse_scale": res.slope_S_vs_inverse_scale,
+                              "seed": sim.seed},
+                      checks=checks)
+    return job
 
 
-def _cmd_converge(cfg, law, out: Path, dump_paths: bool) -> Report:
+def _cmd_converge(cfg, dump_paths: bool):
+    law = _law(cfg)
     family = _catalog(cfg, "converge")
     sim = _sim_config(cfg)
-    rep0 = convergence_experiment(family, sim, law)
-    rows = [[f"{a}-{b}", d, se] for (a, b), d, se in
-            zip(zip(range(1, len(rep0.pairwise_D) + 1),
-                    range(2, len(rep0.pairwise_D) + 2)),
-                rep0.pairwise_D, rep0.pairwise_se)]
-    write_results_csv(out / "results.csv", ["pair", "D", "D_se"], rows)
-    write_plotdata(out / "plotdata" / "pairwise_D.tsv", "pair_index", "D",
-                   np.arange(1, len(rep0.pairwise_D) + 1), rep0.pairwise_D)
-    checks = [
-        CheckRow("cauchy_monotone",
-                 "successive coupled distances decrease within 2 SE",
-                 float(rep0.pairwise_D[-1]), float(rep0.pairwise_D[0]),
-                 float(rep0.pairwise_D[0] - rep0.pairwise_D[-1]),
-                 rep0.monotone_within_2se),
-        CheckRow("uniform_lp",
-                 "E[sup_t |X|^p] constant across members within 3 SE",
-                 rep0.lp_report.max_abs_dev_in_se, 3.0,
-                 3.0 - rep0.lp_report.max_abs_dev_in_se,
-                 rep0.lp_report.passes),
-    ]
-    return Report(name="converge",
-                  params={"alpha": law.alpha, "family": family.name,
-                          "p": rep0.lp_report.p, "seed": sim.seed,
-                          "limit_residual": rep0.limit_residual},
-                  checks=checks)
+
+    def job(out: Path) -> Report:
+        rep0 = convergence_experiment(family, sim, law)
+        rows = [[f"{a}-{b}", d, se] for (a, b), d, se in
+                zip(zip(range(1, len(rep0.pairwise_D) + 1),
+                        range(2, len(rep0.pairwise_D) + 2)),
+                    rep0.pairwise_D, rep0.pairwise_se)]
+        write_results_csv(out / "results.csv", ["pair", "D", "D_se"], rows)
+        write_plotdata(out / "plotdata" / "pairwise_D.tsv", "pair_index", "D",
+                       np.arange(1, len(rep0.pairwise_D) + 1), rep0.pairwise_D)
+        checks = [
+            CheckRow("cauchy_monotone",
+                     "successive coupled distances decrease within 2 SE",
+                     float(rep0.pairwise_D[-1]), float(rep0.pairwise_D[0]),
+                     float(rep0.pairwise_D[0] - rep0.pairwise_D[-1]),
+                     rep0.monotone_within_2se),
+            CheckRow("uniform_lp",
+                     "E[sup_t |X|^p] constant across members within 3 SE",
+                     rep0.lp_report.max_abs_dev_in_se, 3.0,
+                     3.0 - rep0.lp_report.max_abs_dev_in_se,
+                     rep0.lp_report.passes),
+        ]
+        return Report(name="converge",
+                      params={"alpha": law.alpha, "family": family.name,
+                              "p": rep0.lp_report.p, "seed": sim.seed,
+                              "limit_residual": rep0.limit_residual},
+                      checks=checks)
+    return job
 
 
-# command -> handler(cfg, law of law.alpha, output directory, --dump-paths flag)
+# command -> build(cfg, --dump-paths flag): reads every key the command uses
+# and builds its objects, raising before any output exists, and returns the
+# job that computes and writes into the output directory, job(out) -> Report
 _COMMANDS = {"certify-mollifier": _cmd_certify_mollifier,
              "certify-density": _cmd_certify_density, "distances": _cmd_distances,
              "simulate": _cmd_simulate, "sweep": _cmd_sweep, "converge": _cmd_converge}
@@ -437,14 +417,14 @@ def run(config_path: str, overrides=(), out_dir: str | None = None,
         if dump_paths and command != "simulate":
             raise ConfigError(f"--dump-paths applies to the simulate command only, "
                               f"not {command!r}")
+        job = _COMMANDS[command](cfg, dump_paths)
         out = Path(out_dir or _value(cfg, "output", "dir"))
         try:
             (out / "plotdata").mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {str(out)!r}: "
                               f"{exc.strerror}") from exc
-        law = make_stable_law(_value(cfg, "law", "alpha"))
-        rep = _COMMANDS[command](cfg, law, out, dump_paths)
+        rep = job(out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -18,24 +18,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import REQUIRED, ConfigError, DomainError, config_value
+from .errors import REQUIRED, ConfigError, DomainError, check_section
 
-# Catalog parameters by group: key -> default (REQUIRED: no default). A pair
-# reads the groups _PAIRS lists; a family reads its own groups and those of
-# its member pair, except the key it sets for each member.
+# Catalog parameters by group: key -> (kind, default, lower bound), the form
+# of the CLI's _SCHEMA, checked by errors.check_section. A pair reads the
+# groups _PAIRS lists; a family reads its own groups and those of its member
+# pair, except the key it sets for each member.
 _PARAMS = {
-    "start": {"x0": 0.0, "x0_gap": 0.0},
-    "sigma": {"s0": 1.0, "s1": 0.1, "freq_s": 1.0},
-    "trig": {"b_amp": 0.5, "freq": 1.0, "b_phase": 0.0},
-    "kink": {"kink_amp": 1.0, "kink_center": 0.0},
-    "shift": {"shift": REQUIRED},
-    "bump": {"amp": REQUIRED, "center": None, "width": 1.0},  # center None: x0
-    "holder": {"eta_tilde": 1.0},
-    "h": {"h": REQUIRED},
-    "members": {"n_start": 1, "n_stop": 6},
-    "gaps": {"gaps": None, "gap0": 0.64, "ratio": 0.25},
-    "amps": {"amp0": 0.5, "ratio": 0.5},
-    "hs": {"h0": 0.5, "ratio": 0.5},
+    "start": {"x0": (float, 0.0, None), "x0_gap": (float, 0.0, None)},
+    "sigma": {"s0": (float, 1.0, None), "s1": (float, 0.1, None),
+              "freq_s": (float, 1.0, None)},
+    "trig": {"b_amp": (float, 0.5, None), "freq": (float, 1.0, None),
+             "b_phase": (float, 0.0, None)},
+    "kink": {"kink_amp": (float, 1.0, None), "kink_center": (float, 0.0, None)},
+    "shift": {"shift": (float, REQUIRED, None)},
+    "bump": {"amp": (float, REQUIRED, None), "center": (float, None, None),  # None: x0
+             "width": (float, 1.0, 0.0)},
+    "holder": {"eta_tilde": (float, 1.0, None)},
+    "h": {"h": (float, REQUIRED, None)},
+    "members": {"n_start": (int, 1, None), "n_stop": (int, 6, None)},
+    "gaps": {"gaps": (list, None, None), "gap0": (float, 0.64, None),
+             "ratio": (float, 0.25, None)},
+    "amps": {"amp0": (float, 0.5, None), "ratio": (float, 0.5, None)},
+    "hs": {"h0": (float, 0.5, None), "ratio": (float, 0.5, None)},
 }
 _TRIG = ("start", "sigma", "trig")
 _KINK = ("start", "sigma", "kink")
@@ -53,29 +58,9 @@ _FAMILIES = {
 }
 
 
-def _param(params: dict, group: str, key: str, kind=float):
-    return config_value(params, key, _PARAMS[group][key], kind, where="params.")
-
-
-def check_params(name: str, params: dict, family: bool, where: str) -> None:
-    """Raise ConfigError naming the keys of params that the pair (or family)
-    name does not read, including the member keys that a gaps list
-    overrides. An unknown name is left to make_pair/make_family."""
-    per_member = None
-    if family and name in _FAMILIES:
-        own, member, per_member = _FAMILIES[name]
-        groups = ("members", own) + _PAIRS[member]
-    elif not family and name in _PAIRS:
-        groups = _PAIRS[name]
-    else:
-        return
-    unused = set(params) - ({k for g in groups for k in _PARAMS[g]} - {per_member})
-    if unused:
-        raise ConfigError(f"unknown keys in {where} of {name!r}: {sorted(unused)}")
-    overridden = sorted(set(params) & {"n_start", "n_stop", "gap0", "ratio"})
-    if "gaps" in params and overridden:     # only initial_value reads gaps
-        raise ConfigError(f"{where}.gaps sets the members of {name!r}, so "
-                          f"{overridden} would be ignored")
+def _table(groups) -> dict:
+    """The _PARAMS entries of the given groups, in one table."""
+    return {key: spec for group in groups for key, spec in _PARAMS[group].items()}
 
 
 @dataclass(frozen=True)
@@ -183,9 +168,7 @@ def mollified_kink_hat(x, center, amp, h):
 
 def _sigma(params):
     """sigma = s0 + s1 sin(freq_s x)."""
-    s0 = _param(params, "sigma", "s0")
-    s1 = _param(params, "sigma", "s1")
-    freq_s = _param(params, "sigma", "freq_s")
+    s0, s1, freq_s = params["s0"], params["s1"], params["freq_s"]
     if s0 - s1 <= 0:
         raise DomainError("baseline sigma must stay strictly positive (s0 > s1)")
     return lambda t, x: s0 + s1 * np.sin(freq_s * np.asarray(x, dtype=float))
@@ -196,17 +179,14 @@ def _baseline(params):
     sigma = s0 + s1 sin(freq_s x). b_phase = pi/2 makes the drift expansive
     near the origin (b'(0) = b_amp freq > 0), which keeps coupled paths
     separating instead of contracting."""
-    b_amp = _param(params, "trig", "b_amp")
-    freq = _param(params, "trig", "freq")
-    b_phase = _param(params, "trig", "b_phase")
+    b_amp, freq, b_phase = params["b_amp"], params["freq"], params["b_phase"]
     return (lambda t, x: b_amp * np.cos(freq * np.asarray(x, dtype=float) - b_phase),
             _sigma(params))
 
 
 def _kink_baseline(params):
     """Kinked-hat drift baseline for the mollification experiments."""
-    amp = _param(params, "kink", "kink_amp")
-    center = _param(params, "kink", "kink_center")
+    amp, center = params["kink_amp"], params["kink_center"]
     return lambda t, x: kink_hat(x, center, amp), _sigma(params)
 
 
@@ -222,21 +202,17 @@ def make_pair(name: str, params: dict | None = None) -> CoefficientPair:
     groups = _PAIRS.get(name)
     if groups is None:
         raise DomainError(f"unknown coefficient pair {name!r}")
-    params = dict(params or {})
-    x0 = _param(params, "start", "x0")
+    params = check_section(dict(params or {}), _table(groups), "params")
+    x0 = params["x0"]
     b, sigma = (_baseline if "trig" in groups else _kink_baseline)(params)
-    x0_tilde = x0 + _param(params, "start", "x0_gap")
-    eta_tilde = _param(params, "holder", "eta_tilde") if "holder" in groups else 1.0
+    x0_tilde = x0 + params["x0_gap"]
+    eta_tilde = params.get("eta_tilde", 1.0)
     b_t, s_t = b, sigma
     if "shift" in groups:
-        c = _param(params, "shift", "shift")
+        c = params["shift"]
     if "bump" in groups:
-        amp = _param(params, "bump", "amp")
-        center = _param(params, "bump", "center")
-        center = x0 if center is None else center
-        width = _param(params, "bump", "width")
-        if width <= 0:
-            raise DomainError("bump width must be > 0")
+        amp, width = params["amp"], params["width"]
+        center = x0 if params["center"] is None else params["center"]
 
     if name == "drift_shift":
         b_t = Perturbed(b, lambda t, x: c)
@@ -250,9 +226,7 @@ def make_pair(name: str, params: dict | None = None) -> CoefficientPair:
         s_t = Perturbed(sigma, lambda t, x: amp * holder_kink(
             (np.asarray(x) - center) / width, eta_tilde))
     elif name == "mollified_kink":
-        amp = _param(params, "kink", "kink_amp")
-        center = _param(params, "kink", "kink_center")
-        h = _param(params, "h", "h")
+        amp, center, h = params["kink_amp"], params["kink_center"], params["h"]
         if h <= 0:
             raise DomainError("mollification scale h must be > 0")
         b_t = lambda t, x: mollified_kink_hat(x, center, amp, h)
@@ -283,30 +257,35 @@ def make_family(name: str, params: dict | None = None) -> PerturbationFamily:
     if name not in _FAMILIES:
         raise DomainError(f"unknown perturbation family {name!r}")
     group, member, per_member = _FAMILIES[name]
-    params = dict(params or {})
-    n_start = _param(params, "members", "n_start", int)
-    n_stop = _param(params, "members", "n_stop", int)
+    member_table = _table(_PAIRS[member])
+    table = {**_table(("members", group)), **member_table}
+    del table[per_member]
+    given = dict(params or {})
+    params = check_section(given, table, "params")
+    overridden = sorted(set(given) & {"n_start", "n_stop", "gap0", "ratio"})
+    if "gaps" in given and overridden:     # only initial_value reads gaps
+        raise ConfigError(f"params.gaps sets the members of {name!r}, so "
+                          f"{overridden} would be ignored")
+    n_start, n_stop = params["n_start"], params["n_stop"]
     if n_stop < n_start:
         raise DomainError("family index range is empty")
     ns = list(range(n_start, n_stop + 1))
 
     if group == "gaps":
-        values = _param(params, "gaps", "gaps", list)
+        values = params["gaps"]
         if values is None:
-            values = _geometric(_param(params, "gaps", "gap0"),
-                                _param(params, "gaps", "ratio"),
+            values = _geometric(params["gap0"], params["ratio"],
                                 [n - n_start for n in ns], name)
         scales, tags = [abs(g) for g in values], [f"gap={g:g}" for g in values]
     elif group == "amps":
-        values = _geometric(_param(params, "amps", "amp0"),
-                            _param(params, "amps", "ratio"), ns, name)
+        values = _geometric(params["amp0"], params["ratio"], ns, name)
         scales, tags = [abs(a) for a in values], [f"n={n}" for n in ns]
     else:
-        values = _geometric(_param(params, "hs", "h0"),
-                            _param(params, "hs", "ratio"),
+        values = _geometric(params["h0"], params["ratio"],
                             [n - n_start for n in ns], name)
         scales, tags = values, [f"h={h:g}" for h in values]
-    pairs = [make_pair(member, {**params, per_member: v}) for v in values]
+    shared = {key: value for key, value in given.items() if key in member_table}
+    pairs = [make_pair(member, {**shared, per_member: v}) for v in values]
     for p, tag in zip(pairs, tags):
         p.label = tag
     return PerturbationFamily(name=name, pairs=pairs, scales=scales)

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the typed config reads
-that raise ConfigError."""
+"""Exception types shared across the package, and the one check of config
+sections and catalog params against their (kind, default, lower bound)
+tables."""
 
 import numbers
 
@@ -54,14 +55,12 @@ def as_number(value, label: str, kind=float):
 _KINDS = {str: "a string", dict: "an object", list: "a list of numbers"}
 
 
-def config_value(section: dict, key: str, default=REQUIRED, kind=float, where=""):
-    """section[key] checked against kind, or default when the key is absent.
+def config_value(section: dict, key: str, kind=float, where=""):
+    """section[key] checked against kind; ConfigError when the key is absent.
     float and int are checked by as_number; str and dict by type; list is a
     list of numbers, returned as written (an int entry stays an int)."""
     if key not in section:
-        if default is REQUIRED:
-            raise ConfigError(f"{where}{key} must be explicit")
-        return default
+        raise ConfigError(f"{where}{key} must be explicit")
     value = section[key]
     if kind in (float, int):
         return as_number(value, where + key, kind)
@@ -71,3 +70,38 @@ def config_value(section: dict, key: str, default=REQUIRED, kind=float, where=""
         for v in value:
             as_number(v, f"{where}{key}[]")
     return value
+
+
+class Checked(dict):
+    """Checked values and the defaults of absent keys; reading a required
+    key that was not given raises ConfigError."""
+
+    where = ""
+
+    def __missing__(self, key):
+        raise ConfigError(f"{self.where}.{key} must be explicit")
+
+
+def check_section(given, table: dict, where: str) -> Checked:
+    """Check a config section or catalog params against its table, key ->
+    (kind, default REQUIRED or None or a value, lower bound): ConfigError for
+    an unknown key or a wrong type, DomainError for an int or a list length
+    below the bound or a float not above it. Types each given value in place
+    (an int written for a float becomes a float)."""
+    if not isinstance(given, dict):
+        raise ConfigError(f"config section {where!r} must be an object")
+    extra = set(given) - set(table)
+    if extra:
+        raise ConfigError(f"unknown keys in {where!r}: {sorted(extra)}")
+    for key in given:
+        kind, _, low = table[key]
+        value = given[key] = config_value(given, key, kind, where + ".")
+        size = len(value) if kind is list else value
+        op = ">" if kind is float else ">="
+        if low is not None and not (size > low or (op == ">=" and size == low)):
+            raise DomainError(f"{where}.{key} must be {op} {low}"
+                              f"{' entries long' if kind is list else ''}, got {value}")
+    values = Checked({key: given.get(key, default) for key, (_, default, _)
+                      in table.items() if key in given or default is not REQUIRED})
+    values.where = where
+    return values

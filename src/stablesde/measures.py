@@ -137,11 +137,10 @@ def _empirical_averages(pair: CoefficientPair, model: DensityModel) -> list:
     memo = model._empirical
     if memo is None or memo[0] is not pair:
         (drift_gap, p_b), (jump_gap, p_s) = _gap_powers(pair, model.law.alpha)
-        runs = simulate_baseline_average(
+        memo = model._empirical = (pair, simulate_baseline_average(
             model.sim_config, pair, model.law,
             [lambda t, x, b, s: drift_gap(t, x, b) ** p_b,
-             lambda t, x, b, s: jump_gap(t, x, s) ** p_s])
-        memo = model._empirical = (pair, [mean for mean, _ in runs])
+             lambda t, x, b, s: jump_gap(t, x, s) ** p_s]))
     return memo[1]
 
 
@@ -191,19 +190,21 @@ def distance_S(pair: CoefficientPair, model: DensityModel, T: float,
     return raw ** (1.0 / model.law.alpha)
 
 
-def check_sup_args(variant: str, window) -> None:
-    """Reject an unknown sup-distance variant, and a window that is not
-    (lo, hi) with lo < hi; None stands for the default window, and an empty
-    window is rejected like any other."""
+def check_sup_args(variant: str, window, x0: float) -> tuple:
+    """The sup window: window as written, or x0 -+ 10 when it is None.
+    Rejects an unknown sup-distance variant, and a window that is not
+    (lo, hi) with lo < hi; an empty window is rejected like any other."""
     if variant not in ("time_integral", "time_sup"):
         raise DomainError(f"unknown sup-distance variant {variant!r}")
-    if window is not None and (len(window) != 2 or not window[0] < window[1]):
+    if window is None:
+        return (x0 - 10.0, x0 + 10.0)
+    if len(window) != 2 or not window[0] < window[1]:
         raise DomainError(f"sup window must be (lo, hi) with lo < hi, got {window}")
+    return tuple(window)
 
 
 def _sup_distance(T: float, gap, power: float, variant: str, window: tuple,
                   n_points: int) -> float:
-    check_sup_args(variant, window)
     lo, hi = window
     ys = np.linspace(lo, hi, n_points)
     ts = np.linspace(0.0, T, _SUP_TIME_NODES)
@@ -220,8 +221,7 @@ def distance_B_sup(pair: CoefficientPair, T: float, *,
                    n_points: int = 10001) -> float:
     """Sup-norm drift distance: either int_0^T ||b - b_tilde(s,.)||_inf ds or
     sup_t ||..||_inf, the sup taken over a declared compact window."""
-    if window is None:
-        window = (pair.x0 - 10.0, pair.x0 + 10.0)
+    window = check_sup_args(variant, window, pair.x0)
     return _sup_distance(T, pair.drift_gap, 1.0, variant, window, n_points)
 
 
@@ -230,8 +230,7 @@ def distance_S_sup(pair: CoefficientPair, alpha: float, T: float, *,
                    n_points: int = 10001) -> float:
     """Sup-norm jump distance: (int_0^T ||.||_inf^alpha ds)^(1/alpha) or
     sup_t ||.||_inf."""
-    if window is None:
-        window = (pair.x0 - 10.0, pair.x0 + 10.0)
+    window = check_sup_args(variant, window, pair.x0)
     return _sup_distance(T, pair.jump_gap, alpha, variant, window, n_points)
 
 

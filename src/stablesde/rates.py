@@ -219,6 +219,9 @@ def convergence_experiment(family: PerturbationFamily, sim_config: SimConfig,
     if K < 2:
         raise DomainError(f"convergence experiment needs at least 2 family "
                           f"members, got {K}")
+    if sim_config.n_paths < 2:   # the standard errors need two paths
+        raise DomainError(f"convergence experiment needs at least 2 paths, "
+                          f"got sim.n_paths={sim_config.n_paths}")
     legs = [(base.x0, b, base.sigma) for b in drifts]
     run = simulate_legs(sim_config, law, legs)
     curves = [distance_moment_curve(run, law.alpha - 1.0, i) for i in range(K)]

@@ -254,16 +254,14 @@ def simulate_baseline_average(config: SimConfig, pair: CoefficientPair,
                               law: StableLaw, integrands) -> list:
     """Euler simulation of the pair's baseline leg alone accumulating time
     averages: for each f, the mean over paths of
-    sum_k f(t_k, X_k, b(t_k, X_k), sigma(t_k, X_k)) dt with its standard
-    error, as a (mean, stderr) tuple.
+    sum_k f(t_k, X_k, b(t_k, X_k), sigma(t_k, X_k)) dt.
 
     This is the Monte Carlo estimator behind the empirical coefficient
     distances (left-endpoint rule in time, matching the Euler grid).
     """
     run = simulate_legs(config, law, [(pair.x0, pair.b, pair.sigma)],
                         integrands=integrands)
-    return [(float(v.mean()), float(v.std(ddof=1) / math.sqrt(v.size)))
-            for v in run.integral[:, run.ok]]
+    return [float(v.mean()) for v in run.integral[:, run.ok]]
 
 
 # ---------------------------------------------------------------------------

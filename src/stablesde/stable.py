@@ -137,28 +137,37 @@ def _tail_rows(alpha: float):
     return rows
 
 
-def _density_series(law: StableLaw, x):
-    """Tail series of g at |x|, one row of terms per point, truncated per
-    point at its smallest term. Raises NumericError for the first point whose
-    truncation error exceeds the tolerance. A scalar x gives a float."""
+def _truncated_series(law: StableLaw, x, powers, shift=None):
+    """(1/pi) sum_k sign_k exp(logmag_k - powers_k log|x| - shift_k) over the
+    tail-series terms of _tail_rows (shift None: no shift), one row of terms
+    per point, truncated per point at its smallest term. Raises NumericError
+    for the first point whose truncation error exceeds the tolerance. A
+    scalar x gives a float."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    ax = np.abs(xs)
-    kap1, logmag, sign = _tail_rows(law.alpha)
+    _, logmag, sign = _tail_rows(law.alpha)
     # math.log, not np.log: the two differ in the last bit on a few arguments
-    logx = np.array([math.log(v) for v in ax.tolist()])
-    terms = sign * np.exp(logmag - kap1 * logx[:, None])
+    logx = np.array([math.log(v) for v in np.abs(xs).tolist()])
+    exponent = logmag - powers * logx[:, None]
+    if shift is not None:
+        exponent -= shift
+    terms = sign * np.exp(exponent)
     mags = np.abs(terms)
     stop = np.argmin(mags, axis=1) + 1
-    sums = np.empty(ax.size)
+    sums = np.empty(xs.size)
     # one np.sum per truncation length over contiguous rows keeps each
     # point's summation order that of a 1-D sum of its own terms
     for s in np.unique(stop):
         rows = stop == s
         sums[rows] = np.sum(terms[rows, :s], axis=1)
     val = sums / math.pi
-    err = mags[np.arange(ax.size), np.minimum(stop, _TAIL_KMAX - 1)] / math.pi
+    err = mags[np.arange(xs.size), np.minimum(stop, _TAIL_KMAX - 1)] / math.pi
     _require_converged(law, xs, val, err)
     return float(val[0]) if np.ndim(x) == 0 else val
+
+
+def _density_series(law: StableLaw, x):
+    """Tail series of g at |x|, the term k carrying |x|^(-k alpha - 1)."""
+    return _truncated_series(law, x, _tail_rows(law.alpha)[0])
 
 
 def _require_converged(law: StableLaw, xs, val, err):
@@ -189,18 +198,10 @@ def stable_tail_mass(law: StableLaw, x: float) -> float:
     series integrated term by term (power -k alpha, a 1/(k alpha) factor),
     truncated at its smallest term. Raises NumericError when the truncation
     error exceeds the tolerance of the density's tail series."""
-    a = law.alpha
     if x <= 0:
         raise DomainError("tail mass defined for x > 0")
-    _, logmag, sign = _tail_rows(a)
-    ka = np.arange(1, _TAIL_KMAX + 1, dtype=float) * a
-    logterm = logmag - ka * math.log(x) - np.log(ka)
-    terms = sign * np.exp(logterm)
-    mags = np.abs(terms)
-    stop = int(np.argmin(mags)) + 1
-    val = float(np.sum(terms[:stop])) / math.pi
-    _require_converged(law, x, val, mags[min(stop, _TAIL_KMAX - 1)] / math.pi)
-    return val
+    ka = np.arange(1, _TAIL_KMAX + 1, dtype=float) * law.alpha
+    return _truncated_series(law, x, ka, np.log(ka))
 
 
 def density_total_mass(law: StableLaw) -> float:

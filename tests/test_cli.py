@@ -7,6 +7,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from stablesde import cli, simulate
 from stablesde.cli import _COMMANDS, _SCHEMA, load_config, main
-from stablesde.errors import DomainError, NumericError
+from stablesde.errors import REQUIRED, DomainError, NumericError
 from stablesde.rates import RateBoundSpec, SweepResult, SweepRow
 from stablesde.report import validate_report
 
@@ -273,29 +274,27 @@ class TestConfigParsing:
         ("distances", "distances.sup_window=[]", 3),
         ("distances", 'distances.variant="bogus"', 3),
         ("distances", 'distances.model="empirical"', 2),
+        # the laws and the mollifier a command builds
+        *[(command, "law.alpha=2.3", 3) for command in sorted(TINY)],
+        ("certify-density", "certify.alphas=[1.5] law.alpha=2.3", 3),
+        ("certify-mollifier", "mollifier.eps=1e-5 mollifier.delta=1.0001", 3),
     ])
     def test_bad_catalog_params_fail_before_any_output(self, tmp_path, command,
                                                        override, code):
-        """Catalog params and list entries are checked, like every other
-        key, before the output directory is created."""
+        """Catalog params, list entries, laws and the mollifier are checked,
+        like every other key, before the output directory is created;
+        override is one or more space-separated --set items."""
         cfg = write_cfg(tmp_path, {"command": command, **TINY[command]})
         out = tmp_path / "o"
-        rc, err = run_quiet(["run", "--config", cfg, "--out", str(out),
-                             "--set", override])
+        sets = [arg for item in override.split() for arg in ("--set", item)]
+        rc, err = run_quiet(["run", "--config", cfg, "--out", str(out)] + sets)
         assert rc == code and len(err) == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("command, section, key", [
-        ("simulate", "sim", "T"), ("simulate", "sim", "n_steps"),
-        ("simulate", "sim", "n_paths"), ("simulate", "sim", "seed"),
-        ("sweep", "sim", "seed"), ("sweep", "sim", "T"),
-        ("converge", "sim", "seed"), ("converge", "sim", "n_paths"),
-        ("sweep", "sweep", "family"), ("converge", "converge", "family"),
-        ("simulate", "coefficients", "name"), ("distances", "coefficients", "name"),
-        ("certify-mollifier", "mollifier", "eps"),
-        ("certify-mollifier", "mollifier", "delta"),
-        ("certify-density", "law", "alpha"),
-    ])
+        (command, section, key) for command in sorted(TINY)
+        for section in TINY[command] for key, (_, default, _) in _SCHEMA[section].items()
+        if default is REQUIRED])
     def test_missing_command_key_fails_before_any_output(self, tmp_path, command,
                                                          section, key):
         """A required key that only the command reads is reported, like
@@ -319,6 +318,29 @@ class TestConfigParsing:
                              "distances.model=empirical", "--set", "distances.T=2.0"])
         assert rc == 3 and len(err) == 1 and "sim.T=1" in err[0]
         assert not out.exists()
+
+    def test_one_path_converge_exits_with_one_line(self, tmp_path):
+        """converge's standard errors need two paths: one path is a domain
+        error, not a NaN in report.json and a numpy warning."""
+        cfg = write_cfg(tmp_path, {"command": "converge", **TINY["converge"]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, err = run_quiet(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                                 "--set", "sim.n_paths=1"])
+        assert rc == 3
+        assert err == ["domain error: convergence experiment needs at least 2 paths, "
+                       "got sim.n_paths=1"]
+
+    def test_one_path_empirical_distances_run_without_warning(self, tmp_path):
+        """The empirical distances read the means of the baseline-path
+        averages alone, which one path gives."""
+        cfg = write_cfg(tmp_path, {"command": "distances", **TINY["distances"],
+                                   "sim": {**TINY_SIM, "n_paths": 1}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, err = run_quiet(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                                 "--set", "distances.model=empirical"])
+        assert rc == 0 and err == []
 
     @pytest.mark.parametrize("error, code", [(DomainError, 3), (NumericError, 4)])
     def test_block_failure_exits_with_one_line(self, tmp_path, monkeypatch,
@@ -352,8 +374,10 @@ class TestConfigParsing:
         assert params["digest"] == "0a5809dedf870aeb549840e17960521e"
 
     def test_numeric_failure_prints_its_estimate(self, tmp_path, monkeypatch):
-        def fail(cfg, law, out, dump_paths):
-            raise NumericError("x", estimate=0.5, error_bound=0.1)
+        def fail(cfg, dump_paths):
+            def job(out):
+                raise NumericError("x", estimate=0.5, error_bound=0.1)
+            return job
 
         monkeypatch.setitem(_COMMANDS, "simulate", fail)
         cfg = write_cfg(tmp_path, {"command": "simulate", **TINY["simulate"]})
@@ -379,7 +403,10 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
     def test_shipped_config_loads(self, path):
-        assert load_config(str(path), ())["command"] in _COMMANDS
+        """Each shipped config loads, and its command reads every key it
+        needs and builds its objects."""
+        cfg = load_config(str(path), ())
+        assert callable(_COMMANDS[cfg["command"]](cfg, False))
 
     def test_set_overrides(self, tmp_path):
         out = tmp_path / "o1"

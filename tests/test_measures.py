@@ -235,10 +235,10 @@ class TestDistances:
         assert len(calls) == 1
         # each average is bitwise what a run of that integrand alone gives,
         # with the gap evaluating b and sigma again
-        (b_alone, _), = real(cfg, pair, law15,
-                             [lambda t, x, b, s: pair.drift_gap(t, x) ** 1.0])
-        (s_alone, _), = real(cfg, pair, law15,
-                             [lambda t, x, b, s: pair.jump_gap(t, x) ** 1.5])
+        b_alone, = real(cfg, pair, law15,
+                        [lambda t, x, b, s: pair.drift_gap(t, x) ** 1.0])
+        s_alone, = real(cfg, pair, law15,
+                        [lambda t, x, b, s: pair.jump_gap(t, x) ** 1.5])
         assert B == b_alone and S == s_alone ** (1 / 1.5) and S > 0
         # another pair on the same model simulates again
         ss.distance_B(make_pair("drift_shift", {"shift": 0.2}), emp, 1.0)
