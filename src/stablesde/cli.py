@@ -55,8 +55,8 @@ _SCHEMA = {
     "sim": {"T": (float, REQUIRED, 0.0), "n_steps": (int, REQUIRED, 1),
             "n_paths": (int, REQUIRED, 1), "seed": (int, REQUIRED, None),
             "x_clip": (float, None, 0.0)},
-    "distances": {"model": (str, REQUIRED, None), "M": (float, None, None),
-                  "time_nodes": (int, None, 2), "sup_window": (list, None, None),
+    "distances": {"model": (str, REQUIRED, None), "time_nodes": (int, None, 2),
+                  "sup_window": (list, None, None),
                   "sup_points": (int, 10001, 1),
                   "variant": (str, "time_integral", None), "T": (float, REQUIRED, 0.0)},
     "sweep": {"family": (str, REQUIRED, None), "params": (dict, {}, None),
@@ -103,8 +103,7 @@ def load_config(path: str, overrides) -> dict:
     # command does not read the section; an unknown name is left to the
     # command that reads it
     for section, names in _CATALOG.items():
-        given = cfg.get(section, {})
-        if given.get("name", given.get("family")) in names:
+        if cfg[section].get("name", cfg[section].get("family")) in names:
             _catalog(cfg, section)
     return cfg
 
@@ -125,8 +124,11 @@ def _apply_override(cfg: dict, dotted: str, raw: str) -> None:
 
 
 def _validate_schema(cfg: dict) -> None:
-    """Check every key of cfg against _SCHEMA, replacing each value by its
-    typed value (an int written for a float becomes a float)."""
+    """Check every key of cfg against _SCHEMA and replace each section, also
+    an absent one, by check_section's Checked result: its typed values (an
+    int written for a float becomes a float) and the defaults of its absent
+    keys, so that a command reads cfg[section][key], and reading a required
+    key that was not given raises ConfigError."""
     unknown = set(cfg) - set(_SCHEMA) - {"command"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -135,22 +137,13 @@ def _validate_schema(cfg: dict) -> None:
         raise ConfigError(f"unknown command {command!r}; "
                           f"expected one of {tuple(_COMMANDS)}")
     for section, table in _SCHEMA.items():
-        if section in cfg:
-            check_section(cfg[section], table, section)
-
-
-def _value(cfg, section, key):
-    """A key's checked value, or its _SCHEMA default when absent."""
-    value = cfg.get(section, {}).get(key, _SCHEMA[section][key][1])
-    if value is REQUIRED:
-        raise ConfigError(f"{section}.{key} must be explicit")
-    return value
+        cfg[section] = check_section(cfg.get(section, {}), table, section)
 
 
 def _given(cfg, section, *keys) -> dict:
     """The keys set (or required), for a constructor with defaults for the rest."""
     return {key: value for key in keys
-            if (value := _value(cfg, section, key)) is not None}
+            if (value := cfg[section][key]) is not None}
 
 
 def _sim_config(cfg, keep_paths=False) -> SimConfig:
@@ -158,15 +151,15 @@ def _sim_config(cfg, keep_paths=False) -> SimConfig:
 
 
 def _law(cfg):
-    return make_stable_law(_value(cfg, "law", "alpha"))
+    return make_stable_law(cfg["law"]["alpha"])
 
 
 def _catalog(cfg, section):
     """The coefficient pair (section coefficients) or perturbation family
     (sweep, converge) the section names."""
     family = section != "coefficients"
-    name = _value(cfg, section, "family" if family else "name")
-    return (make_family if family else make_pair)(name, _value(cfg, section, "params"))
+    name = cfg[section]["family" if family else "name"]
+    return (make_family if family else make_pair)(name, cfg[section]["params"])
 
 
 # ---------------------------------------------------------------------------
@@ -175,14 +168,14 @@ def _catalog(cfg, section):
 
 def _cmd_certify_mollifier(cfg, dump_paths: bool):
     law = _law(cfg)
-    m = moll.build_mollifier(law.alpha, _value(cfg, "mollifier", "eps"),
-                             _value(cfg, "mollifier", "delta"))
+    m = moll.build_mollifier(law.alpha, cfg["mollifier"]["eps"],
+                             cfg["mollifier"]["delta"])
     s = moll.SmoothedDistance(m)
     lo, hi = _CERTIFY_WINDOW
-    grid = np.linspace(lo, hi, _value(cfg, "certify", "grid_points"))
+    grid = np.linspace(lo, hi, cfg["certify"]["grid_points"])
     grid = grid[grid != 0.0]
     a_s, b_s = m.support
-    nk = _value(cfg, "certify", "komatsu_points")
+    nk = cfg["certify"]["komatsu_points"]
     thetas = np.concatenate([np.linspace(a_s * 1.01, b_s * 0.99, nk),
                              [2 * m.eps, -2 * m.eps, 1.0, -1.0, -a_s]])
 
@@ -210,7 +203,7 @@ def _cmd_certify_mollifier(cfg, dump_paths: bool):
 
 def _cmd_certify_density(cfg, dump_paths: bool):
     law = _law(cfg)
-    alphas = _value(cfg, "certify", "alphas") or [law.alpha]
+    alphas = cfg["certify"]["alphas"] or [law.alpha]
     if not all(1.0 < a < 2.0 for a in alphas):
         raise DomainError(f"certify.alphas entries must lie in (1, 2), got {alphas}")
     laws = [make_stable_law(float(alpha)) for alpha in alphas]
@@ -255,14 +248,14 @@ def _cmd_certify_density(cfg, dump_paths: bool):
 def _cmd_distances(cfg, dump_paths: bool):
     law = _law(cfg)
     pair = _catalog(cfg, "coefficients")
-    T = _value(cfg, "distances", "T")
-    mode = _value(cfg, "distances", "model")
-    model = DensityModel(mode=mode, law=law, **_given(cfg, "distances", "M"),
+    T = cfg["distances"]["T"]
+    mode = cfg["distances"]["model"]
+    model = DensityModel(mode=mode, law=law,
                          sim_config=_sim_config(cfg) if mode == "empirical" else None)
     check_horizon(model, T)
-    variant = _value(cfg, "distances", "variant")
-    window = check_sup_args(variant, _value(cfg, "distances", "sup_window"), pair.x0)
-    n_pts = _value(cfg, "distances", "sup_points")
+    variant = cfg["distances"]["variant"]
+    window = check_sup_args(variant, cfg["distances"]["sup_window"], pair.x0)
+    n_pts = cfg["distances"]["sup_points"]
     nodes = _given(cfg, "distances", "time_nodes")
 
     def job(out: Path) -> Report:
@@ -321,7 +314,7 @@ def _cmd_sweep(cfg, dump_paths: bool):
     law = _law(cfg)
     family = _catalog(cfg, "sweep")
     sim = _sim_config(cfg)
-    h_values = _value(cfg, "sweep", "h_values")
+    h_values = cfg["sweep"]["h_values"]
     if not all(h > 0 for h in h_values):
         raise DomainError(f"sweep.h_values entries must be > 0, got {h_values}")
 
@@ -418,7 +411,7 @@ def run(config_path: str, overrides=(), out_dir: str | None = None,
             raise ConfigError(f"--dump-paths applies to the simulate command only, "
                               f"not {command!r}")
         job = _COMMANDS[command](cfg, dump_paths)
-        out = Path(out_dir or _value(cfg, "output", "dir"))
+        out = Path(out_dir or cfg["output"]["dir"])
         try:
             (out / "plotdata").mkdir(parents=True, exist_ok=True)
         except OSError as exc:

@@ -47,38 +47,35 @@ def _time_grid(T: float, alpha: float, n: int) -> np.ndarray:
 class DensityModel:
     """How to approximate the law of the baseline of the pair it is used with.
 
-    frozen_plain: p0;  frozen_upper: M * p0 (upper comparability envelope,
-    M >= 1); empirical: Monte Carlo average along baseline paths simulated
-    with sim_config. M is 1 outside frozen_upper.
+    frozen_plain: p0;  empirical: Monte Carlo average along baseline paths
+    simulated with sim_config.
     """
 
     mode: str
     law: StableLaw
-    M: float = 1.0
     sim_config: SimConfig | None = None
-    # (pair, averages) of the last empirical run
-    _empirical: tuple | None = field(default=None, init=False, repr=False,
-                                     compare=False)
-    # (pair, {(t, window factor): density on the window's nodes}) of the last
-    # pair whose frozen distances ran
-    _frozen: tuple | None = field(default=None, init=False, repr=False,
-                                  compare=False)
+    # (pair, what its distances share) of the last pair: the density on each
+    # window, or the baseline-path averages
+    _memo: tuple | None = field(default=None, init=False, repr=False,
+                                compare=False)
 
     def __post_init__(self):
-        if self.mode not in ("frozen_plain", "frozen_upper", "empirical"):
+        if self.mode not in ("frozen_plain", "empirical"):
             raise DomainError(f"unknown density model mode {self.mode!r}")
-        if self.mode == "frozen_upper" and not self.M >= 1.0:
-            raise DomainError("comparability constant M must be >= 1")
-        if self.mode != "frozen_upper" and self.M != 1.0:
-            raise DomainError(f"comparability constant M applies to the frozen_upper "
-                              f"model only, got M={self.M:g} with model {self.mode!r}")
         if self.mode == "empirical" and self.sim_config is None:
             raise DomainError("empirical mode needs a SimConfig")
 
+    def _shared(self, pair: CoefficientPair, build):
+        """What the distances of pair share on this model: build() for a
+        pair other than the last one, else the last pair's value."""
+        if self._memo is None or self._memo[0] is not pair:
+            self._memo = (pair, build())
+        return self._memo[1]
+
 
 def frozen_density(model: DensityModel, pair: CoefficientPair, t: float, y):
-    """Frozen-coefficient density p0_t(x0, y) of the pair's baseline, times M;
-    sigma is evaluated at the target point y."""
+    """Frozen-coefficient density p0_t(x0, y) of the pair's baseline; sigma
+    is evaluated at the target point y."""
     if model.mode == "empirical":
         raise DomainError("the empirical model has no closed-form density")
     if t <= 0:
@@ -86,7 +83,7 @@ def frozen_density(model: DensityModel, pair: CoefficientPair, t: float, y):
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     sig = np.asarray(pair.sigma(t, y_arr), dtype=float)
     scale = t ** (1.0 / model.law.alpha) * sig ** (1.0 / model.law.alpha)
-    vals = model.M * (density_grid(model.law, (y_arr - pair.x0) / scale) / scale)
+    vals = density_grid(model.law, (y_arr - pair.x0) / scale) / scale
     return float(vals[0]) if np.ndim(y) == 0 else vals
 
 
@@ -98,9 +95,7 @@ def _space_integral(model: DensityModel, pair: CoefficientPair, t: float, gap_fn
     """int gap(y) p0_t(x0, y) dy over an expanding window + tail estimate.
     The density on each window is memoized on the model for the pair, so
     distance_B and distance_S of one pair evaluate it once."""
-    if model._frozen is None or model._frozen[0] is not pair:
-        model._frozen = (pair, {})
-    densities = model._frozen[1]
+    densities = model._shared(pair, dict)
     a = model.law.alpha
     x0 = pair.x0
     sig0 = float(np.asarray(pair.sigma(t, np.array([x0])))[0])
@@ -117,7 +112,7 @@ def _space_integral(model: DensityModel, pair: CoefficientPair, t: float, gap_fn
         body = float(np.sum(gap_fn(nodes) * density * wts))
         gap_far = max(float(gap_fn(np.array([x0 + R]))[0]),
                       float(gap_fn(np.array([x0 - R]))[0]))
-        tail = 2.0 * model.M * gap_far * stable_tail_mass(model.law, Z * 0.8)
+        tail = 2.0 * gap_far * stable_tail_mass(model.law, Z * 0.8)
         if tail <= _SPACE_REL_TOL * max(body, 1e-300) or gap_far == 0.0:
             return body + tail
         Z *= 4.0
@@ -134,14 +129,11 @@ def _empirical_averages(pair: CoefficientPair, model: DensityModel) -> list:
     single-leg run whose step values of b and sigma the gaps reuse: the
     first empirical distance of a pair on a model simulates once for both,
     and the second reuses the run."""
-    memo = model._empirical
-    if memo is None or memo[0] is not pair:
-        (drift_gap, p_b), (jump_gap, p_s) = _gap_powers(pair, model.law.alpha)
-        memo = model._empirical = (pair, simulate_baseline_average(
-            model.sim_config, pair, model.law,
-            [lambda t, x, b, s: drift_gap(t, x, b) ** p_b,
-             lambda t, x, b, s: jump_gap(t, x, s) ** p_s]))
-    return memo[1]
+    (drift_gap, p_b), (jump_gap, p_s) = _gap_powers(pair, model.law.alpha)
+    return model._shared(pair, lambda: simulate_baseline_average(
+        model.sim_config, pair, model.law,
+        [lambda t, x, b, s: drift_gap(t, x, b) ** p_b,
+         lambda t, x, b, s: jump_gap(t, x, s) ** p_s]))
 
 
 def check_horizon(model: DensityModel, T: float) -> None:
@@ -166,8 +158,8 @@ def _distance_weighted(pair: CoefficientPair, model: DensityModel, T: float,
     gap, power = _gap_powers(pair, model.law.alpha)[which]
     nodes = _time_grid(T, model.law.alpha, time_nodes)
     vals = np.empty_like(nodes)
-    # s -> 0 limit: the frozen density concentrates mass (M in upper mode) at x0
-    vals[0] = model.M * float(gap(0.0, np.array([pair.x0]))[0]) ** power
+    # s -> 0 limit: the frozen density concentrates unit mass at x0
+    vals[0] = float(gap(0.0, np.array([pair.x0]))[0]) ** power
     for j, s in enumerate(nodes[1:], start=1):
         vals[j] = _space_integral(model, pair, s, lambda y, s_=s: gap(s_, y) ** power)
     return float(np.trapezoid(vals, nodes))

@@ -120,10 +120,6 @@ class Mollifier:
         vals = self.psi_and_prime(x)[0]
         return float(vals[0]) if np.ndim(x) == 0 else vals
 
-    def psi_prime(self, x):
-        vals = self.psi_and_prime(x)[1]
-        return float(vals[0]) if np.ndim(x) == 0 else vals
-
     def base_edges(self) -> np.ndarray:
         """Panel edges resolving the two window ramps and the flat middle."""
         a, b = self.support

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from stablesde import cli, simulate
 from stablesde.cli import _COMMANDS, _SCHEMA, load_config, main
-from stablesde.errors import REQUIRED, DomainError, NumericError
+from stablesde.errors import REQUIRED, Checked, DomainError, NumericError
 from stablesde.rates import RateBoundSpec, SweepResult, SweepRow
 from stablesde.report import validate_report
 
@@ -192,11 +192,8 @@ class TestConfigParsing:
         ("certify-density", "--set certify.alphas=[]", 3, "certify.alphas"),
         ("simulate", "--set sim.seed=" + "9" * 45, 3, "seed"),
         ("distances", "--set coefficients.params.width=0", 3, "width"),
-        # M scales the frozen_upper envelope and no other model
-        ("distances", "--set distances.M=0.5", 3, "frozen_upper"),
-        ("distances", '--set distances.model=empirical --set distances.M=7 '
-                      '--set sim={"T":1.0,"n_steps":4,"n_paths":16,"seed":5}', 3,
-         "frozen_upper"),
+        # the envelope M p0 gives M B and M^(1/alpha) S, so no model reads an M
+        ("distances", "--set distances.M=2", 2, "['M']"),
         ("converge", "--set converge.params.h0=0", 3, "scale h"),
         # members, and list entries, that would fail only after the ones before them ran
         ("sweep", '--set sweep.family="jump_bump" --set sweep.params={"ratio":1e200,"n_stop":3}',
@@ -268,6 +265,7 @@ class TestConfigParsing:
         ("sweep", "sweep.h_values=[-1]", 3),
         ("certify-density", "certify.alphas=[1.5,2.5]", 3),
         ("distances", 'distances.model="bogus"', 3),
+        ("distances", 'distances.model="frozen_upper"', 3),
         ("distances", "distances.sup_window=[1]", 3),
         ("distances", "distances.sup_window=[1,1]", 3),
         # only an absent window stands for the default one
@@ -407,6 +405,31 @@ class TestConfigParsing:
         needs and builds its objects."""
         cfg = load_config(str(path), ())
         assert callable(_COMMANDS[cfg["command"]](cfg, False))
+
+    def test_every_schema_key_has_a_reader(self, tmp_path, monkeypatch):
+        """No config key without a reader: the TINY configs, each through
+        its build step and its job, and run reading output.dir, read every
+        _SCHEMA key."""
+        read = set()
+
+        class Recorded(Checked):
+            def __getitem__(self, key):
+                read.add((self.where, key))
+                return super().__getitem__(key)
+
+        def check_section(given, table, where):
+            values = Recorded(real(given, table, where))
+            values.where = where
+            return values
+
+        real = cli.check_section
+        monkeypatch.setattr(cli, "check_section", check_section)
+        for command in sorted(TINY):
+            cfg = write_cfg(tmp_path, {"command": command, **TINY[command]})
+            rc, err = run_quiet(["run", "--config", cfg,
+                                 "--set", f"output.dir={tmp_path / command}"])
+            assert rc == 0 and err == []
+        assert read == {(section, key) for section in _SCHEMA for key in _SCHEMA[section]}
 
     def test_set_overrides(self, tmp_path):
         out = tmp_path / "o1"

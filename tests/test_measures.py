@@ -70,13 +70,6 @@ class TestFrozenDensity:
             tail = 2.0 * ss.stable_tail_mass(law15, 200.0 * (0.95 / 1.05) ** (1 / 1.5))
             assert abs(body + tail - 1.0) < 1e-3
 
-    def test_upper_mode_scales_by_M(self, law15, gentle_model):
-        pair, plain = gentle_model
-        upper = DensityModel(mode="frozen_upper", law=law15, M=2.5)
-        y = np.linspace(-3, 3, 11)
-        assert np.allclose(ss.frozen_density(upper, pair, 0.5, y),
-                           2.5 * ss.frozen_density(plain, pair, 0.5, y), rtol=1e-13)
-
     def test_tail_envelope_band(self, law15, gentle_model):
         pair, model = gentle_model
         ys = np.array([20.0, 35.0, -25.0])
@@ -100,8 +93,11 @@ class TestFrozenDensity:
     def test_model_validation(self, law15):
         with pytest.raises(ss.DomainError):
             DensityModel(mode="nonsense", law=law15)
+        # the envelope M p0 gives M B and M^(1/alpha) S: no mode of its own
         with pytest.raises(ss.DomainError):
-            DensityModel(mode="frozen_upper", law=law15, M=0.5)
+            DensityModel(mode="frozen_upper", law=law15)
+        with pytest.raises(TypeError):
+            DensityModel(mode="frozen_plain", law=law15, M=1.0)
         with pytest.raises(ss.DomainError):
             DensityModel(mode="empirical", law=law15)
 
@@ -155,15 +151,6 @@ class TestDistances:
         assert ss.distance_S(pair, model, 1.0) == pytest.approx(0.2, rel=1e-3)
         assert ss.distance_S(pair, model, 2.0) == pytest.approx(
             0.2 * 2.0 ** (1 / 1.5), rel=1e-3)
-
-    def test_upper_mode_ratio_exactly_M(self, law15):
-        pair = make_pair("drift_bump", {"amp": 0.25})
-        plain = DensityModel(mode="frozen_plain", law=law15)
-        upper = DensityModel(mode="frozen_upper", law=law15, M=3.0)
-        b_plain = ss.distance_B(pair, plain, 1.0)
-        b_upper = ss.distance_B(pair, upper, 1.0)
-        assert b_upper == pytest.approx(3.0 * b_plain, rel=1e-9)
-        assert b_plain <= b_upper
 
     def test_bump_scaling_slope(self, law15):
         from stablesde.quadrature import ols_loglog
@@ -264,6 +251,26 @@ class TestDistances:
         n = len(calls)
         ss.distance_B(make_pair("drift_shift", {"shift": 0.2}), model, 1.0)
         assert len(calls) > n
+
+    @pytest.mark.parametrize("mode", ["frozen_plain", "empirical"])
+    def test_memo_follows_the_pair(self, law15, mode):
+        """Pair A, then B, then A again on one model: each pair's B and S
+        are bitwise those of a fresh model, so the memo never serves one
+        pair's density or run to another (the two baselines differ)."""
+        cfg = ss.SimConfig(T=1.0, n_steps=16, n_paths=256, seed=3)
+
+        def model():
+            return DensityModel(mode=mode, law=law15, sim_config=cfg)
+
+        def both(pair, m):
+            return ss.distance_B(pair, m, 1.0, 4), ss.distance_S(pair, m, 1.0, 4)
+
+        a = make_pair("jump_bump", {"amp": 0.3, "s1": 0.05})
+        b = make_pair("drift_bump", {"amp": 0.2, "s1": 0.1, "x0": 0.5})
+        shared = model()
+        for pair in (a, b, a):
+            got = both(pair, shared)
+            assert got == both(pair, model()) and max(got) > 0
 
 
 class TestSupDistances:
