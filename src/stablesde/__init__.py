@@ -4,9 +4,8 @@ from .coefficients import (CoefficientPair, PerturbationFamily, make_family,
                            make_pair)
 from .errors import (AssumptionViolation, ConstructionError, DomainError,
                      NumericError)
-from .measures import (DensityModel, comparability_band, distance_B,
-                       distance_B_sup, distance_S, distance_S_sup,
-                       frozen_density)
+from .measures import (DensityModel, distance_B, distance_B_sup, distance_S,
+                       distance_S_sup, frozen_density)
 from .mollifier import (Mollifier, SmoothedDistance, build_mollifier,
                         certify_derivative_bound, certify_komatsu,
                         certify_mollifier_shape, certify_sandwich,

@@ -20,7 +20,7 @@ where the frozen density concentrates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .stable import StableLaw, density_grid, stable_tail_mass
 
 _SPACE_REL_TOL = 1e-4   # tail share at which a space integral's window stops growing
 _SUP_TIME_NODES = 65    # uniform time nodes of the sup distances
-_BAND_SLACK = 0.25      # comparability_band widening for Monte Carlo noise
 
 
 def _time_grid(T: float, alpha: float, n: int) -> np.ndarray:
@@ -225,46 +224,3 @@ def distance_S_sup(pair: CoefficientPair, alpha: float, T: float, *,
     window = check_sup_args(variant, window, pair.x0)
     return _sup_distance(T, pair.jump_gap, alpha, variant, window, n_points)
 
-
-# ---------------------------------------------------------------------------
-# empirical vs frozen comparability band
-# ---------------------------------------------------------------------------
-
-@dataclass
-class BandFit:
-    ratios_fit: list
-    ratios_held_out: list
-    m: float
-    M: float
-    passes: bool
-
-
-def comparability_band(pairs_fit, pairs_check, law: StableLaw, T: float,
-                       sim_config: SimConfig) -> BandFit:
-    """Fit the density-bracketing band from calibration members and verify
-    held-out members fall inside it.
-
-    For each perturbation member the ratio empirical-B / frozen-B estimates
-    where the true density sits inside [m, M] p0. The band is fitted once
-    per coefficient pair (spread of the calibration ratios, slack-widened
-    for Monte Carlo noise) and must satisfy 0 < m <= M < 10.
-    """
-    frozen = DensityModel(mode="frozen_plain", law=law)
-
-    def ratio(pair, index):
-        b_frozen = distance_B(pair, frozen, T)
-        cfg = replace(sim_config,
-                      stream_label=f"{sim_config.stream_label}-{index}")
-        emp = DensityModel(mode="empirical", law=law, sim_config=cfg)
-        b_emp = distance_B(pair, emp, T)
-        if b_frozen <= 0:
-            raise DomainError("frozen-mode distance vanished; cannot form ratio")
-        return b_emp / b_frozen
-
-    fit = [ratio(p, i) for i, p in enumerate(pairs_fit)]
-    held = [ratio(p, i + len(pairs_fit)) for i, p in enumerate(pairs_check)]
-    m = min(fit) / (1.0 + _BAND_SLACK)
-    M = max(fit) * (1.0 + _BAND_SLACK)
-    ok = (0.0 < m <= M < 10.0) and all(m <= r <= M for r in held)
-    return BandFit(ratios_fit=fit, ratios_held_out=held, m=m, M=M,
-                   passes=bool(ok))

@@ -8,16 +8,16 @@ time is spent holding the lock (QUADPACK calling a Python integrand, many
 small numpy calls), so threads do not speed them up; map_interleaved runs
 them on forked processes instead.
 
-fork_map forks its workers, so the function and its items reach them as the
-caller's memory, without pickling, and no worker imports the package again
-(a spawned worker would start an interpreter and import numpy and scipy,
-about 0.65 s on a 2-vCPU host, longer than either loop takes); only the
-index of each item and its result cross a pipe. Forking a process
-that runs other Python threads can deadlock the child, so fork_map runs
-inline when other threads are alive or when it is called from a thread other
-than the main thread; it also runs inline on a platform without the fork
-start method and when workers() is 1. Either way the results are those of
-[fn(item) for item in items].
+map_interleaved forks its workers, so the function and its slices reach
+them as the caller's memory, without pickling, and no worker imports the
+package again (a spawned worker would start an interpreter and import numpy
+and scipy, about 0.65 s on a 2-vCPU host, longer than either loop takes);
+only the index of each slice and its result cross a pipe. Forking a process
+that runs other Python threads can deadlock the child, so map_interleaved
+runs inline when other threads are alive or when it is called from a thread
+other than the main thread; it also runs inline on a platform without the
+fork start method and when workers() is 1. Either way the result is that of
+fn applied to each slice in turn.
 """
 
 from __future__ import annotations
@@ -44,46 +44,40 @@ def _can_fork() -> bool:
             and threading.active_count() == 1)
 
 
-_task = None    # (fn, items) in a forked worker, set once by _receive
+_task = None    # (fn, slices) in a forked worker, set once by _receive
 
 
-def _receive(fn, items):
+def _receive(fn, slices):
     global _task
-    _task = fn, items
+    _task = fn, slices
 
 
 def _call(i: int):
-    fn, items = _task
-    return fn(items[i])
-
-
-def fork_map(fn, items) -> list:
-    """[fn(item) for item in items], each item computed in one of
-    min(workers(), len(items)) forked processes, in item order. The first
-    exception in item order reaches the caller with its message and
-    attributes. Every worker has exited when the call returns or raises."""
-    items = list(items)
-    n = min(workers(), len(items))
-    if n <= 1 or not _can_fork():
-        return [fn(item) for item in items]
-    # with fork, the pool starts all its processes before its manager thread
-    with ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_receive, initargs=(fn, items)) as pool:
-        return list(pool.map(_call, range(len(items))))
+    fn, slices = _task
+    return fn(slices[i])
 
 
 def map_interleaved(fn, xs) -> np.ndarray:
     """fn applied to the workers() interleaved slices xs[i::w] of the 1-D
-    array xs by fork_map, its results put back in the order of xs. fn maps a
-    1-D array of points to a float array whose last axis runs over those
-    points; a value must depend on its own point only, and then the result
-    is bitwise that of fn(xs) for any worker count. Interleaving spreads
-    regions of costly points, such as a densely sampled stretch of a grid,
-    evenly over the workers. If fn raises for points of several slices, the
-    error of the first such slice is raised."""
+    array xs, each slice in one of w forked processes, its results put back
+    in the order of xs. fn maps a 1-D array of points to a float array whose
+    last axis runs over those points; a value must depend on its own point
+    only, and then the result is bitwise that of fn(xs) for any worker
+    count. Interleaving spreads regions of costly points, such as a densely
+    sampled stretch of a grid, evenly over the workers. If fn raises for
+    points of several slices, the error of the first such slice reaches the
+    caller with its message and attributes. Every worker has exited when the
+    call returns or raises."""
     xs = np.asarray(xs)
     w = max(1, min(workers(), xs.size))
-    parts = fork_map(fn, [xs[i::w] for i in range(w)])
+    slices = [xs[i::w] for i in range(w)]
+    if w == 1 or not _can_fork():
+        parts = [fn(s) for s in slices]
+    else:
+        # with fork, the pool starts all its processes before its manager thread
+        with ProcessPoolExecutor(w, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_receive, initargs=(fn, slices)) as pool:
+            parts = list(pool.map(_call, range(w)))
     out = np.empty(parts[0].shape[:-1] + (xs.size,))
     for i, part in enumerate(parts):
         out[..., i::w] = part

@@ -344,8 +344,6 @@ def generator_apply(law: StableLaw, f2, x: float, breakpoints=()) -> float:
     q = 1.0 / (2.0 - a)
     total = 0.0
     for lo, hi in zip(seg[:-1], seg[1:]):
-        if hi - lo <= 0:
-            continue
         if lo == 0.0 or hi == 0.0:
             sgn = 1.0 if lo == 0.0 else -1.0
             v_hi = (hi if lo == 0.0 else -lo) ** (2.0 - a)

@@ -14,16 +14,29 @@ u_spline evaluates the smoothed distance u fast, the way the package does
 u' and u'': a cubic spline through u_exact on the master grid inside the
 far-field switch, the moment series outside. The package reads u only
 through u_exact, so its cache holds no u spline.
+
+u_second_adaptive is u'' of the smoothed distance by adaptive QUADPACK
+quadrature, the kernel's singularity at y = x carried by an algebraic weight,
+against which the package's graded-panel near field is checked.
+
+comparability_band fits the bracket [m, M] of the empirical-to-frozen ratio
+of the drift distance B on calibration pairs and checks held-out pairs fall
+inside it: the true density lies within [m, M] p0.
 """
 
 import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import integrate
 from scipy.interpolate import CubicSpline
 
-from stablesde.errors import NumericError
+from stablesde.errors import DomainError, NumericError
+from stablesde.measures import DensityModel, distance_B
+from stablesde.simulate import SimConfig
 from stablesde.stable import StableLaw, stable_tail_mass
+
+_BAND_SLACK = 0.25      # comparability_band widening for Monte Carlo noise
 
 
 def stable_cdf(law: StableLaw, x) -> float:
@@ -119,3 +132,74 @@ def second_difference_route(law, f, x, f2=None, breakpoints=()):
         raise NumericError("generator quadrature did not reach tolerance",
                            estimate=val, error_bound=total_err)
     return val
+
+
+def u_second_adaptive(m, x: float) -> float:
+    """u''(x) = (alpha-1) int psi'(y) sign(x-y) |x-y|^(alpha-2) dy for the
+    Mollifier m and x inside its support, by QUADPACK: split at y = x, the
+    piece next to x on either side carries |x-y|^(alpha-2) as weight="alg",
+    and the ramp ends of psi break the rest."""
+    a = m.alpha
+    lo, hi = m.support
+    rl, rh = m.ramp_widths
+    if not lo < x < hi:
+        raise ValueError("x must lie inside the mollifier support")
+
+    def dpsi(y):
+        return float(m.psi_and_prime(y)[1][0])
+
+    ends = [lo, lo + rl, hi - rh, hi]
+    left = [e for e in ends if e < x] + [x]
+    right = [x] + [e for e in ends if e > x]
+    opts = dict(epsabs=0.0, epsrel=1e-13, limit=400)
+    total = 0.0
+    for sgn, cuts in ((1.0, left), (-1.0, right)):
+        for p, q in zip(cuts[:-1], cuts[1:]):
+            if x in (p, q):
+                wvar = (0.0, a - 2.0) if q == x else (a - 2.0, 0.0)
+                part = integrate.quad(dpsi, p, q, weight="alg", wvar=wvar, **opts)[0]
+            else:
+                part = integrate.quad(lambda y: dpsi(y) * abs(x - y) ** (a - 2.0),
+                                      p, q, **opts)[0]
+            total += sgn * part
+    return (a - 1.0) * total
+
+
+@dataclass
+class BandFit:
+    ratios_fit: list
+    ratios_held_out: list
+    m: float
+    M: float
+    passes: bool
+
+
+def comparability_band(pairs_fit, pairs_check, law: StableLaw, T: float,
+                       sim_config: SimConfig) -> BandFit:
+    """Fit the density-bracketing band from calibration members and verify
+    held-out members fall inside it.
+
+    For each perturbation member the ratio empirical-B / frozen-B estimates
+    where the true density sits inside [m, M] p0. The band is fitted once
+    per coefficient pair (spread of the calibration ratios, slack-widened
+    for Monte Carlo noise) and must satisfy 0 < m <= M < 10.
+    """
+    frozen = DensityModel(mode="frozen_plain", law=law)
+
+    def ratio(pair, index):
+        b_frozen = distance_B(pair, frozen, T)
+        cfg = replace(sim_config,
+                      stream_label=f"{sim_config.stream_label}-{index}")
+        emp = DensityModel(mode="empirical", law=law, sim_config=cfg)
+        b_emp = distance_B(pair, emp, T)
+        if b_frozen <= 0:
+            raise DomainError("frozen-mode distance vanished; cannot form ratio")
+        return b_emp / b_frozen
+
+    fit = [ratio(p, i) for i, p in enumerate(pairs_fit)]
+    held = [ratio(p, i + len(pairs_fit)) for i, p in enumerate(pairs_check)]
+    m = min(fit) / (1.0 + _BAND_SLACK)
+    M = max(fit) * (1.0 + _BAND_SLACK)
+    ok = (0.0 < m <= M < 10.0) and all(m <= r <= M for r in held)
+    return BandFit(ratios_fit=fit, ratios_held_out=held, m=m, M=M,
+                   passes=bool(ok))

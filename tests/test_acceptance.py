@@ -3,8 +3,9 @@
 The bounds under test are inequalities with unspecified constants, so the
 checks are property-based: slopes against analytic exponents, one-point
 calibrated bound dominance with all remaining rows out of sample, and
-certified pointwise inequalities at stated tolerances. Every run is fully
-seeded and deterministic.
+certified pointwise inequalities at stated tolerances. Where Euler is exact
+(constant coefficients), criterion 12 checks a moment curve against its
+closed form. Every run is fully seeded and deterministic.
 
 Run with `pytest -v -s tests/test_acceptance.py` to see the per-criterion
 lines as they complete.
@@ -17,12 +18,11 @@ import pytest
 
 import stablesde as ss
 from stablesde.coefficients import make_family, make_pair
-from stablesde.measures import comparability_band
 from stablesde.quadrature import ols_loglog
 from stablesde.simulate import SimConfig
 from stablesde.stable import density_total_mass
 
-from oracles import stable_cdf
+from oracles import comparability_band, stable_cdf
 
 ALPHA = 1.5
 G0 = {1.2: 0.29942005917982891, 1.5: 0.28735275145216445,
@@ -185,9 +185,6 @@ def test_criterion_8_tail_probability_shape(jump_sweep):
 
 
 def test_criterion_9_weighted_distance_consistency(law):
-    def member(amp, i):
-        return make_pair("drift_bump", {"amp": amp, "s1": 0.05}), i
-
     amps_fit, amps_check = [0.4, 0.2], [0.1, 0.05]
     pairs_fit = [make_pair("drift_bump", {"amp": a, "s1": 0.05})
                  for a in amps_fit]
@@ -250,3 +247,25 @@ def test_criterion_11_moment_threshold_negative_control(law):
     assert report(11, ok, f"q=alpha-1 Cauchy-stable: {low_ok}; "
                           f"q=alpha fails stability: {high_fails} "
                           f"(moment threshold at alpha)")
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
+def test_criterion_12_constant_coefficient_moments(alpha):
+    # with b = 0 and sigma = 1, Euler is exact and X_t - X~_t = -c Z_t, so
+    # E|X_t - X~_t|^q = |c|^q t^(q/alpha) m(alpha, q) for exp(-|u|^alpha)
+    c, q = 0.3, alpha - 1.0
+    pair = make_pair("jump_shift", {"b_amp": 0.0, "s1": 0.0, "shift": c})
+    cfg = SimConfig(T=1.0, n_steps=200, n_paths=40000, seed=5,
+                    stream_label="c12")
+    curve = ss.distance_moment_curve(
+        ss.simulate_coupled(cfg, pair, ss.make_stable_law(alpha)), q)
+    m = (2.0 ** q * math.gamma((1.0 + q) / 2.0) * math.gamma(1.0 - q / alpha)
+         / (math.sqrt(math.pi) * math.gamma(1.0 - q / 2.0)))
+    later = curve.times > 0.0
+    exact = abs(c) ** q * curve.times[later] ** (q / alpha) * m
+    z = np.abs(curve.mean[later] - exact) / curve.stderr[later]
+    ok = bool(np.all(z <= 4.0))
+    assert report(12, ok, f"alpha={alpha}: E|X_t - X~_t|^(alpha-1) against "
+                          f"|c|^q t^(q/alpha) m(alpha, q) at {later.sum()} times, "
+                          f"max |z| = {z.max():.2f} (<= 4); 40000 paths, "
+                          f"200 steps")

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from stablesde import cli, simulate
 from stablesde.cli import _COMMANDS, _SCHEMA, load_config, main
-from stablesde.errors import REQUIRED, Checked, DomainError, NumericError
+from stablesde.errors import REQUIRED, Checked, ConfigError, DomainError, NumericError
 from stablesde.rates import RateBoundSpec, SweepResult, SweepRow
 from stablesde.report import validate_report
 
@@ -554,8 +554,13 @@ class TestRunCommands:
         assert check["margin"] == -check["value"] < 0
 
     # distances' distances_finite row writes its bound as Infinity; those
-    # bytes are pinned by the benchmark (ROADMAP)
-    @pytest.mark.parametrize("command", sorted(set(TINY) - {"distances"}))
+    # bytes are pinned by the benchmark, and the re-pin that mends them
+    # flips this mark (ROADMAP item 5)
+    @pytest.mark.parametrize("command", [
+        pytest.param(c, marks=pytest.mark.xfail(
+            strict=True, raises=ConfigError,
+            reason="distances_finite writes its bound as Infinity"))
+        if c == "distances" else c for c in sorted(TINY)])
     def test_report_is_strict_json(self, tmp_path, command):
         cfg = write_cfg(tmp_path, {"command": command, **TINY[command]})
         rc, err = run_quiet(["run", "--config", cfg, "--out", str(tmp_path / "o")])

@@ -7,6 +7,7 @@ import os
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import stablesde as ss
@@ -36,13 +37,15 @@ def _tree(out: Path) -> dict:
             for p in sorted(out.rglob("*")) if p.is_file()}
 
 
-def test_fork_map_keeps_item_order_and_leaves_no_worker(monkeypatch):
-    """Items run in forked workers, and every worker has exited when the
-    call returns."""
+def test_map_interleaved_keeps_point_order_and_leaves_no_worker(monkeypatch):
+    """Slices run in forked workers, their values come back in the order of
+    the points, and every worker has exited when the call returns."""
     monkeypatch.setattr(parallel, "workers", lambda: 2)
-    out = parallel.fork_map(lambda i: (i, os.getpid()), range(5))
-    assert [i for i, _ in out] == list(range(5))
-    assert os.getpid() not in {pid for _, pid in out}
+    out = parallel.map_interleaved(
+        lambda xs: np.array([xs, np.full(xs.size, float(os.getpid()))]),
+        np.arange(5.0))
+    assert out[0].tolist() == list(range(5))
+    assert os.getpid() not in set(out[1])
     assert multiprocessing.active_children() == []
 
 
