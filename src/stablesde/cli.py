@@ -16,10 +16,10 @@ sup window) before the output directory exists. Outputs are results.csv
 (floats at 17 significant digits), report.json (validated machine-readable
 pass/fail rows), and plotdata/*.tsv series.
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 config error (parse,
-unknown key, wrong type, missing value, an output directory that cannot be
-created), 3 domain error (e.g. a value below its bound), 4 numeric failure;
-2-4 print one line on stderr.
+Exit codes (_EXITS): 0 all checks pass, 1 a check failed, 2 config error
+(parse, unknown key, wrong type, missing value, a config file that is not
+UTF-8, an output file or directory that cannot be written), 3 domain error
+(e.g. a value below its bound), 4 numeric failure; 2-4 print one line on stderr.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ from .errors import (REQUIRED, AssumptionViolation, ConfigError, ConstructionErr
 from .measures import (DensityModel, check_horizon, check_sup_args, distance_B,
                        distance_B_sup, distance_S, distance_S_sup)
 from .rates import RateBoundSpec, convergence_experiment, run_sweep, tail_bound, theoretical_bound
-from .report import CheckRow, Report, fmt17, validate_report, write_plotdata, write_results_csv
+from .report import (CheckRow, Report, fmt17, validate_report, write_plotdata,
+                     write_results_csv, writing)
 from .simulate import SimConfig, distance_moment_curve, simulate_coupled, tail_probability
 from .stable import (density_total_mass, envelope_comparability_check,
                      make_stable_law, stable_density)
@@ -84,9 +85,11 @@ def _finite_float(text: str) -> float:  # json.loads meets a number with . or e
 
 def load_config(path: str, overrides) -> dict:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8: {exc.reason} at byte {exc.start}")
     try:
         cfg = json.loads(text, parse_constant=_reject_constant,
                          parse_float=_finite_float)
@@ -220,13 +223,11 @@ def _cmd_certify_density(cfg, dump_paths: bool):
             c_lo, c_hi = envelope_comparability_check(
                 law, np.linspace(-50.0, 50.0, 1001))
             checks.extend([
-                CheckRow(f"density_mass_a{alpha}",
-                         "integral of the density plus analytic tail = 1 +- 1e-5",
-                         mass, 1.0, 1e-5 - abs(mass - 1.0), abs(mass - 1.0) <= 1e-5),
-                CheckRow(f"density_center_a{alpha}",
-                         "g(0) = Gamma(1 + 1/alpha)/pi +- 1e-6",
-                         g0, g0_ref, 1e-6 - abs(g0 - g0_ref),
-                         abs(g0 - g0_ref) <= 1e-6),
+                CheckRow.within(f"density_mass_a{alpha}",
+                                "integral of the density plus analytic tail = 1 +- 1e-5",
+                                mass, 1.0, 1e-5),
+                CheckRow.within(f"density_center_a{alpha}",
+                                "g(0) = Gamma(1 + 1/alpha)/pi +- 1e-6", g0, g0_ref, 1e-6),
                 CheckRow(f"density_tail_ratio_a{alpha}",
                          f"g(x) / (c_alpha |x|^(-1-alpha)) in [0.98, 1.02] at |x| = {tail_x:g}",
                          ratio, 1.02, min(1.02 - ratio, ratio - 0.98),
@@ -298,8 +299,9 @@ def _cmd_simulate(cfg, dump_paths: bool):
         write_plotdata(out / "plotdata" / "moment_curve.tsv", "t",
                        "mean_q_moment", curve.times, curve.mean)
         if dump_paths:
-            np.savetxt(out / "paths_x.csv", ens.paths[0], delimiter=",")
-            np.savetxt(out / "paths_xt.csv", ens.paths[1], delimiter=",")
+            for name, leg in zip(("paths_x.csv", "paths_xt.csv"), ens.paths):
+                with writing(out / name) as fh:
+                    np.savetxt(fh, leg, delimiter=",")
         return Report(name="simulate",
                       params={"alpha": law.alpha, "pair": pair.label,
                               "n_paths": sim.n_paths, "n_steps": sim.n_steps,
@@ -333,18 +335,14 @@ def _cmd_sweep(cfg, dump_paths: bool):
         if all(r.S > 0 for r in res.rows):
             write_plotdata(out / "plotdata" / "S_vs_scale.tsv", "scale", "S",
                            [r.scale for r in res.rows], [r.S for r in res.rows])
-        failures = float(res.out_of_sample_failures)
-        checks = [CheckRow("bound_out_of_sample",
-                           "D_n <= C_fit * bound_n on non-calibration rows",
-                           failures, 0.0, 0.0 - failures,
-                           res.bound_satisfied_out_of_sample)]
-        for r in res.rows:
-            for te in r.tails:
-                checks.append(CheckRow(
-                    f"tail_{r.label}_h{te.h:g}",
-                    "tail probability with Wilson interval (informational)",
-                    te.prob, 1.0, 1.0 - te.prob, True,
-                    context={"h": te.h, "lo": te.wilson_low, "hi": te.wilson_high}))
+        checks = [CheckRow.at_most("bound_out_of_sample",
+                                   "D_n <= C_fit * bound_n on non-calibration rows",
+                                   float(res.out_of_sample_failures), 0.0)]
+        checks += [CheckRow.at_most(f"tail_{r.label}_h{te.h:g}",
+                                    "tail probability with Wilson interval (informational)",
+                                    te.prob, 1.0,
+                                    {"h": te.h, "lo": te.wilson_low, "hi": te.wilson_high})
+                   for r in res.rows for te in r.tails]
         return Report(name="sweep",
                       params={"alpha": law.alpha, "family": family.name,
                               "eta_tilde": res.spec.eta_tilde, "C_fit": res.C_fit,
@@ -376,11 +374,9 @@ def _cmd_converge(cfg, dump_paths: bool):
                      float(rep0.pairwise_D[-1]), float(rep0.pairwise_D[0]),
                      float(rep0.pairwise_D[0] - rep0.pairwise_D[-1]),
                      rep0.monotone_within_2se),
-            CheckRow("uniform_lp",
-                     "E[sup_t |X|^p] constant across members within 3 SE",
-                     rep0.lp_report.max_abs_dev_in_se, 3.0,
-                     3.0 - rep0.lp_report.max_abs_dev_in_se,
-                     rep0.lp_report.passes),
+            CheckRow.at_most("uniform_lp",
+                             "E[sup_t |X|^p] constant across members within 3 SE",
+                             rep0.lp_report.max_abs_dev_in_se, 3.0),
         ]
         return Report(name="converge",
                       params={"alpha": law.alpha, "family": family.name,
@@ -404,31 +400,19 @@ _COMMANDS = {"certify-mollifier": _cmd_certify_mollifier,
 
 def run(config_path: str, overrides=(), out_dir: str | None = None,
         dump_paths: bool = False) -> int:
+    cfg = load_config(config_path, overrides)
+    command = cfg["command"]
+    if dump_paths and command != "simulate":
+        raise ConfigError(f"--dump-paths applies to the simulate command only, "
+                          f"not {command!r}")
+    job = _COMMANDS[command](cfg, dump_paths)
+    out = Path(out_dir or cfg["output"]["dir"])
     try:
-        cfg = load_config(config_path, overrides)
-        command = cfg["command"]
-        if dump_paths and command != "simulate":
-            raise ConfigError(f"--dump-paths applies to the simulate command only, "
-                              f"not {command!r}")
-        job = _COMMANDS[command](cfg, dump_paths)
-        out = Path(out_dir or cfg["output"]["dir"])
-        try:
-            (out / "plotdata").mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot create output directory {str(out)!r}: "
-                              f"{exc.strerror}") from exc
-        rep = job(out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (DomainError, AssumptionViolation, ConstructionError) as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        suffix = ("" if exc.estimate is None and exc.error_bound is None else
-                  f" (estimate={exc.estimate}, error_bound={exc.error_bound})")
-        print(f"numeric failure: {exc}{suffix}", file=sys.stderr)
-        return 4
+        (out / "plotdata").mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {str(out)!r}: "
+                          f"{exc.strerror}") from exc
+    rep = job(out)
     rep.to_json(out / "report.json")
     validate_report(json.loads((out / "report.json").read_text()))
     n_fail = sum(not c.passed for c in rep.checks)
@@ -439,16 +423,9 @@ def run(config_path: str, overrides=(), out_dir: str | None = None,
 
 def print_bound(alpha: float, eta_tilde: float, B: float, S: float,
                 x0_gap: float, h: float | None = None) -> int:
-    try:
-        spec = RateBoundSpec(alpha=alpha, eta_tilde=eta_tilde)
-        value = theoretical_bound(spec, x0_gap, B, S)
-        tail = None if h is None else tail_bound(spec, x0_gap, B, S, h)
-    except AssumptionViolation as exc:
-        print(f"assumption violated: {exc}", file=sys.stderr)
-        return 3
-    except DomainError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return 3
+    spec = RateBoundSpec(alpha=alpha, eta_tilde=eta_tilde)
+    value = theoretical_bound(spec, x0_gap, B, S)
+    tail = None if h is None else tail_bound(spec, x0_gap, B, S, h)
     print(f"branch          : {spec.branch}"
           + ("  (eta_tilde = 1/alpha)" if spec.branch == "log" else ""))
     if spec.branch == "holder":
@@ -459,6 +436,12 @@ def print_bound(alpha: float, eta_tilde: float, B: float, S: float,
     if tail is not None:
         print(f"tail bound at h : {fmt17(tail)}")
     return 0
+
+
+# exception kind -> (exit code, stderr prefix); main reads an error's most derived kind
+_EXITS = {ConfigError: (2, "config error"), DomainError: (3, "domain error"),
+          AssumptionViolation: (3, "assumption violated"),
+          ConstructionError: (3, "domain error"), NumericError: (4, "numeric failure")}
 
 
 def main(argv=None) -> int:
@@ -478,19 +461,19 @@ def main(argv=None) -> int:
     p_pb.add_argument("--x0-gap", type=float, required=True)
     p_pb.add_argument("--h", type=float, default=None)
     args = parser.parse_args(argv)
-    if args.subcommand == "print-bound":
-        return print_bound(args.alpha, args.eta_tilde, args.B, args.S,
-                           args.x0_gap, args.h)
-    overrides = []
-    for item in args.overrides:
-        if "=" not in item:
-            print(f"config error: --set expects KEY=VALUE, got {item!r}",
-                  file=sys.stderr)
-            return 2
-        key, _, value = item.partition("=")
-        overrides.append((key, value))
-    return run(args.config, overrides, args.out, args.dump_paths)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        if args.subcommand == "print-bound":
+            return print_bound(args.alpha, args.eta_tilde, args.B, args.S,
+                               args.x0_gap, args.h)
+        for item in args.overrides:
+            if "=" not in item:
+                raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
+        return run(args.config, [item.partition("=")[::2] for item in args.overrides],
+                   args.out, args.dump_paths)
+    except tuple(_EXITS) as exc:
+        code, prefix = next(_EXITS[kind] for kind in type(exc).__mro__ if kind in _EXITS)
+        suffix = ("" if getattr(exc, "estimate", None) is None
+                  and getattr(exc, "error_bound", None) is None else
+                  f" (estimate={exc.estimate}, error_bound={exc.error_bound})")
+        print(f"{prefix}: {exc}{suffix}", file=sys.stderr)
+        return code

@@ -146,11 +146,12 @@ def check_horizon(model: DensityModel, T: float) -> None:
                           f"horizon sim.T={model.sim_config.T:g}, got T={T:g}")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _distance_weighted(pair: CoefficientPair, model: DensityModel, T: float,
                        time_nodes: int, which: int) -> float:
     """Time-space integral of entry `which` of _gap_powers against the model
     density on time_nodes intervals graded by alpha, or its baseline-path
-    average in empirical mode."""
+    average in empirical mode; a power that overflows gives inf, unwarned."""
     check_horizon(model, T)
     if model.mode == "empirical":
         return _empirical_averages(pair, model)[which]
@@ -158,7 +159,7 @@ def _distance_weighted(pair: CoefficientPair, model: DensityModel, T: float,
     nodes = _time_grid(T, model.law.alpha, time_nodes)
     vals = np.empty_like(nodes)
     # s -> 0 limit: the frozen density concentrates unit mass at x0
-    vals[0] = float(gap(0.0, np.array([pair.x0]))[0]) ** power
+    vals[0] = gap(0.0, np.array([pair.x0]))[0] ** power
     for j, s in enumerate(nodes[1:], start=1):
         vals[j] = _space_integral(model, pair, s, lambda y, s_=s: gap(s_, y) ** power)
     return float(np.trapezoid(vals, nodes))
@@ -194,6 +195,7 @@ def check_sup_args(variant: str, window, x0: float) -> tuple:
     return tuple(window)
 
 
+@np.errstate(over="ignore")
 def _sup_distance(T: float, gap, power: float, variant: str, window: tuple,
                   n_points: int) -> float:
     lo, hi = window
@@ -202,8 +204,6 @@ def _sup_distance(T: float, gap, power: float, variant: str, window: tuple,
     sup_t = np.array([float(np.max(gap(t, ys))) for t in ts])
     if variant == "time_sup":
         return float(np.max(sup_t))
-    if power == 1.0:
-        return float(np.trapezoid(sup_t, ts))
     return float(np.trapezoid(sup_t ** power, ts)) ** (1.0 / power)
 
 

@@ -42,6 +42,7 @@ from .report import CheckRow, Report
 from .stable import StableLaw, generator_apply
 
 _N_FAR_TERMS = 22
+_EPS_MAX = float(np.finfo(float).max) ** (1.0 / (_N_FAR_TERMS - 1))   # E[Y^k] <= eps^k
 _NEAR_ORDER = 18    # Gauss-Legendre nodes per near-field panel
 _NEAR_BATCH = 4     # points per near-field batch: ~10k nodes, so each array stays in cache
 _SHAPE_POINTS = 2001        # grid of the psi cap and sign checks, endpoints dropped
@@ -147,16 +148,17 @@ def build_mollifier(alpha: float, eps: float, delta: float) -> Mollifier:
     if eps < 1e-6:
         raise DomainError("eps below 1e-6 rejected: cap/normalization would "
                           "hit floating-point underflow in the log delta scaling")
+    if eps > _EPS_MAX:
+        raise DomainError(f"eps above {_EPS_MAX:.3g} rejected: the far-field moments "
+                          f"E[Y^k], k < {_N_FAR_TERMS}, would overflow a double")
     if delta <= 1:
         raise DomainError("delta must be > 1")
     if not (1.0 < alpha < 2.0):
         raise DomainError("alpha must lie strictly in (1, 2)")
     worst = None
     for r in (0.05, 0.02, 0.1, 0.01, 0.005, 0.15, 0.2, 1e-3, 1e-4):
-        trial = Mollifier(alpha=alpha, eps=eps, delta=delta, rho=r,
-                          psi_normalizer=1.0)
-        nodes, wts = panel_nodes(trial.base_edges(), order=24)
-        mass = float(np.sum(trial.psi(nodes) * wts))
+        mass = float(Mollifier(alpha=alpha, eps=eps, delta=delta, rho=r,
+                               psi_normalizer=1.0).moments()[0])
         normalizer = 1.0 / mass if mass > 0 else math.inf  # mass 0: no usable window
         if normalizer <= 2.0 * (1.0 - 1e-12):
             return Mollifier(alpha=alpha, eps=eps, delta=delta, rho=r,
@@ -330,8 +332,9 @@ class SmoothedDistance:
 
     # -- public evaluators ----------------------------------------------------
 
-    def _eval_batch(self, x, which: str, exact: bool = False):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+    def _eval_batch(self, x0, which: str, exact: bool = False):
+        """u, u' or u'' at x0, a float for a scalar x0."""
+        x = np.atleast_1d(np.asarray(x0, dtype=float))
         out = np.empty_like(x)
         far = np.abs(x) > self.far_switch
         a = self.alpha
@@ -348,27 +351,22 @@ class SmoothedDistance:
             else:
                 cache = self._ensure_cache()
                 out[near] = cache[which](x[near])
-        return out
+        return float(out[0]) if np.ndim(x0) == 0 else out
 
     def u_prime(self, x):
-        out = self._eval_batch(x, "up")
-        return float(out[0]) if np.ndim(x) == 0 else out
+        return self._eval_batch(x, "up")
 
     def u_second(self, x):
-        out = self._eval_batch(x, "upp")
-        return float(out[0]) if np.ndim(x) == 0 else out
+        return self._eval_batch(x, "upp")
 
     def u_exact(self, x):
-        out = self._eval_batch(x, "u", exact=True)
-        return float(out[0]) if np.ndim(x) == 0 else out
+        return self._eval_batch(x, "u", exact=True)
 
     def u_prime_exact(self, x):
-        out = self._eval_batch(x, "up", exact=True)
-        return float(out[0]) if np.ndim(x) == 0 else out
+        return self._eval_batch(x, "up", exact=True)
 
     def u_second_exact(self, x):
-        out = self._eval_batch(x, "upp", exact=True)
-        return float(out[0]) if np.ndim(x) == 0 else out
+        return self._eval_batch(x, "upp", exact=True)
 
 
 # ---------------------------------------------------------------------------
@@ -377,22 +375,16 @@ class SmoothedDistance:
 
 def certify_mollifier_shape(m: Mollifier) -> Report:
     """Unit integral and the pointwise cap psi <= 2/(x log delta)."""
-    nodes, wts = panel_nodes(m.base_edges(), order=24)
-    mass = float(np.sum(m.psi(nodes) * wts))
     a, b = m.support
     grid = np.linspace(a, b, _SHAPE_POINTS)[1:-1]
     capped = m.psi(grid) * grid * math.log(m.delta)
-    rows = [
-        CheckRow("psi_unit_mass", "integral of psi over [eps/delta, eps] = 1",
-                 mass, 1.0, 1e-8 - abs(mass - 1.0), abs(mass - 1.0) <= 1e-8),
-        CheckRow("psi_cap", "psi(x) * x * log(delta) <= 2 on the support",
-                 float(capped.max()), 2.0, 2.0 - float(capped.max()),
-                 bool(capped.max() <= 2.0)),
-        CheckRow("psi_nonneg", "psi >= 0 on the support",
-                 float(m.psi(grid).min()), 0.0, float(m.psi(grid).min()),
-                 bool(m.psi(grid).min() >= 0.0)),
-    ]
-    return Report(name="mollifier_shape", checks=rows)
+    return Report(name="mollifier_shape", checks=[
+        CheckRow.within("psi_unit_mass", "integral of psi over [eps/delta, eps] = 1",
+                        float(m.moments()[0]), 1.0, 1e-8),
+        CheckRow.at_most("psi_cap", "psi(x) * x * log(delta) <= 2 on the support",
+                         float(capped.max()), 2.0),
+        CheckRow.at_least("psi_nonneg", "psi >= 0 on the support",
+                          float(m.psi(grid).min()), 0.0)])
 
 
 def certify_sandwich(s: SmoothedDistance, grid) -> Report:
@@ -408,19 +400,11 @@ def certify_sandwich(s: SmoothedDistance, grid) -> Report:
     scale = eps_pow + np.maximum(base, u)
     lower_margin = (eps_pow + u - base) / scale
     upper_margin = (base + eps_pow - u) / scale
-    rows = [
-        CheckRow("u_lower_sandwich",
-                 "|x|^(a-1) <= eps^(a-1) + u(x)",
-                 float(lower_margin.min()), -_BOUND_SLACK,
-                 float(lower_margin.min()) + _BOUND_SLACK,
-                 bool(lower_margin.min() >= -_BOUND_SLACK)),
-        CheckRow("u_upper_sandwich",
-                 "u(x) <= |x|^(a-1) + eps^(a-1)",
-                 float(upper_margin.min()), -_BOUND_SLACK,
-                 float(upper_margin.min()) + _BOUND_SLACK,
-                 bool(upper_margin.min() >= -_BOUND_SLACK)),
-    ]
-    return Report(name="sandwich", checks=rows)
+    return Report(name="sandwich", checks=[
+        CheckRow.at_least("u_lower_sandwich", "|x|^(a-1) <= eps^(a-1) + u(x)",
+                          float(lower_margin.min()), -_BOUND_SLACK),
+        CheckRow.at_least("u_upper_sandwich", "u(x) <= |x|^(a-1) + eps^(a-1)",
+                          float(upper_margin.min()), -_BOUND_SLACK)])
 
 
 def derivative_bound_rhs(s: SmoothedDistance, x):
@@ -482,18 +466,11 @@ def certify_komatsu(s: SmoothedDistance, law: StableLaw, thetas) -> Report:
     for theta in np.asarray(thetas, dtype=float):
         resid = komatsu_identity_residual(s, law, float(theta))
         rhs = law.big_C_alpha * s.mollifier.psi(float(theta))
-        if rhs > 0:
-            rows.append(CheckRow(
-                "generator_identity_on_support",
-                "relative |L u(theta) - C psi(theta)| / (C psi(theta)) <= rel_tol",
-                resid / rhs, _KOMATSU_REL_TOL, _KOMATSU_REL_TOL - resid / rhs,
-                bool(resid / rhs <= _KOMATSU_REL_TOL),
-                context={"theta": float(theta)}))
-        else:
-            rows.append(CheckRow(
-                "generator_identity_off_support",
-                "|L u(theta)| <= abs_tol where psi(theta) = 0",
-                resid, _KOMATSU_ABS_TOL, _KOMATSU_ABS_TOL - resid,
-                bool(resid <= _KOMATSU_ABS_TOL),
-                context={"theta": float(theta)}))
+        on = rhs > 0
+        rows.append(CheckRow.at_most(
+            f"generator_identity_{'on' if on else 'off'}_support",
+            "relative |L u(theta) - C psi(theta)| / (C psi(theta)) <= rel_tol" if on
+            else "|L u(theta)| <= abs_tol where psi(theta) = 0",
+            resid / rhs if on else resid, _KOMATSU_REL_TOL if on else _KOMATSU_ABS_TOL,
+            {"theta": float(theta)}))
     return Report(name="generator_identity", checks=rows)

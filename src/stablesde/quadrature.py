@@ -72,10 +72,8 @@ def graded_edges(a: float, b: float, toward: float, n_levels: int,
     """Panel edges on [a, b] geometrically graded toward the endpoint `toward`.
 
     Used to resolve endpoint singularities of |x - y|^(alpha-2) kernels; the
-    finest panel has width ~ (b-a) * ratio**n_levels.
+    finest panel has width ~ (b-a) * ratio**n_levels. Needs a < b.
     """
-    if b <= a:
-        return np.array([a, b])
     fracs = graded_fracs(n_levels, ratio)
     if toward <= a:
         return a + (b - a) * fracs

@@ -128,10 +128,6 @@ class SweepResult:
         flag that exceed their bound."""
         return sum(not r.satisfied for r in self.rows[1:] if not r.assumption_flag)
 
-    @property
-    def bound_satisfied_out_of_sample(self) -> bool:
-        return self.out_of_sample_failures == 0
-
 
 def run_sweep(family: PerturbationFamily, sim_config: SimConfig,
               law: StableLaw, *, h_values=()) -> SweepResult:
@@ -229,8 +225,7 @@ def convergence_experiment(family: PerturbationFamily, sim_config: SimConfig,
     ses = np.array([c.sup_stderr for c in curves[:-1]])
     mono = bool(np.all(ds[1:] <= ds[:-1]
                        + 2.0 * np.sqrt(ses[1:] ** 2 + ses[:-1] ** 2)))
-    lp = uniform_lp_check(run.abs_max[:K, run.ok], (1.0 + law.alpha) / 2.0,
-                          law.alpha)
+    lp = uniform_lp_check(run.abs_max[:K, run.ok], law.alpha)
     return ConvergenceReport(pairwise_D=ds, pairwise_se=ses,
                              monotone_within_2se=mono,
                              limit_residual=curves[-1].sup, lp_report=lp)

@@ -2,20 +2,24 @@
 
 Every certification produces a Report: a list of CheckRows, each carrying a
 stable claim id, the tested statement in self-contained ASCII math, the
-computed value, its bound, the margin (bound - value, >= 0 when passing)
-and a pass flag. Reports round-trip through JSON and re-validate against
-validate_report.
+computed value, its bound, the margin (>= 0 when passing) and a pass flag.
+CheckRow.at_most, at_least and within build a row from its rule, so that
+the margin and the flag are computed once, the flag as margin >= 0. Reports
+round-trip through JSON and re-validate against validate_report.
 
 CSV output prints floats with 17 significant digits so byte-identical
-reruns are checkable with diff.
+reruns are checkable with diff. A file that cannot be written raises
+ConfigError naming it.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
+
+from .errors import ConfigError
 
 
 @dataclass
@@ -27,6 +31,22 @@ class CheckRow:
     margin: float
     passed: bool
     context: dict = field(default_factory=dict)
+
+    @classmethod
+    def at_most(cls, check_id, claim, value, bound, context=None):
+        return cls._rule(check_id, claim, value, bound, bound - value, context)
+
+    @classmethod
+    def at_least(cls, check_id, claim, value, bound, context=None):
+        return cls._rule(check_id, claim, value, bound, value - bound, context)
+
+    @classmethod
+    def within(cls, check_id, claim, value, target, tol):
+        return cls._rule(check_id, claim, value, target, tol - abs(value - target), None)
+
+    @classmethod
+    def _rule(cls, check_id, claim, value, bound, margin, context):
+        return cls(check_id, claim, value, bound, margin, bool(margin >= 0), context or {})
 
 
 @dataclass
@@ -58,7 +78,8 @@ class Report:
     def to_json(self, path=None) -> str:
         text = json.dumps(self.to_dict(), indent=2, sort_keys=True, default=float)
         if path is not None:
-            Path(path).write_text(text)
+            with writing(path) as fh:
+                fh.write(text)
         return text
 
 
@@ -83,13 +104,23 @@ def validate_report(d: dict) -> None:
         raise ValueError("aggregate pass flag inconsistent with rows")
 
 
+@contextmanager
+def writing(path, newline=None):
+    """open(path, "w"), an OSError from it or its writes raised as ConfigError."""
+    try:
+        with open(path, "w", newline=newline) as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def fmt17(x) -> str:
     return f"{float(x):.17g}"
 
 
 def write_results_csv(path, header, rows) -> None:
     """Rows of floats/strings; floats printed at 17 significant digits."""
-    with open(path, "w", newline="") as fh:
+    with writing(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
@@ -98,7 +129,7 @@ def write_results_csv(path, header, rows) -> None:
 
 def write_plotdata(path, xlabel, ylabel, xs, ys) -> None:
     """Two-column tab-separated series with a '#' header line."""
-    with open(path, "w") as fh:
+    with writing(path) as fh:
         fh.write(f"# {xlabel}\t{ylabel}\n")
         for x, y in zip(xs, ys):
             fh.write(f"{fmt17(x)}\t{fmt17(y)}\n")

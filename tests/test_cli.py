@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablesde import cli, simulate
+from stablesde import cli, mollifier, simulate
 from stablesde.cli import _COMMANDS, _SCHEMA, load_config, main
 from stablesde.errors import REQUIRED, Checked, ConfigError, DomainError, NumericError
 from stablesde.rates import RateBoundSpec, SweepResult, SweepRow
@@ -370,6 +370,68 @@ class TestConfigParsing:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         params = json.loads((tmp_path / "o" / "report.json").read_text())["params"]
         assert params["digest"] == "0a5809dedf870aeb549840e17960521e"
+
+    def test_config_not_utf8_exits_with_one_line(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        rc, err = run_quiet(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2 and len(err) == 1
+        assert err[0].startswith("config error: ") and str(path) in err[0]
+
+    @pytest.mark.parametrize("command, name, args", [
+        ("simulate", "results.csv", []), ("simulate", "report.json", []),
+        ("simulate", "tails.csv", []), ("simulate", "plotdata/moment_curve.tsv", []),
+        ("simulate", "paths_xt.csv", ["--dump-paths"]),
+        ("certify-density", "results.csv", [])])
+    def test_unwritable_output_file_exits_with_one_line(self, tmp_path, command, name,
+                                                        args):
+        """An output file that cannot be written (here: a directory in its
+        place) is a config error naming the file, not a traceback."""
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        cfg = write_cfg(tmp_path, {"command": command, **TINY[command]})
+        rc, err = run_quiet(["run", "--config", cfg, "--out", str(out)] + args)
+        assert rc == 2 and len(err) == 1
+        assert err[0] == f"config error: cannot write {out / name}: Is a directory"
+
+    def test_other_os_errors_are_not_write_failures(self, tmp_path, monkeypatch):
+        """An OSError raised outside the writers, such as a failed fork, is
+        not reported as an output that cannot be written."""
+        def no_fork(fn, xs):
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(mollifier, "map_interleaved", no_fork)
+        cfg = write_cfg(tmp_path, {"command": "certify-mollifier",
+                                   **TINY["certify-mollifier"]})
+        with pytest.raises(BlockingIOError):
+            run_quiet(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+
+    def test_overflowing_gap_fails_distances_finite_without_warning(self, tmp_path):
+        """A jump gap near 1e300 overflows its power: the distances are inf,
+        the one row fails, and numpy prints nothing."""
+        cfg = write_cfg(tmp_path, {"command": "distances", **TINY["distances"],
+                                   "coefficients": {"name": "jump_bump",
+                                                    "params": {"amp": 1e300}}})
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, err = run_quiet(["run", "--config", cfg, "--out", str(out)])
+        assert rc == 1 and err == []
+        rows = json.loads((out / "report.json").read_text())["checks"]
+        assert [(r["check_id"], r["passed"]) for r in rows] == [("distances_finite", False)]
+
+    @pytest.mark.parametrize("command, args, code, prefix", [
+        ("sweep", '--set sweep.family="jump_bump" --set sweep.params={"amp0":1e300}', 4,
+         "numeric failure: "),
+        ("certify-mollifier", "--set mollifier.eps=1e200", 3, "domain error: eps above"),
+        ("certify-mollifier", "--set mollifier.eps=1e150", 3, "domain error: eps above")])
+    def test_overflow_exits_with_one_line(self, tmp_path, command, args, code, prefix):
+        cfg = write_cfg(tmp_path, {"command": command, **TINY[command]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, err = run_quiet(["run", "--config", cfg, "--out", str(tmp_path / "o")]
+                                + args.split())
+        assert rc == code and len(err) == 1 and err[0].startswith(prefix)
 
     def test_numeric_failure_prints_its_estimate(self, tmp_path, monkeypatch):
         def fail(cfg, dump_paths):

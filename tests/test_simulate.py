@@ -193,25 +193,19 @@ class TestTailProbability:
 
 
 class TestUniformLp:
-    def test_p_domain(self, law15):
-        with pytest.raises(ss.DomainError):
-            ss.uniform_lp_check([np.ones(10)], 1.5, 1.5)
-        with pytest.raises(ss.DomainError):
-            ss.uniform_lp_check([np.ones(10)], 1.0, 1.5)
-
     def test_identical_members_pass(self, law15, small_cfg):
         pair = make_pair("identical", {})
         ens = ss.simulate_coupled(small_cfg, pair, law15)
         sups = [ens.abs_max[0][ens.ok]] * 4
-        rep = ss.uniform_lp_check(sups, 1.25, 1.5)
-        assert rep.passes
+        rep = ss.uniform_lp_check(sups, 1.5)
+        assert rep.p == 1.25 and rep.max_abs_dev_in_se <= 3.0
 
     def test_trending_members_fail(self):
         rng = np.random.default_rng(0)
         sups = [np.abs(rng.normal(1.0 + 0.5 * n, 0.01, size=4000))
                 for n in range(5)]
-        rep = ss.uniform_lp_check(sups, 1.25, 1.5)
-        assert not rep.passes
+        rep = ss.uniform_lp_check(sups, 1.5)
+        assert rep.max_abs_dev_in_se > 3.0
 
 
 class TestGuards:
