@@ -16,9 +16,9 @@ exponentials run only where a ramp is not flat (Mollifier.psi_and_prime),
 and integrates only the columns of u, u', u'' that its caller reads (see
 SmoothedDistance._near_values). The spline cache holds u' and u'' only: u
 itself is read only where it is certified, through the exact evaluator. Its
-grid points are split over forked workers (parallel.map_interleaved); each
-value is computed from its own point, so the cache has the same bits for any
-worker count. In the far field
+grid points, and then the thetas of certify_komatsu, are split over forked
+workers (parallel.map_interleaved); each value is computed from its own
+point, so they have the same bits for any worker count. In the far field
 
     E|x - Y|^p = |x|^p * sum_k C(p, k) (-sgn x)^k E[Y^k] |x|^{-k},  Y ~ psi.
 
@@ -462,9 +462,12 @@ def komatsu_identity_residual(s: SmoothedDistance, law: StableLaw,
 def certify_komatsu(s: SmoothedDistance, law: StableLaw, thetas) -> Report:
     """Identity L_alpha u = C psi over a theta grid: relative tolerance where
     psi > 0, absolute tolerance where psi = 0."""
+    thetas = np.asarray(thetas, dtype=float)
+    s._ensure_cache()       # once, here: the forked workers inherit it
+    resids = map_interleaved(lambda ts: np.array(
+        [komatsu_identity_residual(s, law, float(t)) for t in ts]), thetas)
     rows = []
-    for theta in np.asarray(thetas, dtype=float):
-        resid = komatsu_identity_residual(s, law, float(theta))
+    for theta, resid in zip(thetas, resids.tolist()):
         rhs = law.big_C_alpha * s.mollifier.psi(float(theta))
         on = rhs > 0
         rows.append(CheckRow.at_most(

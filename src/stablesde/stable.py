@@ -354,8 +354,8 @@ def generator_apply(law: StableLaw, f2, x: float, breakpoints=()) -> float:
             nodes, wts = panel_nodes(seg_edges(lo, hi), order=24)
             vals = np.asarray(f2(x + nodes))
             total += float(np.sum(vals * np.abs(nodes) ** (1.0 - a) * wts))
-    # tails beyond +-tf via inversion t = 1/s
-    s_edges = np.geomspace(1e-9, 1.0 / tf, 24)
+    # tails beyond +-tf via inversion t = 1/s; the lower edge is 1e-9 for |x| <= 15
+    s_edges = np.geomspace(min(1e-9, 1e-6 / tf), 1.0 / tf, 24)
     nodes, wts = panel_nodes(s_edges, order=24)
     for sgn in (1.0, -1.0):
         vals = np.asarray(f2(x + sgn / nodes))

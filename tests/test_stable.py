@@ -330,6 +330,16 @@ class TestGenerator:
             ref = -math.sqrt(2.0 * math.pi) / math.pi * integral
             assert ss.generator_apply(law, f2, x) == pytest.approx(ref, abs=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e8, 1e10])
+    def test_tails_kept_at_large_x(self, law15, scale):
+        # f_s(y) = s^2 f(y/s) has L f_s(s x) = s^(2-alpha) L f(x); f'' decays
+        # like y^-2, so the tails beyond +-60 (1 + |x|) carry about 1e-3 of
+        # L f(1), which the route must still integrate at x = 1e8 and 1e10
+        f2 = lambda y: 1.0 / (1.0 + np.asarray(y) ** 2)
+        ref = ss.generator_apply(law15, f2, 1.0)
+        scaled = ss.generator_apply(law15, lambda y: f2(np.asarray(y) / scale), scale)
+        assert scaled / scale ** 0.5 == pytest.approx(ref, rel=1e-6)
+
 
 class TestNumericErrorContract:
     def test_carries_estimate_and_error_bound(self):
