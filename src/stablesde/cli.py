@@ -10,16 +10,17 @@ parameters (alpha, eps, delta, T, seed, ...) have no default. Catalog params
 take the same form in coefficients._PARAMS, and errors.check_section checks
 both tables. Every key present, and the params of each pair or family a
 section names, are checked when the config loads, and never coerced. A
-command then reads every key it uses and builds all it needs (laws, pair or
-family, SimConfig, density model, mollifier, a distances run's horizon and
-sup window) before the output directory exists. Outputs are results.csv
-(floats at 17 significant digits), report.json (validated machine-readable
-pass/fail rows), and plotdata/*.tsv series.
+command computes all its results before it writes any file, and the first
+write creates the output directory, so only a failed write leaves output
+behind. Outputs are results.csv (floats at 17 significant digits),
+report.json (validated machine-readable pass/fail rows), and plotdata/*.tsv
+series.
 
 Exit codes (_EXITS): 0 all checks pass, 1 a check failed, 2 config error
 (parse, unknown key, wrong type, missing value, a config file that is not
 UTF-8, an output file or directory that cannot be written), 3 domain error
-(e.g. a value below its bound), 4 numeric failure; 2-4 print one line on stderr.
+(e.g. a value below its bound), 4 numeric failure or out of memory; 2-4 print
+one line on stderr.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from . import mollifier as moll
 from .coefficients import _FAMILIES, _PAIRS, make_family, make_pair
 from .errors import (REQUIRED, AssumptionViolation, ConfigError, ConstructionError,
                      DomainError, NumericError, check_section, config_value)
-from .measures import (DensityModel, check_horizon, check_sup_args, distance_B,
-                       distance_B_sup, distance_S, distance_S_sup)
+from .measures import (DensityModel, check_sup_args, distance_B, distance_B_sup,
+                       distance_S, distance_S_sup)
 from .rates import RateBoundSpec, convergence_experiment, run_sweep, tail_bound, theoretical_bound
 from .report import (CheckRow, Report, fmt17, validate_report, write_plotdata,
                      write_results_csv, writing)
@@ -157,6 +158,12 @@ def _law(cfg):
     return make_stable_law(cfg["law"]["alpha"])
 
 
+def _distinct(key: str, values) -> None:
+    """The entries of a list that name check ids must not repeat."""
+    if len(set(values)) < len(values):
+        raise DomainError(f"{key} entries must be distinct, got {values}")
+
+
 def _catalog(cfg, section):
     """The coefficient pair (section coefficients) or perturbation family
     (sweep, converge) the section names."""
@@ -169,7 +176,7 @@ def _catalog(cfg, section):
 # commands
 # ---------------------------------------------------------------------------
 
-def _cmd_certify_mollifier(cfg, dump_paths: bool):
+def _cmd_certify_mollifier(cfg, out: Path, dump_paths: bool) -> Report:
     law = _law(cfg)
     m = moll.build_mollifier(law.alpha, cfg["mollifier"]["eps"],
                              cfg["mollifier"]["delta"])
@@ -181,214 +188,182 @@ def _cmd_certify_mollifier(cfg, dump_paths: bool):
     nk = cfg["certify"]["komatsu_points"]
     thetas = np.concatenate([np.linspace(a_s * 1.01, b_s * 0.99, nk),
                              [2 * m.eps, -2 * m.eps, 1.0, -1.0, -a_s]])
-
-    def job(out: Path) -> Report:
-        reports = [moll.certify_mollifier_shape(m),
-                   moll.certify_sandwich(s, grid),
-                   moll.certify_derivative_bound(s, grid),
-                   moll.certify_komatsu(s, law, thetas)]
-        checks = [c for r in reports for c in r.checks]
-        rep = Report(name="certify-mollifier",
-                     params={"alpha": law.alpha, "eps": m.eps, "delta": m.delta,
-                             "rho": m.rho},
-                     checks=checks, grid={"n_points": int(grid.size),
-                                          "lo": lo, "hi": hi})
-        xs = np.linspace(-3 * m.eps, 3 * m.eps, 601)
-        write_plotdata(out / "plotdata" / "u_prime.tsv", "x", "u_prime",
-                       xs, s.u_prime(xs))
-        write_results_csv(out / "results.csv",
-                          ["check_id", "value", "bound", "margin", "pass"],
-                          [[c.check_id, c.value, c.bound, c.margin, str(c.passed)]
-                           for c in checks])
-        return rep
-    return job
+    reports = [moll.certify_mollifier_shape(m),
+               moll.certify_sandwich(s, grid),
+               moll.certify_derivative_bound(s, grid),
+               moll.certify_komatsu(s, law, thetas)]
+    checks = [c for r in reports for c in r.checks]
+    xs = np.linspace(-3 * m.eps, 3 * m.eps, 601)
+    write_plotdata(out / "plotdata" / "u_prime.tsv", "x", "u_prime", xs, s.u_prime(xs))
+    write_results_csv(out / "results.csv",
+                      ["check_id", "value", "bound", "margin", "pass"],
+                      [[c.check_id, c.value, c.bound, c.margin, str(c.passed)]
+                       for c in checks])
+    return Report(name="certify-mollifier",
+                  params={"alpha": law.alpha, "eps": m.eps, "delta": m.delta,
+                          "rho": m.rho},
+                  checks=checks, grid={"n_points": int(grid.size), "lo": lo, "hi": hi})
 
 
-def _cmd_certify_density(cfg, dump_paths: bool):
+def _cmd_certify_density(cfg, out: Path, dump_paths: bool) -> Report:
     law = _law(cfg)
     alphas = cfg["certify"]["alphas"] or [law.alpha]
     if not all(1.0 < a < 2.0 for a in alphas):
         raise DomainError(f"certify.alphas entries must lie in (1, 2), got {alphas}")
-    laws = [make_stable_law(float(alpha)) for alpha in alphas]
+    _distinct("certify.alphas", alphas)
     tail_x = 50.0  # the abscissa where the [0.98, 1.02] ratio band holds
-
-    def job(out: Path) -> Report:
-        checks = []
-        rows = []
-        for alpha, law in zip(alphas, laws):
-            mass = density_total_mass(law)
-            g0 = stable_density(law, 0.0)
-            g0_ref = math.gamma(1.0 + 1.0 / law.alpha) / math.pi
-            ratio = stable_density(law, tail_x) / (law.c_alpha * tail_x ** (-1 - law.alpha))
-            c_lo, c_hi = envelope_comparability_check(
-                law, np.linspace(-50.0, 50.0, 1001))
-            checks.extend([
-                CheckRow.within(f"density_mass_a{alpha}",
-                                "integral of the density plus analytic tail = 1 +- 1e-5",
-                                mass, 1.0, 1e-5),
-                CheckRow.within(f"density_center_a{alpha}",
-                                "g(0) = Gamma(1 + 1/alpha)/pi +- 1e-6", g0, g0_ref, 1e-6),
-                CheckRow(f"density_tail_ratio_a{alpha}",
-                         f"g(x) / (c_alpha |x|^(-1-alpha)) in [0.98, 1.02] at |x| = {tail_x:g}",
-                         ratio, 1.02, min(1.02 - ratio, ratio - 0.98),
-                         0.98 <= ratio <= 1.02),
-                CheckRow(f"envelope_band_a{alpha}",
-                         "0 < min g/G <= max g/G < inf on the grid",
-                         c_lo, c_hi, c_lo, 0.0 < c_lo <= c_hi < float("inf")),
-            ])
-            rows.append([float(alpha), mass, g0, ratio, c_lo, c_hi])
-        rep = Report(name="certify-density", params={"alphas": list(alphas)},
-                     checks=checks)
-        write_results_csv(out / "results.csv",
-                          ["alpha", "mass", "g0", "tail_ratio", "env_lo", "env_hi"],
-                          rows)
-        return rep
-    return job
+    checks = []
+    rows = []
+    for alpha in alphas:
+        law = make_stable_law(float(alpha))
+        mass = density_total_mass(law)
+        g0 = stable_density(law, 0.0)
+        g0_ref = math.gamma(1.0 + 1.0 / law.alpha) / math.pi
+        ratio = stable_density(law, tail_x) / (law.c_alpha * tail_x ** (-1 - law.alpha))
+        c_lo, c_hi = envelope_comparability_check(law, np.linspace(-50.0, 50.0, 1001))
+        checks.extend([
+            CheckRow.within(f"density_mass_a{alpha}",
+                            "integral of the density plus analytic tail = 1 +- 1e-5",
+                            mass, 1.0, 1e-5),
+            CheckRow.within(f"density_center_a{alpha}",
+                            "g(0) = Gamma(1 + 1/alpha)/pi +- 1e-6", g0, g0_ref, 1e-6),
+            CheckRow(f"density_tail_ratio_a{alpha}",
+                     f"g(x) / (c_alpha |x|^(-1-alpha)) in [0.98, 1.02] at |x| = {tail_x:g}",
+                     ratio, 1.02, min(1.02 - ratio, ratio - 0.98),
+                     0.98 <= ratio <= 1.02),
+            CheckRow(f"envelope_band_a{alpha}",
+                     "0 < min g/G <= max g/G < inf on the grid",
+                     c_lo, c_hi, c_lo, 0.0 < c_lo <= c_hi < float("inf")),
+        ])
+        rows.append([float(alpha), mass, g0, ratio, c_lo, c_hi])
+    write_results_csv(out / "results.csv",
+                      ["alpha", "mass", "g0", "tail_ratio", "env_lo", "env_hi"], rows)
+    return Report(name="certify-density", params={"alphas": list(alphas)}, checks=checks)
 
 
-def _cmd_distances(cfg, dump_paths: bool):
+def _cmd_distances(cfg, out: Path, dump_paths: bool) -> Report:
     law = _law(cfg)
     pair = _catalog(cfg, "coefficients")
     T = cfg["distances"]["T"]
     mode = cfg["distances"]["model"]
     model = DensityModel(mode=mode, law=law,
                          sim_config=_sim_config(cfg) if mode == "empirical" else None)
-    check_horizon(model, T)
     variant = cfg["distances"]["variant"]
     window = check_sup_args(variant, cfg["distances"]["sup_window"], pair.x0)
     n_pts = cfg["distances"]["sup_points"]
     nodes = _given(cfg, "distances", "time_nodes")
-
-    def job(out: Path) -> Report:
-        B = distance_B(pair, model, T, **nodes)
-        S = distance_S(pair, model, T, **nodes)
-        B_inf = distance_B_sup(pair, T, variant=variant, window=window, n_points=n_pts)
-        S_inf = distance_S_sup(pair, law.alpha, T, variant=variant, window=window,
-                               n_points=n_pts)
-        rep = Report(name="distances",
-                     params={"alpha": law.alpha, "pair": pair.label, "T": T,
-                             "model": model.mode, "sup_window": list(window),
-                             "sup_points": n_pts, "variant": variant},
-                     checks=[CheckRow("distances_finite",
-                                      "all four coefficient distances are finite",
-                                      max(B, S, B_inf, S_inf), float("inf"),
-                                      1.0, all(np.isfinite([B, S, B_inf, S_inf])))])
-        write_results_csv(out / "results.csv",
-                          ["B", "S", "B_sup", "S_sup"], [[B, S, B_inf, S_inf]])
-        return rep
-    return job
+    B = distance_B(pair, model, T, **nodes)
+    S = distance_S(pair, model, T, **nodes)
+    B_inf = distance_B_sup(pair, T, variant=variant, window=window, n_points=n_pts)
+    S_inf = distance_S_sup(pair, law.alpha, T, variant=variant, window=window,
+                           n_points=n_pts)
+    write_results_csv(out / "results.csv", ["B", "S", "B_sup", "S_sup"],
+                      [[B, S, B_inf, S_inf]])
+    return Report(name="distances",
+                  params={"alpha": law.alpha, "pair": pair.label, "T": T,
+                          "model": model.mode, "sup_window": list(window),
+                          "sup_points": n_pts, "variant": variant},
+                  checks=[CheckRow("distances_finite",
+                                   "all four coefficient distances are finite",
+                                   max(B, S, B_inf, S_inf), float("inf"),
+                                   1.0, all(np.isfinite([B, S, B_inf, S_inf])))])
 
 
-def _cmd_simulate(cfg, dump_paths: bool):
+def _cmd_simulate(cfg, out: Path, dump_paths: bool) -> Report:
     law = _law(cfg)
     pair = _catalog(cfg, "coefficients")
     sim = _sim_config(cfg, keep_paths=dump_paths)
-
-    def job(out: Path) -> Report:
-        ens = simulate_coupled(sim, pair, law, digest=True)
-        curve = distance_moment_curve(ens, law.alpha - 1.0)
-        rows = [[t, mu, se] for t, mu, se in
-                zip(curve.times, curve.mean, curve.stderr)]
-        write_results_csv(out / "results.csv", ["t", "mean_q_moment", "stderr"], rows)
-        tail_rows = []
-        for h in (0.05, 0.1, 0.2, 0.4, 0.8):
-            te = tail_probability(ens, h)
-            tail_rows.append([te.h, te.prob, te.wilson_low, te.wilson_high])
-        write_results_csv(out / "tails.csv",
-                          ["h", "prob", "wilson_low", "wilson_high"], tail_rows)
-        write_plotdata(out / "plotdata" / "moment_curve.tsv", "t",
-                       "mean_q_moment", curve.times, curve.mean)
-        if dump_paths:
-            for name, leg in zip(("paths_x.csv", "paths_xt.csv"), ens.paths):
-                with writing(out / name) as fh:
-                    np.savetxt(fh, leg, delimiter=",")
-        return Report(name="simulate",
-                      params={"alpha": law.alpha, "pair": pair.label,
-                              "n_paths": sim.n_paths, "n_steps": sim.n_steps,
-                              "seed": sim.seed, "T": sim.T,
-                              "sup_moment": curve.sup,
-                              "digest": ens.increments_digest},
-                      checks=[])
-    return job
+    ens = simulate_coupled(sim, pair, law, digest=True)
+    curve = distance_moment_curve(ens, law.alpha - 1.0)
+    tails = [tail_probability(ens, h) for h in (0.05, 0.1, 0.2, 0.4, 0.8)]
+    write_results_csv(out / "results.csv", ["t", "mean_q_moment", "stderr"],
+                      zip(curve.times, curve.mean, curve.stderr))
+    write_results_csv(out / "tails.csv", ["h", "prob", "wilson_low", "wilson_high"],
+                      [[te.h, te.prob, te.wilson_low, te.wilson_high] for te in tails])
+    write_plotdata(out / "plotdata" / "moment_curve.tsv", "t",
+                   "mean_q_moment", curve.times, curve.mean)
+    if dump_paths:
+        for name, leg in zip(("paths_x.csv", "paths_xt.csv"), ens.paths):
+            with writing(out / name) as fh:
+                np.savetxt(fh, leg, delimiter=",")
+    return Report(name="simulate",
+                  params={"alpha": law.alpha, "pair": pair.label,
+                          "n_paths": sim.n_paths, "n_steps": sim.n_steps,
+                          "seed": sim.seed, "T": sim.T, "sup_moment": curve.sup,
+                          "digest": ens.increments_digest},
+                  checks=[])
 
 
-def _cmd_sweep(cfg, dump_paths: bool):
+def _cmd_sweep(cfg, out: Path, dump_paths: bool) -> Report:
     law = _law(cfg)
     family = _catalog(cfg, "sweep")
     sim = _sim_config(cfg)
     h_values = cfg["sweep"]["h_values"]
     if not all(h > 0 for h in h_values):
         raise DomainError(f"sweep.h_values entries must be > 0, got {h_values}")
-
-    def job(out: Path) -> Report:
-        res = run_sweep(family, sim, law, h_values=tuple(map(float, h_values)))
-        rows = [[str(r.label), r.scale, r.x0_gap, r.B, r.S, r.D, r.D_se,
-                 r.bound_raw, r.bound_value, str(r.satisfied),
-                 str(r.assumption_flag)] for r in res.rows]
-        write_results_csv(out / "results.csv",
-                          ["label", "scale", "x0_gap", "B", "S", "D", "D_se",
-                           "bound_raw", "bound_value", "satisfied",
-                           "assumption_flag"], rows)
-        good = [r for r in res.rows if r.D > 0]
-        write_plotdata(out / "plotdata" / "D_vs_scale.tsv", "scale", "D",
-                       [r.scale for r in good], [r.D for r in good])
-        if all(r.S > 0 for r in res.rows):
-            write_plotdata(out / "plotdata" / "S_vs_scale.tsv", "scale", "S",
-                           [r.scale for r in res.rows], [r.S for r in res.rows])
-        checks = [CheckRow.at_most("bound_out_of_sample",
-                                   "D_n <= C_fit * bound_n on non-calibration rows",
-                                   float(res.out_of_sample_failures), 0.0)]
-        checks += [CheckRow.at_most(f"tail_{r.label}_h{te.h:g}",
-                                    "tail probability with Wilson interval (informational)",
-                                    te.prob, 1.0,
-                                    {"h": te.h, "lo": te.wilson_low, "hi": te.wilson_high})
-                   for r in res.rows for te in r.tails]
-        return Report(name="sweep",
-                      params={"alpha": law.alpha, "family": family.name,
-                              "eta_tilde": res.spec.eta_tilde, "C_fit": res.C_fit,
-                              "branch": res.spec.branch,
-                              "slope_D_vs_scale": res.slope_D_vs_scale,
-                              "slope_S_vs_inverse_scale": res.slope_S_vs_inverse_scale,
-                              "seed": sim.seed},
-                      checks=checks)
-    return job
+    _distinct("sweep.h_values", h_values)
+    res = run_sweep(family, sim, law, h_values=tuple(map(float, h_values)))
+    good = [r for r in res.rows if r.D > 0]
+    checks = [CheckRow.at_most("bound_out_of_sample",
+                               "D_n <= C_fit * bound_n on non-calibration rows",
+                               float(res.out_of_sample_failures), 0.0)]
+    checks += [CheckRow.at_most(f"tail_{r.label}_h{te.h!r}",
+                                "tail probability with Wilson interval (informational)",
+                                te.prob, 1.0,
+                                {"h": te.h, "lo": te.wilson_low, "hi": te.wilson_high})
+               for r in res.rows for te in r.tails]
+    write_results_csv(out / "results.csv",
+                      ["label", "scale", "x0_gap", "B", "S", "D", "D_se",
+                       "bound_raw", "bound_value", "satisfied", "assumption_flag"],
+                      [[str(r.label), r.scale, r.x0_gap, r.B, r.S, r.D, r.D_se,
+                        r.bound_raw, r.bound_value, str(r.satisfied),
+                        str(r.assumption_flag)] for r in res.rows])
+    write_plotdata(out / "plotdata" / "D_vs_scale.tsv", "scale", "D",
+                   [r.scale for r in good], [r.D for r in good])
+    if all(r.S > 0 for r in res.rows):
+        write_plotdata(out / "plotdata" / "S_vs_scale.tsv", "scale", "S",
+                       [r.scale for r in res.rows], [r.S for r in res.rows])
+    return Report(name="sweep",
+                  params={"alpha": law.alpha, "family": family.name,
+                          "eta_tilde": res.spec.eta_tilde, "C_fit": res.C_fit,
+                          "branch": res.spec.branch,
+                          "slope_D_vs_scale": res.slope_D_vs_scale,
+                          "slope_S_vs_inverse_scale": res.slope_S_vs_inverse_scale,
+                          "seed": sim.seed},
+                  checks=checks)
 
 
-def _cmd_converge(cfg, dump_paths: bool):
+def _cmd_converge(cfg, out: Path, dump_paths: bool) -> Report:
     law = _law(cfg)
     family = _catalog(cfg, "converge")
     sim = _sim_config(cfg)
-
-    def job(out: Path) -> Report:
-        rep0 = convergence_experiment(family, sim, law)
-        rows = [[f"{a}-{b}", d, se] for (a, b), d, se in
-                zip(zip(range(1, len(rep0.pairwise_D) + 1),
-                        range(2, len(rep0.pairwise_D) + 2)),
-                    rep0.pairwise_D, rep0.pairwise_se)]
-        write_results_csv(out / "results.csv", ["pair", "D", "D_se"], rows)
-        write_plotdata(out / "plotdata" / "pairwise_D.tsv", "pair_index", "D",
-                       np.arange(1, len(rep0.pairwise_D) + 1), rep0.pairwise_D)
-        checks = [
-            CheckRow("cauchy_monotone",
-                     "successive coupled distances decrease within 2 SE",
-                     float(rep0.pairwise_D[-1]), float(rep0.pairwise_D[0]),
-                     float(rep0.pairwise_D[0] - rep0.pairwise_D[-1]),
-                     rep0.monotone_within_2se),
-            CheckRow.at_most("uniform_lp",
-                             "E[sup_t |X|^p] constant across members within 3 SE",
-                             rep0.lp_report.max_abs_dev_in_se, 3.0),
-        ]
-        return Report(name="converge",
-                      params={"alpha": law.alpha, "family": family.name,
-                              "p": rep0.lp_report.p, "seed": sim.seed,
-                              "limit_residual": rep0.limit_residual},
-                      checks=checks)
-    return job
+    rep0 = convergence_experiment(family, sim, law)
+    n_pairs = len(rep0.pairwise_D)
+    checks = [
+        CheckRow("cauchy_monotone",
+                 "successive coupled distances decrease within 2 SE",
+                 float(rep0.pairwise_D[-1]), float(rep0.pairwise_D[0]),
+                 float(rep0.pairwise_D[0] - rep0.pairwise_D[-1]),
+                 rep0.monotone_within_2se),
+        CheckRow.at_most("uniform_lp",
+                         "E[sup_t |X|^p] constant across members within 3 SE",
+                         rep0.lp_report.max_abs_dev_in_se, 3.0),
+    ]
+    write_results_csv(out / "results.csv", ["pair", "D", "D_se"],
+                      [[f"{i}-{i + 1}", d, se] for i, d, se in
+                       zip(range(1, n_pairs + 1), rep0.pairwise_D, rep0.pairwise_se)])
+    write_plotdata(out / "plotdata" / "pairwise_D.tsv", "pair_index", "D",
+                   np.arange(1, n_pairs + 1), rep0.pairwise_D)
+    return Report(name="converge",
+                  params={"alpha": law.alpha, "family": family.name,
+                          "p": rep0.lp_report.p, "seed": sim.seed,
+                          "limit_residual": rep0.limit_residual},
+                  checks=checks)
 
 
-# command -> build(cfg, --dump-paths flag): reads every key the command uses
-# and builds its objects, raising before any output exists, and returns the
-# job that computes and writes into the output directory, job(out) -> Report
+# command -> handler(cfg, output directory, --dump-paths flag): reads every
+# key the command uses, builds its objects and computes all its results,
+# and only then writes its files into the directory; returns its Report
 _COMMANDS = {"certify-mollifier": _cmd_certify_mollifier,
              "certify-density": _cmd_certify_density, "distances": _cmd_distances,
              "simulate": _cmd_simulate, "sweep": _cmd_sweep, "converge": _cmd_converge}
@@ -405,14 +380,8 @@ def run(config_path: str, overrides=(), out_dir: str | None = None,
     if dump_paths and command != "simulate":
         raise ConfigError(f"--dump-paths applies to the simulate command only, "
                           f"not {command!r}")
-    job = _COMMANDS[command](cfg, dump_paths)
     out = Path(out_dir or cfg["output"]["dir"])
-    try:
-        (out / "plotdata").mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {str(out)!r}: "
-                          f"{exc.strerror}") from exc
-    rep = job(out)
+    rep = _COMMANDS[command](cfg, out, dump_paths)
     rep.to_json(out / "report.json")
     validate_report(json.loads((out / "report.json").read_text()))
     n_fail = sum(not c.passed for c in rep.checks)
@@ -431,7 +400,7 @@ def print_bound(alpha: float, eta_tilde: float, B: float, S: float,
     if spec.branch == "holder":
         print(f"exponent e_B    : {fmt17(spec.exponent_B)}")
         print(f"exponent e_S    : {fmt17(spec.exponent_S)}")
-    print(f"gap term        : {fmt17(abs(x0_gap) ** (alpha - 1.0) if x0_gap else 0.0)}")
+    print(f"gap term        : {fmt17(theoretical_bound(spec, x0_gap, 0.0, 0.0))}")
     print(f"bound (C_fit=1) : {fmt17(value)}")
     if tail is not None:
         print(f"tail bound at h : {fmt17(tail)}")
@@ -441,7 +410,8 @@ def print_bound(alpha: float, eta_tilde: float, B: float, S: float,
 # exception kind -> (exit code, stderr prefix); main reads an error's most derived kind
 _EXITS = {ConfigError: (2, "config error"), DomainError: (3, "domain error"),
           AssumptionViolation: (3, "assumption violated"),
-          ConstructionError: (3, "domain error"), NumericError: (4, "numeric failure")}
+          ConstructionError: (3, "domain error"), NumericError: (4, "numeric failure"),
+          MemoryError: (4, "out of memory")}
 
 
 def main(argv=None) -> int:

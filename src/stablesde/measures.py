@@ -135,25 +135,19 @@ def _empirical_averages(pair: CoefficientPair, model: DensityModel) -> list:
          lambda t, x, b, s: jump_gap(t, x, s) ** p_s]))
 
 
-def check_horizon(model: DensityModel, T: float) -> None:
-    """Reject a horizon the model cannot integrate to: T <= 0, or in
-    empirical mode any T but that of its simulation, over which the
-    baseline-path averages run."""
-    if T <= 0:
-        raise DomainError("T must be > 0")
-    if model.mode == "empirical" and T != model.sim_config.T:
-        raise DomainError(f"empirical distances average over the simulated "
-                          f"horizon sim.T={model.sim_config.T:g}, got T={T:g}")
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _distance_weighted(pair: CoefficientPair, model: DensityModel, T: float,
                        time_nodes: int, which: int) -> float:
     """Time-space integral of entry `which` of _gap_powers against the model
     density on time_nodes intervals graded by alpha, or its baseline-path
-    average in empirical mode; a power that overflows gives inf, unwarned."""
-    check_horizon(model, T)
+    average in empirical mode, where T must be the simulated horizon; a
+    power that overflows gives inf, unwarned."""
+    if T <= 0:
+        raise DomainError("T must be > 0")
     if model.mode == "empirical":
+        if T != model.sim_config.T:
+            raise DomainError(f"empirical distances average over the simulated "
+                              f"horizon sim.T={model.sim_config.T:g}, got T={T:g}")
         return _empirical_averages(pair, model)[which]
     gap, power = _gap_powers(pair, model.law.alpha)[which]
     nodes = _time_grid(T, model.law.alpha, time_nodes)

@@ -8,8 +8,8 @@ the margin and the flag are computed once, the flag as margin >= 0. Reports
 round-trip through JSON and re-validate against validate_report.
 
 CSV output prints floats with 17 significant digits so byte-identical
-reruns are checkable with diff. A file that cannot be written raises
-ConfigError naming it.
+reruns are checkable with diff. Writing a file creates its directory, and a
+file or directory that cannot be written raises ConfigError naming it.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import csv
 import json
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 from .errors import ConfigError
 
@@ -106,7 +107,15 @@ def validate_report(d: dict) -> None:
 
 @contextmanager
 def writing(path, newline=None):
-    """open(path, "w"), an OSError from it or its writes raised as ConfigError."""
+    """open(path, "w") after creating its directory, an OSError from either
+    or from its writes raised as ConfigError. The writers all come here, so
+    the first file written creates the output directory."""
+    folder = Path(path).parent
+    try:
+        folder.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {str(folder)!r}: "
+                          f"{exc.strerror}") from exc
     try:
         with open(path, "w", newline=newline) as fh:
             yield fh

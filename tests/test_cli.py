@@ -202,6 +202,11 @@ class TestConfigParsing:
          "overflow a double"),
         ("sweep", "--set sweep.h_values=[0.1,-1]", 3, "sweep.h_values entries"),
         ("certify-density", "--set certify.alphas=[1.5,2.5]", 3, "certify.alphas entries"),
+        # entries that name check ids: a repeat would write one id twice
+        ("certify-density", "--set certify.alphas=[1.5,1.5]", 3,
+         "certify.alphas entries must be distinct"),
+        ("sweep", "--set sweep.h_values=[0.1,0.1]", 3,
+         "sweep.h_values entries must be distinct"),
         ("converge", "--set converge.params.n_stop=1", 3, "at least 2 family members"),
         ("converge", "--set converge.params.n_start=4 --set converge.params.n_stop=4", 3,
          "at least 2 family members"),
@@ -252,6 +257,7 @@ class TestConfigParsing:
                                   4: "numeric failure: "}[code])
         assert needle in err[0]
         assert "estimate=None" not in err[0]
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command, override, code", [
         ("distances", 'coefficients.params.amp="x"', 2),
@@ -340,7 +346,8 @@ class TestConfigParsing:
                                  "--set", "distances.model=empirical"])
         assert rc == 0 and err == []
 
-    @pytest.mark.parametrize("error, code", [(DomainError, 3), (NumericError, 4)])
+    @pytest.mark.parametrize("error, code", [(DomainError, 3), (NumericError, 4),
+                                             (MemoryError, 4)])
     def test_block_failure_exits_with_one_line(self, tmp_path, monkeypatch,
                                                error, code):
         """An error raised by one path block on a worker thread reaches the
@@ -358,6 +365,7 @@ class TestConfigParsing:
                              "--set", "sim.n_paths=4219"])
         assert rc == code
         assert len(err) == 1 and "block sampler failed" in err[0]
+        assert not (tmp_path / "o").exists()
 
     def test_simulate_digest_pinned(self, tmp_path):
         """The increments digest in simulate's report.json, hashed over two
@@ -432,12 +440,11 @@ class TestConfigParsing:
             rc, err = run_quiet(["run", "--config", cfg, "--out", str(tmp_path / "o")]
                                 + args.split())
         assert rc == code and len(err) == 1 and err[0].startswith(prefix)
+        assert not (tmp_path / "o").exists()
 
     def test_numeric_failure_prints_its_estimate(self, tmp_path, monkeypatch):
-        def fail(cfg, dump_paths):
-            def job(out):
-                raise NumericError("x", estimate=0.5, error_bound=0.1)
-            return job
+        def fail(cfg, out, dump_paths):
+            raise NumericError("x", estimate=0.5, error_bound=0.1)
 
         monkeypatch.setitem(_COMMANDS, "simulate", fail)
         cfg = write_cfg(tmp_path, {"command": "simulate", **TINY["simulate"]})
@@ -463,15 +470,13 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
     def test_shipped_config_loads(self, path):
-        """Each shipped config loads, and its command reads every key it
-        needs and builds its objects."""
-        cfg = load_config(str(path), ())
-        assert callable(_COMMANDS[cfg["command"]](cfg, False))
+        """Each shipped config loads (TestPinnedOutputs runs each through its
+        command)."""
+        assert load_config(str(path), ())["command"] in _COMMANDS
 
     def test_every_schema_key_has_a_reader(self, tmp_path, monkeypatch):
         """No config key without a reader: the TINY configs, each through
-        its build step and its job, and run reading output.dir, read every
-        _SCHEMA key."""
+        its command, and run reading output.dir, read every _SCHEMA key."""
         read = set()
 
         class Recorded(Checked):
@@ -595,6 +600,18 @@ class TestRunCommands:
         params = json.loads((tmp_path / "o" / "report.json").read_text())["params"]
         assert params["eta_tilde"] == 0.7
         assert params["branch"] == "holder"
+
+    def test_near_equal_h_values_give_distinct_check_ids(self, tmp_path):
+        """A tail row's id writes h in full, so h values equal to 6 digits
+        still name distinct rows."""
+        cfg = write_cfg(tmp_path, {"command": "sweep", **TINY["sweep"]})
+        rc, err = run_quiet(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                             "--set", "sweep.h_values=[0.1,0.1000001]"])
+        assert rc in (0, 1) and err == []
+        ids = [c["check_id"] for c in
+               json.loads((tmp_path / "o" / "report.json").read_text())["checks"]]
+        assert len(ids) == len(set(ids))
+        assert {"tail_gap=0.2_h0.1", "tail_gap=0.2_h0.1000001"} <= set(ids)
 
     def test_failed_sweep_rows_give_a_negative_margin(self, tmp_path, monkeypatch):
         """bound_out_of_sample reports margin = bound - value, the bound being

@@ -3,7 +3,6 @@
 reads is surface to delete."""
 
 import ast
-import inspect
 from pathlib import Path
 
 import pytest
@@ -11,9 +10,8 @@ import pytest
 from stablesde import cli
 
 SRC = Path(cli.__file__).resolve().parent
-# the command handlers share one signature, whatever each of them reads
-SHARED = {f.__name__: set(inspect.signature(f).parameters)
-          for f in cli._COMMANDS.values()}
+# the command handlers share one signature, and only simulate reads its flag
+SHARED = {f.__name__: {"dump_paths"} for f in cli._COMMANDS.values()}
 
 
 def unread_parameters(path: Path) -> list:
