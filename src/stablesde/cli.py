@@ -8,13 +8,13 @@ The config is strict JSON. _SCHEMA below is the reference for its keys: it
 declares each key's type, default and lower bound once, and physical
 parameters (alpha, eps, delta, T, seed, ...) have no default. Catalog params
 take the same form in coefficients._PARAMS, and errors.check_section checks
-both tables. Every key present, and the params of each pair or family a
-section names, are checked when the config loads, and never coerced. A
-command computes all its results before it writes any file, and the first
-write creates the output directory, so only a failed write leaves output
-behind. Outputs are results.csv (floats at 17 significant digits),
-report.json (validated machine-readable pass/fail rows), and plotdata/*.tsv
-series.
+both tables. Every key present is checked when the config loads, and never
+coerced; run then builds each pair or family a section names, once, also
+where the command does not read that section. A command computes all its
+results before it writes any file, and the first write creates the output
+directory, so only a failed write leaves output behind. Outputs are
+results.csv (floats at 17 significant digits), report.json (validated
+machine-readable pass/fail rows), and plotdata/*.tsv series.
 
 Exit codes (_EXITS): 0 all checks pass, 1 a check failed, 2 config error
 (parse, unknown key, wrong type, missing value, a config file that is not
@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import mollifier as moll
-from .coefficients import _FAMILIES, _PAIRS, make_family, make_pair
+from .coefficients import make_family, make_pair
 from .errors import (REQUIRED, AssumptionViolation, ConfigError, ConstructionError,
                      DomainError, NumericError, check_section, config_value)
 from .measures import (DensityModel, check_sup_args, distance_B, distance_B_sup,
@@ -68,8 +68,10 @@ _SCHEMA = {
                 "alphas": (list, None, 1)},
     "output": {"dir": (str, "out", None)},
 }
-# catalog section -> the names its pair or family may take
-_CATALOG = {"coefficients": _PAIRS, "sweep": _FAMILIES, "converge": _FAMILIES}
+# catalog section -> (naming key, builder); once run has built the entry,
+# the naming key holds the built pair or family
+_CATALOG = {"coefficients": ("name", make_pair), "sweep": ("family", make_family),
+            "converge": ("family", make_family)}
 _CERTIFY_WINDOW = (-5.0, 5.0)   # x range of the certify-mollifier grid
 
 
@@ -103,12 +105,6 @@ def load_config(path: str, overrides) -> dict:
     for key, value in overrides or ():
         _apply_override(cfg, key, value)
     _validate_schema(cfg)
-    # the params of each catalog entry a section names, also where the
-    # command does not read the section; an unknown name is left to the
-    # command that reads it
-    for section, names in _CATALOG.items():
-        if cfg[section].get("name", cfg[section].get("family")) in names:
-            _catalog(cfg, section)
     return cfg
 
 
@@ -164,19 +160,11 @@ def _distinct(key: str, values) -> None:
         raise DomainError(f"{key} entries must be distinct, got {values}")
 
 
-def _catalog(cfg, section):
-    """The coefficient pair (section coefficients) or perturbation family
-    (sweep, converge) the section names."""
-    family = section != "coefficients"
-    name = cfg[section]["family" if family else "name"]
-    return (make_family if family else make_pair)(name, cfg[section]["params"])
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def _cmd_certify_mollifier(cfg, out: Path, dump_paths: bool) -> Report:
+def _cmd_certify_mollifier(cfg, out: Path) -> Report:
     law = _law(cfg)
     m = moll.build_mollifier(law.alpha, cfg["mollifier"]["eps"],
                              cfg["mollifier"]["delta"])
@@ -205,7 +193,7 @@ def _cmd_certify_mollifier(cfg, out: Path, dump_paths: bool) -> Report:
                   checks=checks, grid={"n_points": int(grid.size), "lo": lo, "hi": hi})
 
 
-def _cmd_certify_density(cfg, out: Path, dump_paths: bool) -> Report:
+def _cmd_certify_density(cfg, out: Path) -> Report:
     law = _law(cfg)
     alphas = cfg["certify"]["alphas"] or [law.alpha]
     if not all(1.0 < a < 2.0 for a in alphas):
@@ -241,9 +229,9 @@ def _cmd_certify_density(cfg, out: Path, dump_paths: bool) -> Report:
     return Report(name="certify-density", params={"alphas": list(alphas)}, checks=checks)
 
 
-def _cmd_distances(cfg, out: Path, dump_paths: bool) -> Report:
+def _cmd_distances(cfg, out: Path) -> Report:
     law = _law(cfg)
-    pair = _catalog(cfg, "coefficients")
+    pair = cfg["coefficients"]["name"]
     T = cfg["distances"]["T"]
     mode = cfg["distances"]["model"]
     model = DensityModel(mode=mode, law=law,
@@ -269,9 +257,9 @@ def _cmd_distances(cfg, out: Path, dump_paths: bool) -> Report:
                                    1.0, all(np.isfinite([B, S, B_inf, S_inf])))])
 
 
-def _cmd_simulate(cfg, out: Path, dump_paths: bool) -> Report:
+def _cmd_simulate(cfg, out: Path, dump_paths: bool = False) -> Report:
     law = _law(cfg)
-    pair = _catalog(cfg, "coefficients")
+    pair = cfg["coefficients"]["name"]
     sim = _sim_config(cfg, keep_paths=dump_paths)
     ens = simulate_coupled(sim, pair, law, digest=True)
     curve = distance_moment_curve(ens, law.alpha - 1.0)
@@ -294,9 +282,9 @@ def _cmd_simulate(cfg, out: Path, dump_paths: bool) -> Report:
                   checks=[])
 
 
-def _cmd_sweep(cfg, out: Path, dump_paths: bool) -> Report:
+def _cmd_sweep(cfg, out: Path) -> Report:
     law = _law(cfg)
-    family = _catalog(cfg, "sweep")
+    family = cfg["sweep"]["family"]
     sim = _sim_config(cfg)
     h_values = cfg["sweep"]["h_values"]
     if not all(h > 0 for h in h_values):
@@ -333,9 +321,9 @@ def _cmd_sweep(cfg, out: Path, dump_paths: bool) -> Report:
                   checks=checks)
 
 
-def _cmd_converge(cfg, out: Path, dump_paths: bool) -> Report:
+def _cmd_converge(cfg, out: Path) -> Report:
     law = _law(cfg)
-    family = _catalog(cfg, "converge")
+    family = cfg["converge"]["family"]
     sim = _sim_config(cfg)
     rep0 = convergence_experiment(family, sim, law)
     n_pairs = len(rep0.pairwise_D)
@@ -361,9 +349,9 @@ def _cmd_converge(cfg, out: Path, dump_paths: bool) -> Report:
                   checks=checks)
 
 
-# command -> handler(cfg, output directory, --dump-paths flag): reads every
-# key the command uses, builds its objects and computes all its results,
-# and only then writes its files into the directory; returns its Report
+# command -> handler(cfg, output directory): reads every key the command
+# uses, builds its objects and computes all its results, and only then
+# writes its files into the directory; returns its Report
 _COMMANDS = {"certify-mollifier": _cmd_certify_mollifier,
              "certify-density": _cmd_certify_density, "distances": _cmd_distances,
              "simulate": _cmd_simulate, "sweep": _cmd_sweep, "converge": _cmd_converge}
@@ -376,12 +364,16 @@ _COMMANDS = {"certify-mollifier": _cmd_certify_mollifier,
 def run(config_path: str, overrides=(), out_dir: str | None = None,
         dump_paths: bool = False) -> int:
     cfg = load_config(config_path, overrides)
+    for section, (key, build) in _CATALOG.items():
+        if key in cfg[section]:
+            cfg[section][key] = build(cfg[section][key], cfg[section]["params"])
     command = cfg["command"]
     if dump_paths and command != "simulate":
         raise ConfigError(f"--dump-paths applies to the simulate command only, "
                           f"not {command!r}")
     out = Path(out_dir or cfg["output"]["dir"])
-    rep = _COMMANDS[command](cfg, out, dump_paths)
+    rep = (_cmd_simulate(cfg, out, dump_paths=True) if dump_paths
+           else _COMMANDS[command](cfg, out))
     rep.to_json(out / "report.json")
     validate_report(json.loads((out / "report.json").read_text()))
     n_fail = sum(not c.passed for c in rep.checks)

@@ -169,8 +169,8 @@ def mollified_kink_hat(x, center, amp, h):
 def _sigma(params):
     """sigma = s0 + s1 sin(freq_s x)."""
     s0, s1, freq_s = params["s0"], params["s1"], params["freq_s"]
-    if s0 - s1 <= 0:
-        raise DomainError("baseline sigma must stay strictly positive (s0 > s1)")
+    if s0 <= abs(s1):
+        raise DomainError("baseline sigma must stay strictly positive (s0 > |s1|)")
     return lambda t, x: s0 + s1 * np.sin(freq_s * np.asarray(x, dtype=float))
 
 
@@ -276,16 +276,18 @@ def make_family(name: str, params: dict | None = None) -> PerturbationFamily:
         if values is None:
             values = _geometric(params["gap0"], params["ratio"],
                                 [n - n_start for n in ns], name)
-        scales, tags = [abs(g) for g in values], [f"gap={g:g}" for g in values]
+        scales, tags = [abs(g) for g in values], [f"gap={g!r}" for g in values]
     elif group == "amps":
         values = _geometric(params["amp0"], params["ratio"], ns, name)
         scales, tags = [abs(a) for a in values], [f"n={n}" for n in ns]
     else:
         values = _geometric(params["h0"], params["ratio"],
                             [n - n_start for n in ns], name)
-        scales, tags = values, [f"h={h:g}" for h in values]
+        scales, tags = values, [f"h={h!r}" for h in values]
     shared = {key: value for key, value in given.items() if key in member_table}
     pairs = [make_pair(member, {**shared, per_member: v}) for v in values]
+    if repeated := [tag for i, tag in enumerate(tags) if tag in tags[:i]]:
+        raise DomainError(f"family {name!r} has two members labelled {repeated[0]}")
     for p, tag in zip(pairs, tags):
         p.label = tag
     return PerturbationFamily(name=name, pairs=pairs, scales=scales)

@@ -178,14 +178,19 @@ def distance_S(pair: CoefficientPair, model: DensityModel, T: float,
 
 def check_sup_args(variant: str, window, x0: float) -> tuple:
     """The sup window: window as written, or x0 -+ 10 when it is None.
-    Rejects an unknown sup-distance variant, and a window that is not
-    (lo, hi) with lo < hi; an empty window is rejected like any other."""
+    Rejects an unknown sup-distance variant, a window that is not (lo, hi)
+    with lo < hi and a finite width (an empty window is rejected like any
+    other), and an x0 so large that x0 -+ 10 is a point."""
     if variant not in ("time_integral", "time_sup"):
         raise DomainError(f"unknown sup-distance variant {variant!r}")
     if window is None:
+        if not x0 - 10.0 < x0 + 10.0:
+            raise DomainError(f"the default sup window x0 -+ 10 is a point at x0={x0}; "
+                              f"set distances.sup_window")
         return (x0 - 10.0, x0 + 10.0)
-    if len(window) != 2 or not window[0] < window[1]:
-        raise DomainError(f"sup window must be (lo, hi) with lo < hi, got {window}")
+    if len(window) != 2 or not 0.0 < float(window[1]) - float(window[0]) < np.inf:
+        raise DomainError(f"sup window must be (lo, hi) with lo < hi and a finite "
+                          f"width hi - lo, got {window}")
     return tuple(window)
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablesde import cli, mollifier, simulate
+from stablesde import cli, coefficients, mollifier, simulate
 from stablesde.cli import _COMMANDS, _SCHEMA, load_config, main
 from stablesde.errors import REQUIRED, Checked, ConfigError, DomainError, NumericError
 from stablesde.rates import RateBoundSpec, SweepResult, SweepRow
@@ -207,6 +207,11 @@ class TestConfigParsing:
          "certify.alphas entries must be distinct"),
         ("sweep", "--set sweep.h_values=[0.1,0.1]", 3,
          "sweep.h_values entries must be distinct"),
+        ("sweep", "--set sweep.params.gaps=[0.2,0.2]", 3, "two members labelled gap=0.2"),
+        ("converge", '--set converge.params={"ratio":1.0,"n_stop":2}', 3,
+         "two members labelled h=0.5"),
+        # the default sup window x0 -+ 10 is a single point this far out
+        ("distances", "--set coefficients.params.x0=1e300", 3, "distances.sup_window"),
         ("converge", "--set converge.params.n_stop=1", 3, "at least 2 family members"),
         ("converge", "--set converge.params.n_start=4 --set converge.params.n_stop=4", 3,
          "at least 2 family members"),
@@ -277,6 +282,13 @@ class TestConfigParsing:
         # only an absent window stands for the default one
         ("distances", "distances.sup_window=[]", 3),
         ("distances", 'distances.variant="bogus"', 3),
+        ("distances", "distances.sup_window=[-1e308,1e308]", 3),
+        ("distances", "coefficients.params.x0=1e300", 3),
+        ("distances", "coefficients.params.s1=-2", 3),
+        ("sweep", "sweep.params.gaps=[0.2,0.2]", 3),
+        # every pair or family a section names is built, also where the
+        # command does not read the section
+        ("certify-density", "coefficients.name=bogus", 3),
         ("distances", 'distances.model="empirical"', 2),
         # the laws and the mollifier a command builds
         *[(command, "law.alpha=2.3", 3) for command in sorted(TINY)],
@@ -443,7 +455,7 @@ class TestConfigParsing:
         assert not (tmp_path / "o").exists()
 
     def test_numeric_failure_prints_its_estimate(self, tmp_path, monkeypatch):
-        def fail(cfg, out, dump_paths):
+        def fail(cfg, out):
             raise NumericError("x", estimate=0.5, error_bound=0.1)
 
         monkeypatch.setitem(_COMMANDS, "simulate", fail)
@@ -612,6 +624,35 @@ class TestRunCommands:
                json.loads((tmp_path / "o" / "report.json").read_text())["checks"]]
         assert len(ids) == len(set(ids))
         assert {"tail_gap=0.2_h0.1", "tail_gap=0.2_h0.1000001"} <= set(ids)
+
+    def test_near_equal_gaps_give_distinct_check_ids(self, tmp_path):
+        """A member's label writes its gap in full, so gaps equal to 6
+        digits still name distinct rows."""
+        cfg = write_cfg(tmp_path, {"command": "sweep", **TINY["sweep"]})
+        rc, err = run_quiet(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                             "--set", "sweep.params.gaps=[0.2,0.2000001]",
+                             "--set", "sweep.h_values=[0.1]"])
+        assert rc in (0, 1) and err == []
+        ids = [c["check_id"] for c in
+               json.loads((tmp_path / "o" / "report.json").read_text())["checks"]]
+        assert sorted(i for i in ids if i.startswith("tail_")) == [
+            "tail_gap=0.2000001_h0.1", "tail_gap=0.2_h0.1"]
+
+    def test_each_catalog_entry_is_built_once(self, tmp_path, monkeypatch):
+        """A sweep builds its family, and through it each member pair, once:
+        one params check for the family and one per member."""
+        calls = []
+
+        def counted(given, table, where):
+            calls.append(where)
+            return real(given, table, where)
+
+        real = coefficients.check_section
+        monkeypatch.setattr(coefficients, "check_section", counted)
+        cfg = write_cfg(tmp_path, {"command": "sweep", **TINY["sweep"]})
+        rc, err = run_quiet(["run", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc in (0, 1) and err == []
+        assert len(calls) == 3
 
     def test_failed_sweep_rows_give_a_negative_margin(self, tmp_path, monkeypatch):
         """bound_out_of_sample reports margin = bound - value, the bound being

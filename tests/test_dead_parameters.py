@@ -10,8 +10,6 @@ import pytest
 from stablesde import cli
 
 SRC = Path(cli.__file__).resolve().parent
-# the command handlers share one signature, and only simulate reads its flag
-SHARED = {f.__name__: {"dump_paths"} for f in cli._COMMANDS.values()}
 
 
 def unread_parameters(path: Path) -> list:
@@ -25,7 +23,7 @@ def unread_parameters(path: Path) -> list:
         read = {n.id for stmt in node.body for n in ast.walk(stmt)
                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
         found += [f"{path.name}:{node.lineno} {node.name}({p})" for p in params
-                  if p not in read and p not in SHARED.get(node.name, ())]
+                  if p not in read]
     return found
 
 

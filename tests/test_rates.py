@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import stablesde as ss
 from stablesde import rates
-from stablesde.coefficients import drift_sequence, make_family
+from stablesde.coefficients import (PerturbationFamily, drift_sequence, make_family,
+                                    make_pair)
 from stablesde.rates import RateBoundSpec
 from stablesde.simulate import SimConfig
 
@@ -186,8 +187,11 @@ class TestRunSweep:
 
 class TestConvergenceExperiment:
     def test_constant_family_all_zero(self, law15):
-        family = make_family("drift_mollification",
-                             {"h0": 0.25, "ratio": 1.0, "n_start": 1, "n_stop": 4})
+        # four equal members, built as make_family builds each one; make_family
+        # itself rejects them, since their labels would repeat
+        family = PerturbationFamily("drift_mollification",
+                                    [make_pair("mollified_kink", {"h": 0.25})
+                                     for _ in range(4)], [0.25] * 4)
         cfg = SimConfig(T=1.0, n_steps=64, n_paths=3000, seed=6)
         rep = ss.convergence_experiment(family, cfg, law15)
         assert np.all(rep.pairwise_D == 0.0)
