@@ -267,16 +267,9 @@ class SmoothedDistance:
         sizes = _NEAR_ORDER * keep.sum(axis=1)
         w = np.repeat(xs, sizes) - nodes.ravel()
         terms = self._kernel_terms(w, pv.ravel(), ppv.ravel(), wts.ravel(), which)
-        starts = np.cumsum(sizes) - sizes
-        out = np.empty((len(which), xs.size))
-        # one np.sum per node count over gathered contiguous rows keeps each
-        # point's summation order that of a 1-D sum of its own terms
-        for n in np.unique(sizes):
-            rows = np.nonzero(sizes == n)[0]
-            gather = starts[rows, None] + np.arange(n)
-            for k, t in enumerate(terms):
-                out[k, rows] = np.sum(t[gather], axis=1)
-        return out
+        ends = np.cumsum(sizes)
+        return np.array([[np.sum(t[end - n:end]) for end, n in zip(ends, sizes)]
+                         for t in terms])
 
     def _near_values(self, xs: np.ndarray, which: tuple):
         """The columns named in which ("u", "up", "upp": u, u', u''), in its
@@ -337,13 +330,12 @@ class SmoothedDistance:
         x = np.atleast_1d(np.asarray(x0, dtype=float))
         out = np.empty_like(x)
         far = np.abs(x) > self.far_switch
-        a = self.alpha
-        if which == "u":
-            out[far] = self._series_mean_pow(x[far], a - 1.0)
-        elif which == "up":
-            out[far] = (a - 1.0) * np.sign(x[far]) * self._series_mean_pow(x[far], a - 2.0)
-        else:
-            out[far] = (a - 1.0) * (a - 2.0) * self._series_mean_pow(x[far], a - 3.0)
+        # the d-th derivative of E|x - Y|^p, p = alpha - 1, is
+        # p (p - 1) ... (p - d + 1) sgn(x)^d E|x - Y|^(p - d)
+        d = ("u", "up", "upp").index(which)
+        p = self.alpha - 1.0
+        out[far] = (math.prod(p - j for j in range(d)) * np.sign(x[far]) ** d
+                    * self._series_mean_pow(x[far], p - d))
         near = ~far
         if np.any(near):
             if exact:

@@ -10,8 +10,9 @@ compute the others and send their pickled results back on pipes. No helper
 thread competes with the caller's slice for the lock. Pinning each process
 to its own CPU lost an A/B on a 2-vCPU host, so the scheduler places them.
 Forking a process that runs other Python threads can deadlock the child,
-so map_interleaved runs inline while other threads are alive, off the main
-thread, without os.fork and when workers() is 1, with the same result.
+so while other threads are alive, off the main thread and without os.fork
+the caller computes one slice of every point, and starts no child; since a
+value depends on its own point only, one slice has the bits of w slices.
 """
 
 from __future__ import annotations
@@ -85,19 +86,16 @@ def _fork_join(fn, slices) -> list:
 
 
 def map_interleaved(fn, xs) -> np.ndarray:
-    """fn applied to the workers() interleaved slices xs[i::w] of the 1-D
-    array xs, put back in the order of xs. fn maps points to a float array
-    whose last axis runs over them; a value that depends on its own point
-    only has the bits of fn(xs) for any worker count. Interleaving spreads
-    costly stretches of a grid over the workers. The first slice that raises
-    sends its error whole; no child outlives the call."""
+    """fn applied to the interleaved slices xs[i::w] of the 1-D array xs, w
+    being workers() where forking is safe and 1 elsewhere, put back in the
+    order of xs. fn maps points to a float array whose last axis runs over
+    them; a value that depends on its own point only has the bits of fn(xs)
+    for any worker count. Interleaving spreads costly stretches of a grid
+    over the workers. The first slice that raises sends its error whole; no
+    child outlives the call."""
     xs = np.asarray(xs)
-    w = max(1, min(workers(), xs.size))
-    slices = [xs[i::w] for i in range(w)]
-    if w == 1 or not _can_fork():
-        parts = [fn(s) for s in slices]
-    else:
-        parts = _fork_join(fn, slices)
+    w = max(1, min(workers(), xs.size)) if _can_fork() else 1
+    parts = _fork_join(fn, [xs[i::w] for i in range(w)])
     out = np.empty(parts[0].shape[:-1] + (xs.size,))
     for i, part in enumerate(parts):
         out[..., i::w] = part

@@ -13,9 +13,10 @@ eta_tilde of the perturbed jump coefficient:
 
 valid under B < 1, S < 1. The multiplicative constant depends on quantities
 no experiment can print, so every bound check is one-point calibrated:
-C_fit is fitted on the first member's row and all remaining rows are
-out-of-sample. The tail version divides the same bracket by h. Sweeps and
-convergence runs take eta_tilde, start and sigma from their family's members.
+C_fit is fitted on the row of the first member that the bound covers
+(B < 1, S < 1) and all later rows are out-of-sample. The tail version
+divides the same bracket by h. Sweeps and convergence runs take eta_tilde,
+start and sigma from their family's members.
 """
 
 from __future__ import annotations
@@ -124,9 +125,10 @@ class SweepResult:
 
     @property
     def out_of_sample_failures(self) -> int:
-        """Rows after the first (the calibration row) without an assumption
-        flag that exceed their bound."""
-        return sum(not r.satisfied for r in self.rows[1:] if not r.assumption_flag)
+        """Rows without an assumption flag that exceed their bound, the first
+        of them (the calibration row) left out."""
+        fitted = [r for r in self.rows if not r.assumption_flag]
+        return sum(not r.satisfied for r in fitted[1:])
 
 
 def run_sweep(family: PerturbationFamily, sim_config: SimConfig,
@@ -135,14 +137,14 @@ def run_sweep(family: PerturbationFamily, sim_config: SimConfig,
     default time grid, a coupled simulation, the sup moment
     D_n = sup_t mean|X - X~|^(alpha-1), tail rows, and the
     one-point-calibrated check of the members' eta_tilde bound, with C_fit
-    fitted on the first member. Assumption violations flag rows instead of
-    failing the sweep."""
+    fitted on the first member without an assumption flag. Assumption
+    violations flag rows; AssumptionViolation when every row is flagged."""
     if not family.pairs:
         raise DomainError("perturbation family has no members")
     spec = RateBoundSpec(alpha=law.alpha, eta_tilde=family.pairs[0].eta_tilde)
     q = law.alpha - 1.0
     model = DensityModel(mode="frozen_plain", law=law)
-    rows = []
+    rows, c_fit = [], None
     for i, pair in enumerate(family.pairs):
         B = distance_B(pair, model, sim_config.T)
         S = distance_S(pair, model, sim_config.T)
@@ -150,27 +152,27 @@ def run_sweep(family: PerturbationFamily, sim_config: SimConfig,
         ens = simulate_coupled(cfg, pair, law)
         curve = distance_moment_curve(ens, q)
         gap = pair.x0_tilde - pair.x0
-        flag = False
+        flag, value, satisfied = False, float("nan"), False
         try:
             raw = theoretical_bound(spec, gap, B, S)
         except AssumptionViolation:
-            raw = float("nan")
-            flag = True
+            raw, flag = float("nan"), True
+        else:
+            if c_fit is None:   # the calibration row
+                c_fit = curve.sup / raw if raw > 0 else 1.0
+            value = c_fit * raw
+            satisfied = bool(curve.sup <= value * (1.0 + 1e-12))
         tails = [tail_probability(ens, h) for h in h_values]
         del ens     # so that the next member does not simulate beside it
         rows.append(SweepRow(label=pair.label, scale=float(family.scales[i]),
                              x0_gap=gap, B=B, S=S, D=curve.sup,
                              D_se=curve.sup_stderr, bound_raw=raw,
-                             bound_value=float("nan"), satisfied=False,
+                             bound_value=value, satisfied=satisfied,
                              assumption_flag=flag, tails=tails))
-
-    calib = rows[0]
-    c_fit = (calib.D / calib.bound_raw
-             if not calib.assumption_flag and calib.bound_raw > 0 else 1.0)
-    for r in rows:
-        if not r.assumption_flag:
-            r.bound_value = c_fit * r.bound_raw
-            r.satisfied = bool(r.D <= r.bound_value * (1.0 + 1e-12))
+    if c_fit is None:
+        raise AssumptionViolation(
+            f"every member of family '{family.name}' violates B < 1 and S < 1; "
+            f"no row can fit C_fit")
 
     result = SweepResult(spec=spec, rows=rows, C_fit=c_fit)
     good = [r for r in rows if not r.assumption_flag and r.D > 0 and r.bound_raw > 0]

@@ -26,8 +26,9 @@ its own terms, so the values are bitwise those of a per-point evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 from scipy import integrate
@@ -49,13 +50,14 @@ class StableLaw:
 
     c_alpha is the jump-measure constant; big_C_alpha is the constant in the
     generator image of the mollified distance function,
-    L u_{delta,eps} = big_C_alpha * psi (see mollifier module).
+    L u_{delta,eps} = big_C_alpha * psi (see mollifier module). Every law
+    shares one density_quadrature.
     """
 
     alpha: float
     c_alpha: float
     big_C_alpha: float
-    density_quadrature: QuadratureSpec = field(default_factory=QuadratureSpec)
+    density_quadrature: ClassVar[QuadratureSpec] = QuadratureSpec()
 
     @property
     def t_max(self) -> float:
@@ -99,21 +101,14 @@ _exp_memo = lru_cache(maxsize=8)(_ExpMemo)
 
 def _density_quad(law: StableLaw, x: float) -> float:
     spec = law.density_quadrature
-    integrand = _exp_memo(law.alpha).__getitem__
-    if x == 0.0:
-        val, err = integrate.quad(integrand, 0.0, law.t_max,
-                                  epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-                                  limit=spec.max_subdivisions)
-    else:
-        out = integrate.quad(integrand, 0.0, law.t_max,
-                             weight="cos", wvar=abs(x),
-                             epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-                             limit=spec.max_subdivisions, full_output=1)
-        val, err = out[0], out[1]
-        if len(out) > 3:
-            raise NumericError(
-                f"density quadrature did not converge at x={x}: {out[3]}",
-                estimate=val / math.pi, error_bound=err / math.pi)
+    weight = {} if x == 0.0 else {"weight": "cos", "wvar": abs(x)}
+    out = integrate.quad(_exp_memo(law.alpha).__getitem__, 0.0, law.t_max,
+                         epsabs=spec.abs_tol, epsrel=spec.rel_tol,
+                         limit=spec.max_subdivisions, full_output=1, **weight)
+    val, err = out[0], out[1]
+    if len(out) > 3:
+        raise NumericError(f"density quadrature did not converge at x={x}: {out[3]}",
+                           estimate=val / math.pi, error_bound=err / math.pi)
     if err > max(spec.abs_tol * 50.0, spec.rel_tol * abs(val) * 50.0):
         raise NumericError(f"density quadrature error {err:.2e} too large at x={x}",
                            estimate=val / math.pi, error_bound=err / math.pi)
@@ -243,10 +238,10 @@ def envelope_comparability_check(law: StableLaw, grid):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=8)
-def _density_spline(alpha: float, cutoff: float):
+def _density_spline(alpha: float):
     law = make_stable_law(alpha)
-    z = np.concatenate([np.linspace(0.0, 2.0, 801),
-                        np.linspace(2.0, cutoff, 1601)[1:]])
+    cut = law.density_quadrature.oscillatory_cutoff
+    z = np.concatenate([np.linspace(0.0, 2.0, 801), np.linspace(2.0, cut, 1601)[1:]])
     vals = map_interleaved(
         lambda zs: np.array([_density_quad(law, zi) for zi in zs]), z)
     return CubicSpline(z, vals)
@@ -261,7 +256,7 @@ def density_grid(law: StableLaw, x) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     ax = np.abs(x)
     cut = law.density_quadrature.oscillatory_cutoff
-    spline = _density_spline(law.alpha, cut)
+    spline = _density_spline(law.alpha)
     out = np.empty_like(ax)
     inner = ax <= cut
     out[inner] = spline(ax[inner])

@@ -6,6 +6,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -98,6 +101,25 @@ class TestPrintBound:
                    "--B", "0.01", "--S", "0.01", "--x0-gap", "0", "--h", "0.5"])
         assert rc == 0
         assert "tail bound" in capsys.readouterr().out
+
+
+class TestModuleEntryPoint:
+    """python -m stablesde runs the same main, in a fresh interpreter."""
+
+    @pytest.mark.parametrize("args, code, stdout, stderr_lines", [
+        (["print-bound", "--alpha", "1.5", "--eta-tilde", "1", "--B", "0.01",
+          "--S", "0.01", "--x0-gap", "0"], 0, "bound (C_fit=1) : 0.10000000000000001", 0),
+        (["run", "--config", str(CONFIGS / "sweep_jump_bump.json"), "--set", "foo"],
+         2, "", 1),
+    ])
+    def test_python_dash_m(self, args, code, stdout, stderr_lines):
+        root = CONFIGS.parent
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        proc = subprocess.run([sys.executable, "-m", "stablesde", *args], cwd=root,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code
+        assert stdout in proc.stdout
+        assert len(proc.stderr.splitlines()) == stderr_lines
 
 
 class TestConfigParsing:
@@ -195,6 +217,7 @@ class TestConfigParsing:
         # the envelope M p0 gives M B and M^(1/alpha) S, so no model reads an M
         ("distances", "--set distances.M=2", 2, "['M']"),
         ("converge", "--set converge.params.h0=0", 3, "scale h"),
+        ("sweep", "--set sweep.params.gaps=[]", 3, "perturbation family has no members"),
         # members, and list entries, that would fail only after the ones before them ran
         ("sweep", '--set sweep.family="jump_bump" --set sweep.params={"ratio":1e200,"n_stop":3}',
          3, "overflow a double"),
@@ -653,6 +676,17 @@ class TestRunCommands:
         rc, err = run_quiet(["run", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc in (0, 1) and err == []
         assert len(calls) == 3
+
+    def test_sweep_with_every_member_flagged_exits_3(self, tmp_path):
+        """No member has B < 1 and S < 1, so no row can fit C_fit: one stderr
+        line and no output, not a PASS on a constant that no row fitted."""
+        cfg = write_cfg(tmp_path, {"command": "sweep", **TINY["sweep"]})
+        rc, err = run_quiet(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                             "--set", 'sweep.family="jump_bump"',
+                             "--set", 'sweep.params={"amp0":-30,"n_stop":2}'])
+        assert rc == 3 and len(err) == 1
+        assert err[0].startswith("assumption violated: every member of family 'jump_bump'")
+        assert not (tmp_path / "o").exists()
 
     def test_failed_sweep_rows_give_a_negative_margin(self, tmp_path, monkeypatch):
         """bound_out_of_sample reports margin = bound - value, the bound being

@@ -37,7 +37,7 @@ def fresh_tables():
 
 
 def _table_and_cache_bits():
-    spline = stable._density_spline.__wrapped__(1.5, 20.0)
+    spline = stable._density_spline.__wrapped__(1.5)
     cache = ss.SmoothedDistance(ss.build_mollifier(1.5, 0.1, 4.0))._ensure_cache()
     return [spline.x.tobytes(), spline.c.tobytes(),
             cache["up"].c.tobytes(), cache["upp"].c.tobytes()]
@@ -106,7 +106,7 @@ def test_worker_numeric_error_reaches_the_caller(monkeypatch, tmp_path, capfd,
         monkeypatch.setattr(parallel, "workers", lambda n=n: n)
         parent_calls.clear()
         with pytest.raises(NumericError) as info:
-            stable._density_spline.__wrapped__(1.5, 20.0)
+            stable._density_spline.__wrapped__(1.5)
         errors.append(info.value)
         assert parent_calls and (bad in parent_calls) == (n == 1)
     inline, forked = errors

@@ -178,6 +178,22 @@ class TestRunSweep:
         ss.run_sweep(family, SimConfig(T=1.0, n_steps=8, n_paths=512, seed=4), law15)
         assert len(live) == 2
 
+    def test_c_fit_is_fitted_on_the_first_member_the_bound_covers(self, law15):
+        """Members n = 1..3 break S < 1, so member 4 calibrates: C_fit is its
+        D over its bracket, and it is no out-of-sample row."""
+        family = make_family("jump_bump", {"amp0": -30.0, "width": 0.6, "n_start": 1,
+                                           "n_stop": 4})
+        res = ss.run_sweep(family, SimConfig(T=1.0, n_steps=8, n_paths=512, seed=4), law15)
+        assert [r.assumption_flag for r in res.rows] == [True, True, True, False]
+        calib = res.rows[3]
+        assert res.C_fit == calib.D / calib.bound_raw != 1.0
+        assert calib.satisfied and res.out_of_sample_failures == 0
+
+    def test_every_member_flagged_is_an_assumption_violation(self, law15):
+        family = make_family("jump_bump", {"amp0": -30.0, "n_start": 1, "n_stop": 2})
+        with pytest.raises(ss.AssumptionViolation, match="family 'jump_bump'"):
+            ss.run_sweep(family, SimConfig(T=1.0, n_steps=8, n_paths=512, seed=4), law15)
+
     def test_no_slopes_under_four_members(self, law15):
         family = make_family("jump_bump", {"n_start": 1, "n_stop": 3})
         cfg = SimConfig(T=1.0, n_steps=32, n_paths=2000, seed=4)

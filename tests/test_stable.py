@@ -6,6 +6,7 @@ the sine analogue, constants from their closed forms.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -347,6 +348,17 @@ class TestNumericErrorContract:
                               error_bound=4.5e-3)
         assert err.estimate == 1.23
         assert err.error_bound == 4.5e-3
+
+    @pytest.mark.parametrize("x", [0.0, 1.0])
+    def test_unconverged_quadrature_raises_at_zero_too(self, monkeypatch, law15, x):
+        """One subdivision cannot resolve the integrand, at x = 0 as at any
+        other x: NumericError names the point, and no scipy warning leaks."""
+        monkeypatch.setattr(ss.StableLaw, "density_quadrature",
+                            ss.QuadratureSpec(max_subdivisions=1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ss.NumericError, match=f"did not converge at x={x}"):
+                ss.stable_density(law15, x)
 
 
 def _scalar_tail_series(law, x):
